@@ -13,6 +13,7 @@ from .core import (
     load_ideal,
     minimalize,
     polarize,
+    subset_lcms,
 )
 from .complexes import (
     FreeComplex,
@@ -26,23 +27,19 @@ from .complexes import (
     taylor_complex,
 )
 from .lattice import (
-    GcdGraph,
     LatticeMap,
     LcmLattice,
-    build_gcd_graph,
     build_lcm_lattice,
     find_lattice_isomorphisms,
     polarization_lattice_map,
     transport_denominator,
 )
 from .resolution import (
-    KoszulHomologyAlgebra,
     ResidueFieldResolution,
     eagon_resolution,
     golod_denominator,
     is_golod_generic,
     is_golod_truncated,
-    koszul_homology_algebra,
     resolve_residue_field,
 )
 from .series import (

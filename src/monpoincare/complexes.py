@@ -8,8 +8,8 @@ monomial lies in the defining ideal are dropped at construction time.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,9 +20,10 @@ from .core import (
     box_multidegrees,
     divides,
     lcm_of_subset,
+    mask_subset,
     mdeg_sub,
     monomial_str,
-    zero_mdeg,
+    subset_lcms,
 )
 from .linalg import rank_of
 
@@ -178,12 +179,9 @@ def taylor_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 def scarf_faces(ideal: MonomialIdeal):
     """Subsets of the generators whose lcm differs from every other subset's."""
-    r = ideal.num_generators
-    by_lcm = {}
-    for size in range(r + 1):
-        for face in combinations(range(r), size):
-            by_lcm.setdefault(lcm_of_subset(ideal, face), []).append(face)
-    faces = [fs[0] for fs in by_lcm.values() if len(fs) == 1]
+    lcms = subset_lcms(ideal.generators, ideal.num_vars)
+    count = Counter(lcms)
+    faces = [mask_subset(mask) for mask, m in enumerate(lcms) if count[m] == 1]
     faces.sort(key=lambda f: (len(f), f))
     return faces
 
@@ -198,9 +196,8 @@ def scarf_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     """True iff all subset lcms are distinct, i.e. the Taylor resolution is minimal."""
-    r = ideal.num_generators
-    lcms = {lcm_of_subset(ideal, f) for size in range(r + 1) for f in combinations(range(r), size)}
-    return len(lcms) == 2 ** r
+    lcms = subset_lcms(ideal.generators, ideal.num_vars)
+    return len(set(lcms)) == len(lcms)
 
 
 def koszul_complex(ring: Ring) -> FreeComplex:
@@ -261,31 +258,16 @@ def _homology_at(C: FreeComplex, j: Multidegree, char: int):
             if len(alive[i]) - ranks[i] - ranks[i + 1]}
 
 
-def _homology_chunk(args):
-    C, cells, char = args
-    return [(j, _homology_at(C, j, char)) for j in cells]
-
-
-def homology(C: FreeComplex, bound: Multidegree, char: int | None = None, jobs: int = 1):
+def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     """Dimensions of H_i(C) in every multidegree <= bound.
 
-    Returns {i: {multidegree: dim}} with zero dimensions omitted.  Components
-    in distinct multidegrees are independent; ``jobs > 1`` computes them in
-    worker processes.
+    Returns {i: {multidegree: dim}} with zero dimensions omitted.
     """
     if char is None:
         char = C.char
-    cells = box_multidegrees(bound)
     result = {i: {} for i in range(C.top_degree + 1)}
-    if jobs > 1 and len(cells) > 1:
-        chunks = [cells[k::jobs] for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_homology_chunk, [(C, chunk, char) for chunk in chunks])
-        items = [pair for part in parts for pair in part]
-    else:
-        items = [(j, _homology_at(C, j, char)) for j in cells]
-    for j, dims in items:
-        for i, d in dims.items():
+    for j in box_multidegrees(bound):
+        for i, d in _homology_at(C, j, char).items():
             result[i][j] = d
     return result
 

@@ -181,6 +181,24 @@ def lcm_of_subset(ideal: MonomialIdeal, subset) -> Multidegree:
     return m
 
 
+def subset_lcms(gens, num_vars: int) -> list:
+    """m_J for every subset J of ``gens``, indexed by bitmask (bit i set iff
+    gens[i] is in J).
+
+    The subsets holding gens[i] are those below it joined with gens[i], so the
+    table doubles once per generator and each entry costs one join.
+    """
+    table = [zero_mdeg(num_vars)]
+    for g in gens:
+        table += [mdeg_join(m, g) for m in table]
+    return table
+
+
+def mask_subset(mask: int) -> tuple:
+    """The generator indices of a subset bitmask, increasing."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def connected_components_lJ(ideal: MonomialIdeal, subset) -> int:
     """l_J: components of the graph on J joining generators that share a variable."""
     subset = sorted(set(subset))

@@ -1,4 +1,4 @@
-"""LCM lattices, GCD graphs, isomorphism search and denominator transport."""
+"""LCM lattices, isomorphism search and denominator transport."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,10 +11,8 @@ from .core import (
     Polarization,
     coprime,
     divides,
-    lcm_of_subset,
-    mdeg_join,
+    subset_lcms,
     total_degree,
-    zero_mdeg,
 )
 from .series import BigradedSeries
 
@@ -24,14 +22,14 @@ class LcmLattice:
     """All subset lcms of an ideal's generators, ordered by divisibility.
 
     ``elements`` is sorted by (total degree, lex); the bottom 0 comes first and
-    the top m_I last.  ``join_table`` maps element-index pairs to the index of
-    the componentwise max.
+    the top m_I last.  ``lcms`` is the 2^r table of :func:`subset_lcms`: m_J
+    for every generator subset J, indexed by bitmask.
     """
 
     num_vars: int
     atoms: tuple  # generator multidegrees, in the ideal's order
     elements: tuple
-    join_table: dict
+    lcms: tuple
 
     @property
     def bottom(self) -> Multidegree:
@@ -41,45 +39,11 @@ class LcmLattice:
     def top(self) -> Multidegree:
         return self.elements[-1]
 
-    def index(self, m: Multidegree) -> int:
-        try:
-            return self.elements.index(m)
-        except ValueError:
-            raise InputError(f"{m} is not a lattice element") from None
-
-    def join(self, a: Multidegree, b: Multidegree) -> Multidegree:
-        return self.elements[self.join_table[(self.index(a), self.index(b))]]
-
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    r = ideal.num_generators
-    elems = {lcm_of_subset(ideal, f) for size in range(r + 1)
-             for f in combinations(range(r), size)}
-    elements = tuple(sorted(elems, key=lambda m: (total_degree(m), m)))
-    pos = {m: i for i, m in enumerate(elements)}
-    table = {}
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[(i, j)] = pos[mdeg_join(a, b)]
-    return LcmLattice(ideal.num_vars, ideal.generators, elements, table)
-
-
-@dataclass(frozen=True)
-class GcdGraph:
-    """Coprimality graph on the nonbottom lattice elements.
-
-    The bottom is coprime to everything, so its edges carry no information and
-    are left out; every lattice isomorphism fixes the bottom anyway.
-    """
-
-    vertices: tuple
-    edges: frozenset  # of 2-element frozensets
-
-
-def build_gcd_graph(lattice: LcmLattice) -> GcdGraph:
-    verts = tuple(m for m in lattice.elements if any(m))
-    edges = {frozenset((a, b)) for a, b in combinations(verts, 2) if coprime(a, b)}
-    return GcdGraph(verts, frozenset(edges))
+    lcms = tuple(subset_lcms(ideal.generators, ideal.num_vars))
+    elements = tuple(sorted(set(lcms), key=lambda m: (total_degree(m), m)))
+    return LcmLattice(ideal.num_vars, ideal.generators, elements, lcms)
 
 
 @dataclass(frozen=True)
@@ -108,24 +72,18 @@ class LatticeMap:
 
 def _induced_element_map(L1: LcmLattice, L2: LcmLattice, atom_map):
     """Element map m_J -> m'_{sigma(J)} if well defined and bijective, else None."""
-    r = len(L1.atoms)
+    target_lcms = subset_lcms([L2.atoms[k] for k in atom_map], L2.num_vars)
     fwd = {}
     images = set()
-    for size in range(r + 1):
-        for face in combinations(range(r), size):
-            src = zero_mdeg(L1.num_vars)
-            dst = zero_mdeg(L2.num_vars)
-            for i in face:
-                src = mdeg_join(src, L1.atoms[i])
-                dst = mdeg_join(dst, L2.atoms[atom_map[i]])
-            seen = fwd.get(src)
-            if seen is None:
-                if dst in images:
-                    return None  # not injective
-                fwd[src] = dst
-                images.add(dst)
-            elif seen != dst:
-                return None  # not well defined
+    for src, dst in zip(L1.lcms, target_lcms):
+        seen = fwd.get(src)
+        if seen is None:
+            if dst in images:
+                return None  # not injective
+            fwd[src] = dst
+            images.add(dst)
+        elif seen != dst:
+            return None  # not well defined
     return fwd
 
 

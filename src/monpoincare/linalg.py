@@ -118,39 +118,3 @@ def kernel_basis(rows, ncols: int, char: int = 0):
         basis.append(v)
     return basis
 
-
-def solve_in_span(span_rows, target, ncols: int, char: int = 0):
-    """Coefficients c with sum(c_k * span_rows[k]) == target, or None.
-
-    Over char 0 the coefficients are Fractions; over GF(p), ints in [0, p).
-    """
-    k = len(span_rows)
-    if char:
-        aug = [[row[j] % char for row in span_rows] + [target[j] % char] for j in range(ncols)]
-    else:
-        aug = [[Fraction(row[j]) for row in span_rows] + [Fraction(target[j])] for j in range(ncols)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, char) if char else 1 / aug[r][c]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c] * inv
-                for j in range(c, k + 1):
-                    aug[i][j] = (aug[i][j] - f * aug[r][j]) % char if char else aug[i][j] - f * aug[r][j]
-        pivots.append((r, c))
-        r += 1
-    coeffs = [Fraction(0) if not char else 0] * k
-    for i, c in pivots:
-        inv = pow(aug[i][c], -1, char) if char else 1 / aug[i][c]
-        coeffs[c] = (aug[i][k] * inv) % char if char else aug[i][k] * inv
-    # rows without pivots must have zero rhs, else the system is inconsistent
-    pivot_rows = {i for i, _ in pivots}
-    for i in range(len(aug)):
-        if i not in pivot_rows and aug[i][k]:
-            return None
-    return coeffs

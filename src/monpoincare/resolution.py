@@ -1,5 +1,5 @@
 """Minimal free resolution of the residue field over R = S/I, the Koszul
-homology algebra of R, Golod certificates, and the Eagon-style resolution
+homology dimensions of R, Golod certificates, and the Eagon-style resolution
 for generic ideals.
 
 The resolution is built degree by degree: in each multidegree of a fixed box
@@ -37,7 +37,7 @@ from .complexes import (
     koszul_complex,
     scarf_faces,
 )
-from .linalg import EchelonSpace, kernel_basis, solve_in_span
+from .linalg import EchelonSpace, kernel_basis
 from .series import BigradedSeries, series_from_terms, series_inverse, variables_product
 
 
@@ -157,34 +157,6 @@ def _class_representatives(K: FreeComplex, i: int, j: Multidegree, char: int):
     return reps, cols
 
 
-@dataclass
-class KoszulClass:
-    index: int
-    degree: int  # homological degree in the Koszul complex
-    multidegree: Multidegree
-    cycle: dict  # wedge tuple -> int coefficient; monomial x^(j - 1_S) implied
-
-
-@dataclass
-class KoszulHomologyAlgebra:
-    """Koszul homology of R with representative cycles and their products.
-
-    ``products[(a, b)]`` expresses class_a * class_b in the classes at the
-    product's (degree, multidegree); an empty dict means the product is zero
-    in homology.  Only positive-degree classes are multiplied.
-    """
-
-    ideal: MonomialIdeal
-    bound: Multidegree
-    char: int
-    dims: dict  # (i, j) -> dim, including H_0
-    classes: list
-    products: dict
-
-    def positive_products_vanish(self) -> bool:
-        return all(not expansion for expansion in self.products.values())
-
-
 def _merge_sign(left, right) -> int:
     inversions = sum(1 for a in left for b in right if a > b)
     return -1 if inversions % 2 else 1
@@ -207,66 +179,6 @@ def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> 
                 out[union] = new
             else:
                 del out[union]
-    return out
-
-
-def koszul_homology_algebra(ideal: MonomialIdeal, bound: Multidegree | None = None,
-                            char: int = 0) -> KoszulHomologyAlgebra:
-    """Homology of the Koszul complex over R with cycle representatives and the
-    full multiplication table of the positive-degree classes."""
-    if bound is None:
-        bound = ideal.top_lcm()
-    bound = tuple(bound)
-    ring = Ring.quotient(ideal)
-    K = koszul_complex(ring)
-    dims = {}
-    classes = []
-    for j in box_multidegrees(bound):
-        for i in range(K.top_degree + 1):
-            reps, cols = _class_representatives(K, i, j, char)
-            if reps:
-                dims[(i, j)] = len(reps)
-            if i == 0:
-                continue
-            labels = K.labels[i]
-            for vec in reps:
-                cycle = {labels[c]: x for c, x in zip(cols, vec) if x}
-                classes.append(KoszulClass(len(classes), i, j, cycle))
-    products = {}
-    for a in classes:
-        for b in classes:
-            products[(a.index, b.index)] = _express_product(K, ideal, classes, a, b,
-                                                            bound, char)
-    return KoszulHomologyAlgebra(ideal, bound, char, dims, classes, products)
-
-
-def _express_product(K, ideal, classes, a, b, bound, char):
-    wedge = _wedge(a.cycle, a.multidegree, b.cycle, b.multidegree, K.ring)
-    i = a.degree + b.degree
-    j = mdeg_add(a.multidegree, b.multidegree)
-    if not wedge:
-        return {}
-    cols = alive_basis(K, i, j)
-    pos = {K.labels[i][c]: ci for ci, c in enumerate(cols)}
-    target = [0] * len(cols)
-    for s, coeff in wedge.items():
-        target[pos[s]] = coeff
-    boundary = []
-    upper = K.diffs[i + 1] if i + 1 <= K.top_degree else {}
-    for c in alive_basis(K, i + 1, j):
-        boundary.append([upper.get((r, c), 0) for r in cols])
-    local = [cl for cl in classes if cl.degree == i and cl.multidegree == j]
-    reps = []
-    for cl in local:
-        reps.append([cl.cycle.get(K.labels[i][c], 0) for c in cols])
-    coeffs = solve_in_span(boundary + reps, target, len(cols), char)
-    if coeffs is None:
-        raise InternalInconsistencyError(
-            "Koszul cycle product is neither a boundary nor a class combination")
-    out = {}
-    for cl, coeff in zip(local, coeffs[len(boundary):]):
-        if coeff:
-            out[cl.index] = coeff
     return out
 
 
@@ -299,9 +211,8 @@ def golod_denominator(ideal: MonomialIdeal, bound: Multidegree | None = None,
 def golod_series_match(P: BigradedSeries, ideal: MonomialIdeal, char: int = 0) -> bool:
     """Does a computed Poincare series equal prod(1+t*y_i)/golod_denominator
     within its own truncation box?"""
-    Qg = golod_denominator(ideal, char=char)
-    Qg = series_from_terms(ideal.num_vars, P.tmax, P.ybound,
-                           [(t, j, c) for (t, j), c in Qg.coeffs.items()])
+    # terms above t^tmax cannot change P mod t^(tmax+1)
+    Qg = golod_denominator(ideal, char=char).restrict(P.tmax, P.ybound)
     rhs = variables_product(ideal.num_vars, P.tmax, P.ybound) * series_inverse(Qg)
     return rhs == P
 

@@ -8,7 +8,6 @@ inside the box is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .core import (
@@ -19,10 +18,11 @@ from .core import (
     box_multidegrees,
     connected_components_lJ,
     divides,
-    lcm_of_subset,
+    mask_subset,
     mdeg_add,
     mdeg_sub,
     monomial_str,
+    subset_lcms,
     total_degree,
     unit_mdeg,
     zero_mdeg,
@@ -283,11 +283,11 @@ def series_from_deviations(table: DeviationTable, num_vars: int, tmax: int,
 def candidate_terms(ideal: MonomialIdeal):
     """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J."""
     out = set()
-    r = ideal.num_generators
-    for size in range(1, r + 1):
-        for face in combinations(range(r), size):
+    for mask, m in enumerate(subset_lcms(ideal.generators, ideal.num_vars)):
+        if mask:
+            face = mask_subset(mask)
             l = connected_components_lJ(ideal, face)
-            out.add(((-1) ** l, size + l, lcm_of_subset(ideal, face)))
+            out.add(((-1) ** l, len(face) + l, m))
     return out
 
 

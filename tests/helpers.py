@@ -2,13 +2,22 @@
 
 The homology oracle rebuilds every multigraded component from the raw
 differential data and takes ranks with sympy's exact rational elimination,
-so it shares no linear algebra with the package.
+so it shares no linear algebra with the package.  The subset oracles
+enumerate generator subsets with ``combinations`` and take each lcm on its
+own, the definition the package's shared subset-lcm table replaces.
 """
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 
-from monpoincare.core import box_multidegrees, minimalize, total_degree
+from monpoincare.core import (
+    box_multidegrees,
+    connected_components_lJ,
+    lcm_of_subset,
+    minimalize,
+    total_degree,
+)
 from monpoincare.complexes import scarf_faces
 
 CORPUS_SEED = 20240817
@@ -101,3 +110,27 @@ def eagon_rank_formula(ideal, imax):
     n = ideal.num_vars
     return [sum(comb(n, k) * words.get(i - k, 0) for k in range(min(i, n) + 1))
             for i in range(imax + 1)]
+
+
+def all_subsets(r):
+    """Every subset of range(r), ordered by (size, lex)."""
+    return [f for size in range(r + 1) for f in combinations(range(r), size)]
+
+
+def brute_scarf_faces(ideal):
+    faces = all_subsets(ideal.num_generators)
+    lcms = Counter(lcm_of_subset(ideal, f) for f in faces)
+    return [f for f in faces if lcms[lcm_of_subset(ideal, f)] == 1]
+
+
+def brute_is_taylor_minimal(ideal):
+    faces = all_subsets(ideal.num_generators)
+    return len({lcm_of_subset(ideal, f) for f in faces}) == len(faces)
+
+
+def brute_candidate_terms(ideal):
+    out = set()
+    for f in all_subsets(ideal.num_generators)[1:]:
+        l = connected_components_lJ(ideal, f)
+        out.add(((-1) ** l, len(f) + l, lcm_of_subset(ideal, f)))
+    return out

@@ -1,9 +1,15 @@
 import json
+from itertools import combinations
 
 import pytest
 
+from monpoincare import cli
 from monpoincare.cli import RunConfig, build_parser, main, run
-from monpoincare.core import InputError
+from monpoincare.core import InputError, InternalInconsistencyError
+
+# the 6-vertex triangulation of the real projective plane
+RP2_FACETS = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
 
 
 @pytest.fixture
@@ -20,6 +26,15 @@ def closing_pair(ideal_file):
     a = ideal_file("I", ["x1", "x2", "x3"], [[2, 0, 0], [0, 2, 1]])
     b = ideal_file("Ip", ["x1", "x2", "x3"], [[1, 2, 0], [1, 0, 2]])
     return a, b
+
+
+@pytest.fixture
+def rp2(ideal_file):
+    """Stanley-Reisner ideal of RP^2_6: its 10 non-face triples."""
+    facets = {frozenset(f) for f in RP2_FACETS}
+    gens = [[1 if v in t else 0 for v in range(1, 7)]
+            for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
+    return ideal_file("rp2", [f"x{v}" for v in range(1, 7)], gens)
 
 
 def test_q_closing_example_table(closing_pair, capsys):
@@ -112,6 +127,24 @@ def test_golod_subcommands(closing_pair, ideal_file, capsys):
     assert main(["golod-generic", b]) == 2
 
 
+def test_golod_explicit_tmax_on_rp2(rp2, capsys):
+    # the Golod denominator has terms above t^3; they cannot change P mod t^4
+    assert main(["golod", rp2, "--tmax", "3", "-f", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["golod_certified_to_truncation"]
+
+
+def test_betti_depends_on_the_characteristic(rp2, capsys):
+    tables = {}
+    for p in ("0", "2"):
+        assert main(["betti", rp2, "--char", p, "--check", "-f", "json"]) == 0
+        tables[p] = {(e["i"], tuple(e["y"])): e["dim"]
+                     for e in json.loads(capsys.readouterr().out)["table"]}
+    # Hochster: H~_1 and H~_2 of RP^2 vanish over Q and are k over GF(2)
+    ones = (1,) * 6
+    assert len(tables["0"]) == 32
+    assert tables["2"] == {**tables["0"], (3, ones): 1, (4, ones): 1}
+
+
 def test_eagon_subcommand(ideal_file):
     gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
     assert main(["eagon", gen, "--imax", "5", "--check"]) == 0
@@ -143,9 +176,13 @@ def test_char_option_runs(closing_pair, capsys):
     assert "t^3*y1*y2^2*y3^2" in out
 
 
-def test_jobs_option(closing_pair):
-    _, b = closing_pair
-    assert run(RunConfig("poincare", [b], tmax=3, check=True, jobs=2)) == 0
+def test_internal_error_exit_code(closing_pair, monkeypatch, capsys):
+    def broken(cfg):
+        raise InternalInconsistencyError("d o d != 0 at degree 2")
+
+    monkeypatch.setitem(cli._COMMANDS, "q", (broken, 1))
+    assert main(["q", closing_pair[0]]) == 3
+    assert "internal error: d o d != 0 at degree 2" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_subcommand(capsys):
@@ -160,6 +197,4 @@ def test_runconfig_validation():
         RunConfig("q", ["x.json"], characteristic=6)
     with pytest.raises(InputError):
         RunConfig("q", ["x.json"], fmt="yaml")
-    with pytest.raises(InputError):
-        RunConfig("q", ["x.json"], jobs=0)
     assert run(RunConfig("nonsense", ["x.json"])) == 2

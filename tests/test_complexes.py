@@ -12,7 +12,13 @@ from monpoincare.complexes import (
     taylor_complex,
 )
 
-from helpers import oracle_homology, random_corpus, standard_monomial_table
+from helpers import (
+    brute_is_taylor_minimal,
+    brute_scarf_faces,
+    oracle_homology,
+    random_corpus,
+    standard_monomial_table,
+)
 
 
 def test_taylor_two_variables():
@@ -75,6 +81,13 @@ def test_is_taylor_minimal():
     assert is_taylor_minimal(minimalize([(4,)], 1))
 
 
+def test_scarf_and_taylor_minimal_match_brute_force():
+    triangle = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
+    for ideal in [minimalize([], 2), triangle, *random_corpus(40, seed=71)]:
+        assert scarf_faces(ideal) == brute_scarf_faces(ideal)
+        assert is_taylor_minimal(ideal) == brute_is_taylor_minimal(ideal)
+
+
 def test_koszul_conventions():
     ring = Ring(2, ("x", "y"))
     K = koszul_complex(ring)
@@ -128,12 +141,6 @@ def test_homology_matches_oracle_small():
     for C in (taylor_complex(I), scarf_complex(I), koszul_complex(Ring.quotient(I))):
         bound = mdeg_add(I.top_lcm(), (1, 1))
         assert homology(C, bound) == oracle_homology(C, bound)
-
-
-def test_homology_jobs_parallel_agrees():
-    I = minimalize([(2, 0), (0, 2)], 2)
-    K = koszul_complex(Ring.quotient(I))
-    assert homology(K, (2, 2), jobs=2) == homology(K, (2, 2))
 
 
 def test_homology_char_two_agrees_here():

@@ -11,6 +11,7 @@ from monpoincare.core import (
     load_ideal,
     minimalize,
     polarize,
+    subset_lcms,
 )
 
 from helpers import random_corpus
@@ -57,6 +58,15 @@ def test_lcm_of_subset():
     assert lcm_of_subset(I2, [0, 1]) == (2, 2, 1)
     with pytest.raises(InputError):
         lcm_of_subset(I, [2])
+
+
+def test_subset_lcms_matches_lcm_of_subset():
+    for ideal in [minimalize([], 2), *random_corpus(40, seed=71)]:
+        r = ideal.num_generators
+        table = subset_lcms(ideal.generators, ideal.num_vars)
+        assert len(table) == 2 ** r
+        for mask, m in enumerate(table):
+            assert m == lcm_of_subset(ideal, [i for i in range(r) if mask & (1 << i)])
 
 
 def test_lcm_monotone():

@@ -2,9 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from monpoincare.core import InputError, coprime, mdeg_join, minimalize, polarize
+from monpoincare.core import InputError, mdeg_join, minimalize, polarize
 from monpoincare.lattice import (
-    build_gcd_graph,
     build_lcm_lattice,
     find_lattice_isomorphisms,
     lattice_map_from_atom_bijection,
@@ -28,13 +27,6 @@ def test_build_lattice_closing_examples():
     assert set(Lp.elements) == {(0, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)}
 
 
-def test_lattice_join_table():
-    L = build_lcm_lattice(minimalize(CLOSING_I, 3))
-    for a in L.elements:
-        for b in L.elements:
-            assert L.join(a, b) == mdeg_join(a, b)
-
-
 def test_lattice_empty_ideal():
     L = build_lcm_lattice(minimalize([], 2))
     assert L.elements == ((0, 0),)
@@ -52,25 +44,6 @@ def test_lattice_size_bound_and_atom_join_generation():
                     m = mdeg_join(m, a)
                 spanned.add(m)
         assert spanned == set(L.elements)
-
-
-def test_gcd_graph_closing_examples():
-    L = build_lcm_lattice(minimalize(CLOSING_I, 3))
-    G = build_gcd_graph(L)
-    assert frozenset(((2, 0, 0), (0, 2, 1))) in G.edges
-    Lp = build_lcm_lattice(minimalize(CLOSING_IP, 3))
-    assert build_gcd_graph(Lp).edges == frozenset()
-    single = build_lcm_lattice(minimalize([(2, 1)], 2))
-    assert build_gcd_graph(single).edges == frozenset()
-
-
-def test_gcd_graph_edges_exactly_coprime_pairs():
-    for ideal in random_corpus(15, seed=53):
-        L = build_lcm_lattice(ideal)
-        G = build_gcd_graph(L)
-        nonbottom = [m for m in L.elements if any(m)]
-        for a, b in combinations(nonbottom, 2):
-            assert (frozenset((a, b)) in G.edges) == coprime(a, b)
 
 
 def test_find_isomorphisms_closing_pair():

@@ -1,7 +1,6 @@
 import random
-from fractions import Fraction
 
-from monpoincare.linalg import EchelonSpace, kernel_basis, rank_of, solve_in_span
+from monpoincare.linalg import EchelonSpace, kernel_basis, rank_of
 
 
 def test_echelon_membership():
@@ -52,14 +51,3 @@ def test_kernel_mod_p():
             assert rank_of(M, n, char=p) + len(ker) == n
             for v in ker:
                 assert all(sum(row[i] * v[i] for i in range(n)) % p == 0 for row in M)
-
-
-def test_solve_in_span():
-    span = [[1, 0, 1], [0, 1, 1]]
-    coeffs = solve_in_span(span, [2, 3, 5], 3)
-    assert coeffs == [Fraction(2), Fraction(3)]
-    assert solve_in_span(span, [0, 0, 1], 3) is None
-    assert solve_in_span([], [0, 0, 0], 3) == []
-    coeffs = solve_in_span([[2, 0], [1, 1]], [1, 3], 2, char=5)
-    assert (2 * coeffs[0] + coeffs[1]) % 5 == 1
-    assert coeffs[1] % 5 == 3

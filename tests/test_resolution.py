@@ -7,7 +7,6 @@ from monpoincare.resolution import (
     golod_denominator,
     is_golod_generic,
     is_golod_truncated,
-    koszul_homology_algebra,
     koszul_homology_dims,
     resolve_residue_field,
 )
@@ -93,50 +92,15 @@ def test_resolve_refuses_bad_bound():
         resolve_residue_field(I, 3, (1, 1))
 
 
-def test_koszul_homology_dims_match_algebra():
+def test_koszul_homology_dims_closing_example():
+    # closing example: H_1 at (1,2,0) and (1,0,2), H_2 at (1,2,2), each of dim 1
     I = minimalize([(1, 2, 0), (1, 0, 2)], 3)
-    algebra = koszul_homology_algebra(I)
-    dims = koszul_homology_dims(I)
-    assert {k: v for k, v in dims.items() if k[0] >= 1} == \
-           {(c.degree, c.multidegree): 1 for c in algebra.classes}
-    assert dims == algebra.dims
-
-
-def test_koszul_homology_algebra_golod_case():
-    # closing example: H_1 at (1,2,0) and (1,0,2), H_2 at (1,2,2), products zero
-    I = minimalize([(1, 2, 0), (1, 0, 2)], 3)
-    algebra = koszul_homology_algebra(I)
-    assert sorted((c.degree, c.multidegree) for c in algebra.classes) == [
-        (1, (1, 0, 2)), (1, (1, 2, 0)), (2, (1, 2, 2))]
-    assert algebra.positive_products_vanish()
-    for c in algebra.classes:
-        for wedge, coeff in c.cycle.items():
-            assert coeff != 0 and len(wedge) == c.degree
-
-
-def test_koszul_homology_algebra_exterior_products():
-    # I = (x, y): R = k, Koszul homology is the full exterior algebra
-    I = minimalize([(1, 0), (0, 1)], 2)
-    algebra = koszul_homology_algebra(I)
-    assert {(c.degree, c.multidegree) for c in algebra.classes} == {
-        (1, (1, 0)), (1, (0, 1)), (2, (1, 1))}
-    assert not algebra.positive_products_vanish()
-    by_deg = {c.multidegree: c for c in algebra.classes}
-    e1, e2 = by_deg[(1, 0)], by_deg[(0, 1)]
-    top = by_deg[(1, 1)]
-    prod = algebra.products[(e1.index, e2.index)]
-    assert list(prod) == [top.index] and prod[top.index] != 0
-    # graded commutativity: e2*e1 = -e1*e2 in degree 1*1
-    back = algebra.products[(e2.index, e1.index)]
-    assert back[top.index] == -prod[top.index]
-    # squares of odd-degree classes vanish
-    assert algebra.products[(e1.index, e1.index)] == {}
-
-
-def test_koszul_homology_trivial_for_zero_ideal():
-    algebra = koszul_homology_algebra(minimalize([], 2))
-    assert algebra.classes == []
-    assert algebra.dims == {(0, (0, 0)): 1}
+    assert koszul_homology_dims(I) == {
+        (0, (0, 0, 0)): 1,
+        (1, (1, 2, 0)): 1, (1, (1, 0, 2)): 1,
+        (2, (1, 2, 2)): 1,
+    }
+    assert koszul_homology_dims(minimalize([], 2)) == {(0, (0, 0)): 1}
 
 
 def test_golod_denominator_values():

@@ -17,6 +17,8 @@ from monpoincare.series import (
     verify_lcm_coefficients,
 )
 
+from helpers import brute_candidate_terms, random_corpus
+
 
 def _random_unit_series(rng, tmax=4, ybound=(3, 3), nterms=6, tmin=0):
     terms = [(0, (0, 0), 1)]
@@ -130,6 +132,11 @@ def test_candidate_terms_closing_examples():
     }
     principal = minimalize([(2, 1)], 2)
     assert candidate_terms(principal) == {(-1, 2, (2, 1))}
+
+
+def test_candidate_terms_match_brute_force():
+    for ideal in [minimalize([], 2), *random_corpus(40, seed=71)]:
+        assert candidate_terms(ideal) == brute_candidate_terms(ideal)
 
 
 def test_verify_lcm_coefficients():
