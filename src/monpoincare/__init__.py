@@ -8,6 +8,7 @@ from .core import (
     MonomialIdeal,
     Polarization,
     connected_components_lJ,
+    in_lcm_lattice,
     is_generic,
     lcm_of_subset,
     load_ideal,
@@ -48,6 +49,8 @@ from .series import (
     candidate_terms,
     denominator,
     deviations,
+    poincare_from_denominator,
+    series_div,
     series_from_deviations,
     series_from_terms,
     series_inverse,

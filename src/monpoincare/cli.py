@@ -1,5 +1,10 @@
 """Command-line interface: one binary, subcommand per operation.
 
+A command resolves k over R at most once per ideal: in box m_I up to
+t = deg m_I, which fixes the denominator Q, and everything else follows from
+Q; with --check, in the slack box m_I + (1,..,1) instead, as a cross-check
+that Q read in box m_I reproduces the larger resolution.
+
 Exit codes: 0 success, 1 verification failure (a requested check did not
 hold), 2 input error (bad file, bad arguments, violated precondition), 3
 internal error (a theorem-guaranteed property failed, i.e. a bug).
@@ -37,6 +42,7 @@ from .lattice import (
 from .resolution import (
     eagon_resolution,
     golod_denominator,
+    golod_series_match,
     is_golod_generic,
     is_golod_truncated,
     koszul_homology_dims,
@@ -45,7 +51,9 @@ from .resolution import (
 from .series import (
     candidate_terms,
     denominator,
+    denominator_from_poincare,
     deviations,
+    poincare_from_denominator,
     series_from_deviations,
     verify_lcm_coefficients,
 )
@@ -126,6 +134,35 @@ def _default_tmax(ideal, extra=1):
     return total_degree(ideal.top_lcm()) + extra
 
 
+def _slack_bound(ideal):
+    return mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
+
+
+def _resolve_once(ideal, cfg, slack_tmax):
+    """Q from the one resolution of k over R that a command makes.
+
+    Without --check: box m_I up to t = deg m_I (``denominator``), giving
+    (Q, None).  With --check: the slack box m_I + (1,..,1) up to
+    ``slack_tmax``, giving (Q, that resolution); Q is read off P in box m_I
+    and prod(1+t*y_i)/Q must reproduce all of P (mod t^(slack_tmax+1)),
+    else ``denominator_from_poincare`` raises an internal error.
+    """
+    if not cfg.check:
+        return denominator(ideal, char=cfg.characteristic), None
+    res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), cfg.characteristic)
+    return denominator_from_poincare(res.poincare_series(), ideal), res
+
+
+def _exact_denominator(ideal, cfg):
+    """The whole of Q, for q, verify-lcm and lattice-iso: --tmax may not be
+    below deg m_I, and only --check resolves up to a larger one."""
+    degree_bound = _default_tmax(ideal, 0)
+    if cfg.tmax is not None and cfg.tmax < degree_bound:
+        raise InputError(
+            f"tmax {cfg.tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
+    return _resolve_once(ideal, cfg, cfg.tmax if cfg.tmax is not None else degree_bound + 1)[0]
+
+
 def _check_complex(C, what):
     C.validate()
     bad = C.d_squared_violations()
@@ -135,14 +172,14 @@ def _check_complex(C, what):
 
 def cmd_q(cfg):
     ideal = load_ideal(cfg.paths[0])
-    Q = denominator(ideal, cfg.tmax, cfg.characteristic)
+    Q = _exact_denominator(ideal, cfg)
     _print_series(Q, ideal, cfg.fmt, "Q")
     if cfg.check:
         if not verify_lcm_coefficients(Q, ideal):
             raise VerificationFailure("a denominator multidegree is not a subset lcm")
-        cands = {(s, t, j) for s, t, j in candidate_terms(ideal)}
+        cands = candidate_terms(ideal)
         applicable = is_taylor_minimal(ideal) or is_golod_truncated(
-            ideal, _default_tmax(ideal, 2), cfg.characteristic)
+            ideal, _default_tmax(ideal, 2), cfg.characteristic, Q)
         if applicable:
             for (t, j), c in Q.terms():
                 if t >= 1 and ((1 if c > 0 else -1), t, j) not in cands:
@@ -153,9 +190,12 @@ def cmd_q(cfg):
 def cmd_poincare(cfg):
     ideal = load_ideal(cfg.paths[0])
     tmax = cfg.tmax if cfg.tmax is not None else _default_tmax(ideal, 2)
-    res = resolve_residue_field(ideal, tmax, char=cfg.characteristic)
-    _print_betti(res.betti(), ideal, cfg.fmt,
-                 f"Tor^R(k,k) to t-degree {tmax}, multidegrees <= {list(res.bound)}")
+    bound = _slack_bound(ideal)
+    Q, res = _resolve_once(ideal, cfg, tmax)
+    # dim Tor_i^R(k,k)_j is the coefficient of t^i y^j in P
+    table = res.betti() if res else poincare_from_denominator(Q, tmax, bound).coeffs
+    _print_betti(table, ideal, cfg.fmt,
+                 f"Tor^R(k,k) to t-degree {tmax}, multidegrees <= {list(bound)}")
     if cfg.check:
         _check_complex(res.complex, "residue field resolution")
         H = homology(res.complex, res.bound, cfg.characteristic)
@@ -168,8 +208,9 @@ def cmd_poincare(cfg):
 def cmd_deviations(cfg):
     ideal = load_ideal(cfg.paths[0])
     nmax = cfg.nmax if cfg.nmax is not None else 6
-    bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
-    P = resolve_residue_field(ideal, nmax, bound, cfg.characteristic).poincare_series()
+    bound = _slack_bound(ideal)
+    Q, res = _resolve_once(ideal, cfg, nmax)
+    P = res.poincare_series() if res else poincare_from_denominator(Q, nmax, bound)
     table = deviations(P, nmax)
     rows = table.rows()
     if cfg.fmt == "json":
@@ -202,7 +243,7 @@ def cmd_candidates(cfg):
 
 def cmd_verify_lcm(cfg):
     ideal = load_ideal(cfg.paths[0])
-    Q = denominator(ideal, cfg.tmax, cfg.characteristic)
+    Q = _exact_denominator(ideal, cfg)
     ok = verify_lcm_coefficients(Q, ideal)
     if cfg.fmt == "json":
         _emit_json({"ideal": ideal.to_dict(), "all_terms_are_subset_lcms": ok})
@@ -257,17 +298,24 @@ def cmd_betti(cfg):
 def cmd_golod(cfg):
     ideal = load_ideal(cfg.paths[0])
     tmax = cfg.tmax if cfg.tmax is not None else _default_tmax(ideal, 2)
-    verdict = is_golod_truncated(ideal, tmax, cfg.characteristic)
-    bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
+    bound = _slack_bound(ideal)
+    # the slack resolution must reach t = deg m_I + 1 to check Q's t-degree
+    Q, res = _resolve_once(ideal, cfg, max(tmax, _default_tmax(ideal)))
+    verdict = is_golod_truncated(ideal, tmax, cfg.characteristic, Q)
     if cfg.fmt == "json":
         _emit_json({"ideal": ideal.to_dict(), "tmax": tmax, "bound": list(bound),
                     "golod_certified_to_truncation": verdict})
     else:
         state = "IS" if verdict else "is NOT"
-        print(f"R {state} Golod up to t-degree {tmax}, multidegrees <= {list(bound)}"
-              " (certificate is truncation-bounded)")
+        exact = "exact" if tmax >= _default_tmax(ideal, 0) else "certificate is truncation-bounded"
+        print(f"R {state} Golod up to t-degree {tmax}, multidegrees <= {list(bound)} ({exact})")
+    if cfg.check:
+        # the certificate that predates the comparison of denominators
+        P = res.poincare_series().restrict(tmax, bound)
+        if golod_series_match(P, ideal, cfg.characteristic) != verdict:
+            raise VerificationFailure("the Golod verdict from Q disagrees with the truncated "
+                                      "Poincare series certificate")
     if cfg.check and verdict:
-        Q = denominator(ideal, max(tmax, _default_tmax(ideal)), cfg.characteristic)
         if Q != golod_denominator(ideal, char=cfg.characteristic):
             raise VerificationFailure("certified Golod but Q differs from the Golod formula")
         cands = candidate_terms(ideal)
@@ -285,7 +333,9 @@ def cmd_golod_generic(cfg):
     else:
         print(f"generic ideal; R {'IS' if verdict else 'is NOT'} Golod")
     if cfg.check:
-        if verdict != is_golod_truncated(ideal, _default_tmax(ideal, 2), cfg.characteristic):
+        tmax = _default_tmax(ideal, 2)
+        Q, _ = _resolve_once(ideal, cfg, tmax)
+        if verdict != is_golod_truncated(ideal, tmax, cfg.characteristic, Q):
             raise VerificationFailure("generic criterion disagrees with truncated certificate")
     return 0
 
@@ -306,8 +356,7 @@ def cmd_eagon(cfg):
             print(f"  degree {i}: {'; '.join(pretty)}")
     if cfg.check:
         _check_complex(Y, "Eagon resolution")
-        bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
-        H = homology(Y, bound, cfg.characteristic)
+        H = homology(Y, _slack_bound(ideal), cfg.characteristic)
         for i in range(1, imax):
             if H.get(i):
                 raise VerificationFailure(f"Eagon resolution not exact at degree {i}: {H[i]}")
@@ -326,8 +375,8 @@ def cmd_lattice_iso(cfg):
     transported_out = []
     mismatch = None
     if cfg.transport and isos:
-        QA = denominator(A, cfg.tmax, cfg.characteristic)
-        QB = denominator(B, cfg.tmax, cfg.characteristic)
+        QA = _exact_denominator(A, cfg)
+        QB = _exact_denominator(B, cfg)
         for idx, m in enumerate(isos):
             T = transport_denominator(QA, m)
             transported_out.append(T)

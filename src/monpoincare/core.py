@@ -181,6 +181,20 @@ def lcm_of_subset(ideal: MonomialIdeal, subset) -> Multidegree:
     return m
 
 
+def in_lcm_lattice(ideal: MonomialIdeal, j: Multidegree) -> bool:
+    """Is j in L_I, i.e. an lcm of some set of generators?
+
+    Exactly when the lcm of the generators dividing j is j itself, so the
+    test costs r joins and never builds the 2^r lattice.  The bottom 0 (the
+    empty lcm) is in L_I.
+    """
+    m = zero_mdeg(ideal.num_vars)
+    for g in ideal.generators:
+        if divides(g, j):
+            m = mdeg_join(m, g)
+    return m == tuple(j)
+
+
 def subset_lcms(gens, num_vars: int) -> list:
     """m_J for every subset J of ``gens``, indexed by bitmask (bit i set iff
     gens[i] is in J).

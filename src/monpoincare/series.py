@@ -8,23 +8,23 @@ inside the box is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
+from operator import add, le
 
 from .core import (
     InputError,
     InternalInconsistencyError,
     MonomialIdeal,
     Multidegree,
-    box_multidegrees,
     connected_components_lJ,
     divides,
+    in_lcm_lattice,
     mask_subset,
     mdeg_add,
-    mdeg_sub,
     monomial_str,
     subset_lcms,
     total_degree,
-    unit_mdeg,
     zero_mdeg,
 )
 
@@ -176,40 +176,68 @@ def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
     return BigradedSeries(a.num_vars, a.tmax, a.ybound, coeffs)
 
 
+def series_div(num: BigradedSeries, den: BigradedSeries) -> BigradedSeries:
+    """num / den within their common truncation box; den needs constant term 1.
+
+    Every other term of den has weight t + |j| >= 1, so the quotient term at
+    a key is final once all keys of lower weight are settled.  Keys are
+    settled weight by weight, and each quotient term is pushed once against
+    the other terms of den: the cost is (quotient terms) x (den terms), not
+    the size of the box.
+    """
+    num._compatible(den)
+    if den.constant_term != 1:
+        raise InputError("series division needs a denominator with constant term 1")
+    tmax, ybound = num.tmax, num.ybound
+    origin = (0, zero_mdeg(num.num_vars))
+    tail = sorted((t, j, c, t + sum(j)) for (t, j), c in den.coeffs.items() if (t, j) != origin)
+    pending = {}  # weight -> {key: coefficient still owed to the quotient}
+    for (t, j), c in num.coeffs.items():
+        pending.setdefault(t + sum(j), {})[(t, j)] = c
+    quotient = {}
+    for weight in range(tmax + sum(ybound) + 1):
+        for (t, j), c in pending.pop(weight, {}).items():
+            if not c:
+                continue
+            quotient[(t, j)] = c
+            for t1, j1, c1, w1 in tail:
+                if t + t1 > tmax:
+                    break  # tail is sorted by t
+                key = (t + t1, tuple(map(add, j, j1)))
+                if all(map(le, key[1], ybound)):
+                    bucket = pending.setdefault(weight + w1, {})
+                    bucket[key] = bucket.get(key, 0) - c * c1
+    return BigradedSeries(num.num_vars, tmax, ybound, quotient)
+
+
 def series_inverse(a: BigradedSeries) -> BigradedSeries:
     """Multiplicative inverse within the truncation box; needs constant term 1.
 
-    Solves a*b = 1 by the convolution recurrence in graded key order, so the
-    cost is (box size) x (number of nonzero terms of a).
+    This is series_div(1, a), so it costs (terms of the inverse) x (terms of a).
     """
-    if a.constant_term != 1:
-        raise InputError("series inverse needs constant term 1")
-    origin = (0, zero_mdeg(a.num_vars))
-    tail = [(t, j, c) for (t, j), c in a.coeffs.items() if (t, j) != origin]
-    inv = {origin: 1}
-    for j in box_multidegrees(a.ybound):
-        for t in range(a.tmax + 1):
-            if (t, j) == origin:
-                continue
-            s = 0
-            for t1, j1, c1 in tail:
-                if t1 <= t and divides(j1, j):
-                    b = inv.get((t - t1, mdeg_sub(j, j1)))
-                    if b:
-                        s += c1 * b
-            if s:
-                inv[(t, j)] = -s
-    return BigradedSeries(a.num_vars, a.tmax, a.ybound, inv)
+    return series_div(series_one(a.num_vars, a.tmax, a.ybound), a)
 
 
 def variables_product(num_vars: int, tmax: int, ybound) -> BigradedSeries:
-    """The numerator prod_i (1 + t*y_i), truncated."""
-    out = series_one(num_vars, tmax, tuple(ybound))
-    for i in range(num_vars):
-        factor = series_from_terms(num_vars, tmax, ybound,
-                                   [(0, zero_mdeg(num_vars), 1), (1, unit_mdeg(num_vars, i), 1)])
-        out = out * factor
-    return out
+    """The numerator prod_i (1 + t*y_i), truncated.
+
+    A variable whose bound is 0 (one that no generator uses, in box m_I)
+    contributes its truncation, the factor 1.
+    """
+    live = [i for i in range(num_vars) if ybound[i]]
+    terms = [(len(S), tuple(1 if i in S else 0 for i in range(num_vars)), 1)
+             for k in range(min(tmax, len(live)) + 1) for S in combinations(live, k)]
+    return series_from_terms(num_vars, tmax, ybound, terms)
+
+
+def poincare_from_denominator(Q: BigradedSeries, tmax: int, ybound) -> BigradedSeries:
+    """P = prod(1+t*y_i)/Q in the box (tmax, ybound); Q's box must lie inside
+    it in y.  Terms of Q above t^tmax cannot change P mod t^(tmax+1)."""
+    if tmax < 0:
+        raise InputError("tmax must be non-negative")
+    wide = series_from_terms(Q.num_vars, tmax, ybound,
+                             [(t, j, c) for (t, j), c in Q.coeffs.items() if t <= tmax])
+    return series_div(variables_product(Q.num_vars, tmax, ybound), wide)
 
 
 def binomial_factor_power(num_vars: int, tmax: int, ybound, sign: int, n: int,
@@ -291,49 +319,64 @@ def candidate_terms(ideal: MonomialIdeal):
     return out
 
 
-def verify_lcm_coefficients(Q: BigradedSeries, ideal: MonomialIdeal) -> bool:
-    """Every y-multidegree of a t-degree >= 1 term of Q is a subset lcm (nonbottom)."""
-    from .lattice import build_lcm_lattice
+def _off_lattice_terms(Q: BigradedSeries, ideal: MonomialIdeal) -> list:
+    """The terms of t-degree >= 1 whose multidegree is not in L_I minus 0."""
+    return [(t, j, c) for (t, j), c in sorted(Q.coeffs.items())
+            if t >= 1 and not (any(j) and in_lcm_lattice(ideal, j))]
 
-    lattice = build_lcm_lattice(ideal)
-    elements = set(lattice.elements) - {zero_mdeg(ideal.num_vars)}
-    return all(j in elements for (t, j) in Q.coeffs if t >= 1)
+
+def verify_lcm_coefficients(Q: BigradedSeries, ideal: MonomialIdeal) -> bool:
+    """Every y-multidegree of a t-degree >= 1 term of Q is a subset lcm (nonbottom).
+
+    Each term costs r joins (``in_lcm_lattice``); the lattice is not built.
+    """
+    return not _off_lattice_terms(Q, ideal)
 
 
 def denominator_from_poincare(P: BigradedSeries, ideal: MonomialIdeal) -> BigradedSeries:
     """Extract Q = prod(1+t*y_i)/P from an already computed Poincare series.
 
-    P must be truncated at a box containing m_I and at a t-degree at least
-    deg(m_I).  The result is the polynomial part: t-degree at most deg(m_I),
-    every y-multidegree dividing m_I.  Violations of those two bounds are
-    theorems, so finding one raises InternalInconsistencyError.
+    P's box must contain m_I.  Q is a polynomial with t-degree at most
+    deg(m_I) whose terms of t-degree >= 1 sit on L_I minus 0, so it is read
+    off P restricted to box m_I, up to t = min(P.tmax, deg m_I); below
+    deg m_I the result is Q mod t^(P.tmax+1), and its tmax says so.  Two
+    theorem checks follow, and a violation raises InternalInconsistencyError:
+    every term of t-degree >= 1 lies on L_I minus 0 (r joins a term), and
+    when P's box is larger than box m_I, prod(1+t*y_i)/Q reproduces all of P,
+    i.e. Q has no term outside box m_I or above t^deg(m_I).
     """
     top = ideal.top_lcm()
-    degree_bound = total_degree(top)
-    if P.tmax < degree_bound or not divides(top, P.ybound):
+    if not divides(top, P.ybound):
         raise InputError("Poincare series truncation too small to extract the denominator")
-    numerator = variables_product(ideal.num_vars, P.tmax, P.ybound)
-    Q = numerator * series_inverse(P)
-    for (t, j), c in Q.coeffs.items():
-        if t > degree_bound:
-            raise InternalInconsistencyError(
-                f"denominator term {c}*y^{j}*t^{t} beyond t-degree bound {degree_bound}")
-        if not divides(j, top):
-            raise InternalInconsistencyError(
-                f"denominator multidegree {j} does not divide m_I = {top}")
-    return Q.restrict(degree_bound, top)
+    tmax = min(P.tmax, total_degree(top))
+    tight = P.restrict(tmax, top)
+    Q = series_div(variables_product(ideal.num_vars, tmax, top), tight)
+    bad = _off_lattice_terms(Q, ideal)
+    if bad:
+        t, j, c = bad[0]
+        raise InternalInconsistencyError(
+            f"denominator term {c}*y^{j}*t^{t} has a multidegree outside L_I minus 0")
+    if (P.tmax, P.ybound) != (tmax, top) and poincare_from_denominator(Q, P.tmax, P.ybound) != P:
+        raise InternalInconsistencyError(
+            f"prod(1+t*y_i)/Q with Q read in box m_I = {top} does not reproduce the "
+            f"Poincare series in box {P.ybound} up to t^{P.tmax}")
+    return Q
 
 
 def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) -> BigradedSeries:
-    """Q with P = prod(1+t*y_i)/Q, computed from the resolution of the residue field."""
+    """Q with P = prod(1+t*y_i)/Q, from one resolution of the residue field.
+
+    Q lives in box m_I with t-degree <= deg m_I, so the resolution runs in
+    exactly that box; tmax may not be below deg m_I, and any tmax above it
+    changes nothing.  The slack box m_I + (1,..,1) is left to cross-checks
+    (``denominator_from_poincare`` of a larger resolution).
+    """
     from .resolution import resolve_residue_field
 
-    degree_bound = total_degree(ideal.top_lcm())
-    if tmax is None:
-        tmax = degree_bound + 1
-    if tmax < degree_bound:
+    top = ideal.top_lcm()
+    degree_bound = total_degree(top)
+    if tmax is not None and tmax < degree_bound:
         raise InputError(
             f"tmax {tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
-    bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
-    res = resolve_residue_field(ideal, tmax, bound, char)
+    res = resolve_residue_field(ideal, degree_bound, top, char)
     return denominator_from_poincare(res.poincare_series(), ideal)

@@ -55,6 +55,24 @@ def random_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
     return out
 
 
+def cycle_ideal(n):
+    """Edge ideal of the n-cycle: x_i x_{i+1}, indices mod n (non-Golod for n >= 4)."""
+    return minimalize([tuple(1 if k in (i, (i + 1) % n) else 0 for k in range(n))
+                       for i in range(n)], n)
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2_FACETS = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
+
+
+def rp2_generators():
+    """Stanley-Reisner generators of RP^2_6: its 10 non-face triples."""
+    facets = {frozenset(f) for f in RP2_FACETS}
+    return [tuple(1 if v in t else 0 for v in range(1, 7))
+            for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
+
+
 def oracle_homology(C, bound):
     """Brute-force per-multidegree homology: dense sympy matrices over Q.
 

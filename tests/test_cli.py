@@ -1,5 +1,4 @@
 import json
-from itertools import combinations
 
 import pytest
 
@@ -7,9 +6,7 @@ from monpoincare import cli
 from monpoincare.cli import RunConfig, build_parser, main, run
 from monpoincare.core import InputError, InternalInconsistencyError
 
-# the 6-vertex triangulation of the real projective plane
-RP2_FACETS = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
+from helpers import rp2_generators
 
 
 @pytest.fixture
@@ -31,10 +28,8 @@ def closing_pair(ideal_file):
 @pytest.fixture
 def rp2(ideal_file):
     """Stanley-Reisner ideal of RP^2_6: its 10 non-face triples."""
-    facets = {frozenset(f) for f in RP2_FACETS}
-    gens = [[1 if v in t else 0 for v in range(1, 7)]
-            for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
-    return ideal_file("rp2", [f"x{v}" for v in range(1, 7)], gens)
+    return ideal_file("rp2", [f"x{v}" for v in range(1, 7)],
+                      [list(g) for g in rp2_generators()])
 
 
 def test_q_closing_example_table(closing_pair, capsys):
@@ -143,6 +138,73 @@ def test_betti_depends_on_the_characteristic(rp2, capsys):
     ones = (1,) * 6
     assert len(tables["0"]) == 32
     assert tables["2"] == {**tables["0"], (3, ones): 1, (4, ones): 1}
+
+
+@pytest.fixture
+def resolve_calls(monkeypatch):
+    """Every resolution of k over R as (tmax, bound), whichever binding is used."""
+    from monpoincare import resolution, series
+
+    calls = []
+    real = resolution.resolve_residue_field
+
+    def counted(ideal, tmax, bound=None, char=0):
+        res = real(ideal, tmax, bound, char)
+        calls.append((tmax, res.bound))
+        return res
+
+    for mod in (cli, resolution, series):
+        monkeypatch.setattr(mod, "resolve_residue_field", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_each_command_resolves_at_most_once(closing_pair, ideal_file, resolve_calls, check,
+                                            capsys):
+    a, b = closing_pair
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    flag = ["--check"] if check else []
+    for argv in (["q", a], ["q", b], ["verify-lcm", a], ["golod", a], ["golod", b],
+                 ["golod", b, "--tmax", "3"], ["deviations", b, "--nmax", "4"],
+                 ["poincare", b, "--tmax", "4"]):
+        resolve_calls.clear()
+        assert main(argv + flag) == 0, argv
+        assert len(resolve_calls) == 1, argv
+        if not check:
+            # box m_I up to t = deg m_I; m_I = x1^2 x2^2 x3 or x1 x2^2 x3^2
+            assert resolve_calls == [(5, (2, 2, 1) if argv[1] == a else (1, 2, 2))], argv
+    resolve_calls.clear()
+    assert main(["golod-generic", gen] + flag) == 0
+    assert len(resolve_calls) == int(check)
+    resolve_calls.clear()
+    assert main(["lattice-iso", a, b, "--transport"] + flag) == 0
+    assert len(resolve_calls) == 2  # once per ideal
+    capsys.readouterr()
+
+
+def test_q_tmax_above_deg_m_I_changes_nothing(closing_pair, resolve_calls, capsys):
+    a, _ = closing_pair
+    assert main(["q", a, "-f", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["q", a, "--tmax", "40", "-f", "json"]) == 0
+    assert capsys.readouterr().out == plain
+    assert resolve_calls == [(5, (2, 2, 1))] * 2
+
+
+def test_golod_check_keeps_the_truncated_certificate_as_oracle(closing_pair, monkeypatch,
+                                                               capsys):
+    a, b = closing_pair
+    for path, tmax in [(a, "3"), (a, "4"), (b, "2"), (b, "7")]:
+        assert main(["golod", path, "--tmax", tmax, "--check"]) == 0
+    capsys.readouterr()
+    assert main(["golod", b, "-f", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["tmax"], doc["bound"]) == (7, [2, 3, 3])  # deg m_I + 2, m_I + 1
+    real = cli.golod_series_match
+    monkeypatch.setattr(cli, "golod_series_match", lambda *args: not real(*args))
+    assert main(["golod", b, "--check"]) == 1
+    assert "disagrees with the truncated" in capsys.readouterr().err
+    assert main(["golod", b]) == 0  # only --check consults the old certificate
 
 
 def test_eagon_subcommand(ideal_file):

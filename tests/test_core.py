@@ -5,7 +5,9 @@ import pytest
 from monpoincare.core import (
     InputError,
     MonomialIdeal,
+    box_multidegrees,
     connected_components_lJ,
+    in_lcm_lattice,
     is_generic,
     lcm_of_subset,
     load_ideal,
@@ -153,3 +155,10 @@ def test_load_ideal_errors(tmp_path):
     wrong.write_text(json.dumps({"gens": [[1]]}))
     with pytest.raises(InputError):
         load_ideal(wrong)
+
+
+def test_in_lcm_lattice_matches_subset_lcms():
+    for ideal in [minimalize([], 2), *random_corpus(30, seed=83)]:
+        lattice = set(subset_lcms(ideal.generators, ideal.num_vars))
+        for j in box_multidegrees(ideal.top_lcm()):
+            assert in_lcm_lattice(ideal, j) == (j in lattice), (ideal, j)

@@ -5,6 +5,7 @@ from monpoincare.complexes import Ring, homology, koszul_complex, minimize, tayl
 from monpoincare.resolution import (
     eagon_resolution,
     golod_denominator,
+    golod_series_match,
     is_golod_generic,
     is_golod_truncated,
     koszul_homology_dims,
@@ -12,13 +13,15 @@ from monpoincare.resolution import (
 )
 from monpoincare.series import (
     denominator,
+    denominator_from_poincare,
+    poincare_from_denominator,
     series_from_terms,
     series_inverse,
     series_mul,
     variables_product,
 )
 
-from helpers import eagon_rank_formula, random_corpus
+from helpers import cycle_ideal, eagon_rank_formula, random_corpus, rp2_generators
 
 
 def test_resolve_zero_ideal_is_koszul():
@@ -123,6 +126,47 @@ def test_is_golod_truncated():
     assert is_golod_truncated(minimalize([(3, 1)], 2), 4)
     with pytest.raises(InputError):
         is_golod_truncated(minimalize([(2,)], 1), 1)
+
+
+def _assert_tight_box_matches_slack_box(ideal, char, slack_tmax):
+    """Q from box m_I agrees with one resolution in box m_I + (1,..,1) up to
+    slack_tmax: the same Q, the same P, and the same Golod verdicts as the
+    truncated Poincare series certificate."""
+    top = ideal.top_lcm()
+    degree_bound = total_degree(top)
+    slack = mdeg_add(top, (1,) * ideal.num_vars)
+    P = resolve_residue_field(ideal, slack_tmax, slack, char).poincare_series()
+    Q = denominator(ideal, char=char)
+    assert denominator_from_poincare(P, ideal) == Q.restrict(
+        min(slack_tmax, degree_bound), top), (ideal, char)
+    assert poincare_from_denominator(Q, slack_tmax, slack) == P, (ideal, char)
+    for tmax in {2, 3, 4, degree_bound, degree_bound + 2}:
+        if 2 <= tmax <= slack_tmax:
+            assert is_golod_truncated(ideal, tmax, char, Q) == golod_series_match(
+                P.restrict(tmax, slack), ideal, char), (ideal, char, tmax)
+
+
+def test_tight_box_matches_slack_box_on_corpus():
+    corpus = random_corpus(40, seed=7)
+    assert sum(0 in ideal.top_lcm() for ideal in corpus) >= 5  # unused variables
+    for ideal in corpus:
+        for char in (0, 2):
+            _assert_tight_box_matches_slack_box(
+                ideal, char, total_degree(ideal.top_lcm()) + 2)
+
+
+def test_tight_box_matches_slack_box_on_c5_and_rp2():
+    # C5 is not Golod; RP^2's Q has two more terms in char 2 than in char 0,
+    # the first at t^4.  RP^2's slack box up to deg m_I = 6 is too slow for
+    # the suite, so it is compared mod t^5.
+    C5 = cycle_ideal(5)
+    RP2 = minimalize(rp2_generators(), 6)
+    for char in (0, 2):
+        _assert_tight_box_matches_slack_box(C5, char, total_degree(C5.top_lcm()) + 2)
+        _assert_tight_box_matches_slack_box(RP2, char, 4)
+    top = RP2.top_lcm()
+    assert (denominator(RP2, char=2) - denominator(RP2)).coeffs == {
+        (4, top): -1, (5, top): -1}
 
 
 def test_is_golod_generic():

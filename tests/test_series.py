@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from monpoincare.core import InputError, minimalize
+from monpoincare.core import InputError, InternalInconsistencyError, mdeg_add, minimalize
 from monpoincare.series import (
     BigradedSeries,
     candidate_terms,
     denominator,
+    denominator_from_poincare,
     deviations,
+    poincare_from_denominator,
+    series_div,
     series_from_deviations,
     series_from_terms,
     series_inverse,
@@ -20,14 +23,16 @@ from monpoincare.series import (
 from helpers import brute_candidate_terms, random_corpus
 
 
-def _random_unit_series(rng, tmax=4, ybound=(3, 3), nterms=6, tmin=0):
-    terms = [(0, (0, 0), 1)]
+def _random_unit_series(rng, tmax=4, ybound=(3, 3), nterms=6, tmin=0, constant=1):
+    """A random series in len(ybound) variables with the given constant term."""
+    n = len(ybound)
+    terms = [(0, (0,) * n, constant)]
     for _ in range(nterms):
         t = rng.randint(tmin, tmax)
-        j = (rng.randint(0, ybound[0]), rng.randint(0, ybound[1]))
+        j = tuple(rng.randint(0, b) for b in ybound)
         if t + sum(j) > 0:
             terms.append((t, j, rng.randint(-3, 3)))
-    return series_from_terms(2, tmax, ybound, terms)
+    return series_from_terms(n, tmax, ybound, terms)
 
 
 def test_mul_two_linear_factors():
@@ -58,6 +63,39 @@ def test_inverse_property_random():
 def test_inverse_requires_unit():
     with pytest.raises(InputError):
         series_inverse(series_from_terms(1, 2, (2,), [(0, (0,), 2)]))
+
+
+def test_series_div_times_divisor_is_numerator():
+    # series_mul is the oracle; numerators with any constant term, and boxes
+    # in which some variable is bounded by 0
+    rng = random.Random(31)
+    for ybound in [(3, 3), (2, 0), (0, 0), (2, 0, 1)]:
+        for _ in range(20):
+            num = _random_unit_series(rng, ybound=ybound, nterms=8,
+                                      constant=rng.randint(-3, 3))
+            den = _random_unit_series(rng, ybound=ybound)
+            assert series_mul(series_div(num, den), den) == num
+
+
+def test_series_div_requires_unit_constant_term():
+    num = series_one(1, 2, (2,))
+    for c in (2, -1, 0):
+        with pytest.raises(InputError):
+            series_div(num, series_from_terms(1, 2, (2,), [(0, (0,), c), (1, (1,), 1)]))
+    with pytest.raises(InputError):
+        series_div(num, series_one(1, 3, (2,)))  # boxes differ
+
+
+def test_variables_product_skips_zero_bounds():
+    # a variable bounded by 0 (unused by every generator, in box m_I) gives 1
+    P = variables_product(3, 3, (1, 0, 2))
+    assert P.coeffs == {
+        (0, (0, 0, 0)): 1,
+        (1, (1, 0, 0)): 1,
+        (1, (0, 0, 1)): 1,
+        (2, (1, 0, 1)): 1,
+    }
+    assert variables_product(2, 0, (1, 1)) == series_one(2, 0, (1, 1))
 
 
 def test_mul_requires_same_box():
@@ -170,3 +208,27 @@ def test_denominator_against_numerator_identity():
         Qwide = series_from_terms(n, tmax, bound,
                                   [(t, j, c) for (t, j), c in Q.coeffs.items()])
         assert series_mul(Qwide, P) == variables_product(n, tmax, bound)
+
+
+def test_denominator_from_poincare_flags_off_lattice_term():
+    # (1,1,1) is no lcm of (x1^2, x2^2 x3): a Q carrying it breaks the theorem
+    I = minimalize([(2, 0, 0), (0, 2, 1)], 3)
+    Q = denominator(I)
+    fake = Q + series_from_terms(3, Q.tmax, Q.ybound, [(3, (1, 1, 1), -1)])
+    P = poincare_from_denominator(fake, Q.tmax, Q.ybound)
+    with pytest.raises(InternalInconsistencyError, match=r"-1\*y\^\(1, 1, 1\)\*t\^3"):
+        denominator_from_poincare(P, I)
+
+
+def test_denominator_from_poincare_flags_term_outside_box_m_I():
+    # in the slack box, a term outside box m_I or above t^deg(m_I) keeps
+    # prod(1+t*y_i)/Q from reproducing P
+    I = minimalize([(2, 0, 0), (0, 2, 1)], 3)
+    Q = denominator(I)
+    tmax, slack = 6, mdeg_add(I.top_lcm(), (1, 1, 1))
+    for extra in [(4, (2, 2, 2)), (6, (2, 2, 1))]:
+        terms = [(t, j, c) for (t, j), c in Q.coeffs.items()] + [(*extra, 1)]
+        P = poincare_from_denominator(series_from_terms(3, tmax, slack, terms), tmax, slack)
+        with pytest.raises(InternalInconsistencyError, match="does not reproduce"):
+            denominator_from_poincare(P, I)
+    assert denominator_from_poincare(poincare_from_denominator(Q, tmax, slack), I) == Q
