@@ -301,7 +301,8 @@ def cmd_golod(cfg):
     bound = _slack_bound(ideal)
     # the slack resolution must reach t = deg m_I + 1 to check Q's t-degree
     Q, res = _resolve_once(ideal, cfg, max(tmax, _default_tmax(ideal)))
-    verdict = is_golod_truncated(ideal, tmax, cfg.characteristic, Q)
+    Qg = golod_denominator(ideal, char=cfg.characteristic)
+    verdict = is_golod_truncated(ideal, tmax, cfg.characteristic, Q, Qg)
     if cfg.fmt == "json":
         _emit_json({"ideal": ideal.to_dict(), "tmax": tmax, "bound": list(bound),
                     "golod_certified_to_truncation": verdict})
@@ -312,11 +313,11 @@ def cmd_golod(cfg):
     if cfg.check:
         # the certificate that predates the comparison of denominators
         P = res.poincare_series().restrict(tmax, bound)
-        if golod_series_match(P, ideal, cfg.characteristic) != verdict:
+        if golod_series_match(P, ideal, cfg.characteristic, Qg) != verdict:
             raise VerificationFailure("the Golod verdict from Q disagrees with the truncated "
                                       "Poincare series certificate")
     if cfg.check and verdict:
-        if Q != golod_denominator(ideal, char=cfg.characteristic):
+        if Q != Qg:
             raise VerificationFailure("certified Golod but Q differs from the Golod formula")
         cands = candidate_terms(ideal)
         for (t, j), c in Q.terms():

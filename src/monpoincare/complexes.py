@@ -9,7 +9,7 @@ monomial lies in the defining ideal are dropped at construction time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,6 +67,10 @@ class FreeComplex:
     ``diffs[i]`` maps (row, col) -> scalar for the differential
     modules[i] -> modules[i-1], with diffs[0] always empty.  ``labels`` may
     carry a parallel structure naming the generators (subsets, wedge sets...).
+    ``alive_memo`` maps a bound to one ``alive_index`` per module; only
+    ``resolve_residue_field`` fills it, for its own box, so that ``homology``
+    over that box reads the resolver's indexes instead of rebuilding them.
+    It is not part of equality, and ``dataclasses.replace`` starts it empty.
     """
 
     ring: Ring
@@ -74,6 +78,7 @@ class FreeComplex:
     diffs: list
     labels: list | None = None
     char: int = 0
+    alive_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_degree(self) -> int:
@@ -107,17 +112,19 @@ class FreeComplex:
     def d_squared_violations(self):
         """All (i, row, col) where (d_{i-1} o d_i) is nonzero over the ring."""
         bad = []
+        by_col = []  # by_col[i][c]: the (row, scalar) entries of column c of d_i
+        for diff in self.diffs:
+            cols = {}
+            for (r, c), s in diff.items():
+                cols.setdefault(c, []).append((r, s))
+            by_col.append(cols)
         for i in range(2, len(self.modules)):
-            by_col = {}
-            for (r, c), s in self.diffs[i].items():
-                by_col.setdefault(c, []).append((r, s))
-            lower = self.diffs[i - 1]
-            for c, terms in by_col.items():
+            lower = by_col[i - 1]
+            for c, terms in by_col[i].items():
                 acc = {}
                 for mid, s in terms:
-                    for (r, m), t in lower.items():
-                        if m == mid:
-                            acc[r] = acc.get(r, 0) + s * t
+                    for r, t in lower.get(mid, ()):
+                        acc[r] = acc.get(r, 0) + s * t
                 for r, total in acc.items():
                     if self.char:
                         total %= self.char
@@ -227,6 +234,45 @@ def koszul_complex(ring: Ring) -> FreeComplex:
     return FreeComplex(ring, modules, diffs, labels)
 
 
+def standard_monomials(ring: Ring, bound: Multidegree) -> set:
+    """Multidegrees s <= bound with x^s outside the ring's relations."""
+    return {s for s in box_multidegrees(bound) if not ring.kills(s)}
+
+
+def alive_cells(g: Multidegree, bound: Multidegree, standard: set) -> list:
+    """Cells j <= bound where a generator of multidegree g is alive: g + s for
+    every standard s <= bound - g.
+
+    Standard monomials are closed under division, so the walk extends s one
+    coordinate at a time and drops a prefix (s_1..s_k, 0..0) that is not
+    standard; it costs about n set lookups per cell returned.
+    """
+    n = len(g)
+    shifts = [()]
+    for k in range(n):
+        pad = (0,) * (n - k - 1)
+        shifts = [s + (e,) for s in shifts for e in range(bound[k] - g[k] + 1)
+                  if s + (e,) + pad in standard]
+    return [tuple(a + b for a, b in zip(g, s)) for s in shifts]
+
+
+def alive_index(ring: Ring, module, bound: Multidegree, standard: set | None = None) -> dict:
+    """{cell j <= bound: indices c of module, ascending, with module[c] | j and
+    j - module[c] standard}: ``alive_basis`` for every cell of the box at once.
+
+    ``standard`` is ``standard_monomials(ring, bound)`` when the caller has it.
+    Each generator walks its own alive cells, so the cost is proportional to
+    the (generator, alive cell) pairs, not to |box| x |module|.
+    """
+    if standard is None:
+        standard = standard_monomials(ring, bound)
+    index = {}
+    for c, g in enumerate(module):
+        for j in alive_cells(g, bound, standard):
+            index.setdefault(j, []).append(c)
+    return index
+
+
 def alive_basis(C: FreeComplex, i: int, j: Multidegree):
     """Generator indices of modules[i] contributing to the component at j."""
     if not 0 <= i <= C.top_degree:
@@ -246,8 +292,8 @@ def component_matrix(C: FreeComplex, i: int, j: Multidegree, rows=None, cols=Non
     return [[diff.get((r, c), 0) for c in cols] for r in rows]
 
 
-def _homology_at(C: FreeComplex, j: Multidegree, char: int):
-    alive = [alive_basis(C, i, j) for i in range(C.top_degree + 1)]
+def _homology_at(C: FreeComplex, j: Multidegree, alive, char: int):
+    """H_i(C)_j from the alive bases alive[i] of every module at j."""
     ranks = [0] * (C.top_degree + 2)
     for i in range(1, C.top_degree + 1):
         if alive[i] and alive[i - 1]:
@@ -261,13 +307,22 @@ def _homology_at(C: FreeComplex, j: Multidegree, char: int):
 def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     """Dimensions of H_i(C) in every multidegree <= bound.
 
-    Returns {i: {multidegree: dim}} with zero dimensions omitted.
+    Returns {i: {multidegree: dim}} with zero dimensions omitted.  The alive
+    bases come from one ``alive_index`` per module, built once per call at a
+    cost of (generator, standard cell) pairs, or read from ``C.alive_memo``
+    when the resolver left the indexes for this bound.
     """
     if char is None:
         char = C.char
+    bound = tuple(bound)
+    indexes = C.alive_memo.get(bound)
+    if indexes is None:
+        standard = standard_monomials(C.ring, bound)
+        indexes = [alive_index(C.ring, module, bound, standard) for module in C.modules]
     result = {i: {} for i in range(C.top_degree + 1)}
     for j in box_multidegrees(bound):
-        for i, d in _homology_at(C, j, char).items():
+        alive = [index.get(j, ()) for index in indexes]
+        for i, d in _homology_at(C, j, alive, char).items():
             result[i][j] = d
     return result
 

@@ -2,8 +2,12 @@
 
 Vectors are plain lists of Python ints.  Over the rationals (char 0) rows are
 kept primitive (content 1, first nonzero entry positive) and elimination uses
-integer cross-multiplication, so no floating point or Fraction appears in the
-hot path.  Over GF(p) entries are canonical representatives in [0, p).
+integer cross-multiplication, so no floating point appears.  Char-0
+``kernel_basis`` is the exception to integer-only arithmetic: it
+back-substitutes each kernel vector with ``Fraction`` before clearing
+denominators, and that is most of the char-0 resolver's time (ROADMAP item 3
+names a fraction-free replacement).  Over GF(p) entries are canonical
+representatives in [0, p).
 """
 from __future__ import annotations
 

@@ -40,10 +40,13 @@ from .complexes import (
     Ring,
     _entry,
     alive_basis,
+    alive_cells,
+    alive_index,
     component_matrix,
     homology,
     koszul_complex,
     scarf_faces,
+    standard_monomials,
 )
 from .linalg import EchelonSpace, kernel_basis
 from .series import BigradedSeries, denominator, series_div, series_from_terms, variables_product
@@ -78,6 +81,14 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     The box must contain m_I, otherwise later denominator extraction would be
     unsound.  Ranks of the result are exactly dim Tor_i^R(k,k)_j for j in the
     box; generators outside the box are not tracked.
+
+    Each free module carries an ``alive_index`` over the box: the cells where
+    its generators are alive, built once at a cost of (generator, standard
+    cell) pairs.  At step k the index of modules[k-1] gives the columns and
+    that of modules[k-2] the rows of the cell's matrix; the index of
+    modules[k] is filled as its generators are chosen, so before choosing at
+    a cell it lists the earlier generators that reach it.  The indexes are
+    left in ``complex.alive_memo[bound]`` for ``homology`` over the same box.
     """
     n = ideal.num_vars
     top = ideal.top_lcm()
@@ -90,37 +101,32 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         raise InputError("tmax must be non-negative")
     ring = Ring.quotient(ideal)
     cells = box_multidegrees(bound)
-    standard = {j: not ring.kills(j) for j in cells}
+    standard = standard_monomials(ring, bound)
 
     modules = [[zero_mdeg(n)]]
     diffs = [{}]
     if tmax >= 1:
         # units outside the box belong to variables no generator uses; their
         # (split-off polynomial) contribution cancels against the numerator
-        gens1 = [u for u in (unit_mdeg(n, i) for i in range(n))
-                 if divides(u, bound) and standard[u]]
+        gens1 = [u for u in (unit_mdeg(n, i) for i in range(n)) if u in standard]
         modules.append(gens1)
         diffs.append({(0, c): 1 for c in range(len(gens1))})
+    alive = [alive_index(ring, module, bound, standard) for module in modules]
 
     for step in range(2, tmax + 1):
-        prev, prevprev = modules[step - 1], modules[step - 2]
+        cols_at, rows_at = alive[step - 1], alive[step - 2]
         diff = diffs[step - 1]
         col_entries = {}
         for (r, c), s in diff.items():
             col_entries.setdefault(c, []).append((r, s))
-        min_total = min((total_degree(d) for d in prev), default=None)
-        chosen = []  # (multidegree, {prev generator index: scalar})
+        degs, vecs = [], []  # chosen generators: multidegree, {prev index: scalar}
+        index = {}
         for j in cells:
-            if min_total is None or sum(j) < min_total:
-                continue
-            cols = [c for c, deg in enumerate(prev)
-                    if divides(deg, j) and standard[mdeg_sub(j, deg)]]
+            cols = cols_at.get(j)
             if not cols:
                 continue
-            rows = [r for r, deg in enumerate(prevprev)
-                    if divides(deg, j) and standard[mdeg_sub(j, deg)]]
-            rows_pos = {r: ri for ri, r in enumerate(rows)}
-            M = [[0] * len(cols) for _ in rows]
+            rows_pos = {r: ri for ri, r in enumerate(rows_at.get(j, ()))}
+            M = [[0] * len(cols) for _ in rows_pos]
             for ci, c in enumerate(cols):
                 for r, s in col_entries.get(c, ()):
                     ri = rows_pos.get(r)
@@ -129,18 +135,26 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
             kernel = kernel_basis(M, len(cols), char)
             if not kernel:
                 continue
+            # the earlier generators alive at j; those dividing j with a
+            # non-standard cofactor map to zero here and are not in the index
             span = EchelonSpace(len(cols), char)
-            for wdeg, wvec in chosen:
-                if wdeg != j and divides(wdeg, j):
-                    span.add([wvec.get(c, 0) for c in cols])
+            for w in index.get(j, ()):
+                span.add([vecs[w].get(c, 0) for c in cols])
+            new = []
             for v in kernel:
                 if span.add(v):
-                    chosen.append((j, {c: x for c, x in zip(cols, v) if x}))
-        modules.append([deg for deg, _ in chosen])
-        diffs.append({(r, ci): s for ci, (_, vec) in enumerate(chosen)
-                      for r, s in vec.items()})
+                    new.append(len(vecs))
+                    degs.append(j)
+                    vecs.append({c: x for c, x in zip(cols, v) if x})
+            if new:
+                for cell in alive_cells(j, bound, standard):
+                    index.setdefault(cell, []).extend(new)
+        modules.append(degs)
+        alive.append(index)
+        diffs.append({(r, ci): s for ci, vec in enumerate(vecs) for r, s in vec.items()})
 
     cpx = FreeComplex(ring, modules, diffs, None, char)
+    cpx.alive_memo[bound] = alive
     return ResidueFieldResolution(ideal, tmax, bound, cpx)
 
 
@@ -216,33 +230,41 @@ def golod_denominator(ideal: MonomialIdeal, bound: Multidegree | None = None,
     return series_from_terms(ideal.num_vars, tmax, bound, terms)
 
 
-def golod_series_match(P: BigradedSeries, ideal: MonomialIdeal, char: int = 0) -> bool:
+def golod_series_match(P: BigradedSeries, ideal: MonomialIdeal, char: int = 0,
+                       Qg: BigradedSeries | None = None) -> bool:
     """Does a computed Poincare series equal prod(1+t*y_i)/golod_denominator
     within its own truncation box?  The certificate that predates
-    ``is_golod_truncated``'s comparison of denominators; kept as its oracle."""
+    ``is_golod_truncated``'s comparison of denominators; kept as its oracle.
+    Qg is ``golod_denominator(ideal, char=char)`` if the caller already has it."""
+    if Qg is None:
+        Qg = golod_denominator(ideal, char=char)
     # terms above t^tmax cannot change P mod t^(tmax+1)
-    Qg = golod_denominator(ideal, char=char).restrict(P.tmax, P.ybound)
+    Qg = Qg.restrict(P.tmax, P.ybound)
     return series_div(variables_product(ideal.num_vars, P.tmax, P.ybound), Qg) == P
 
 
 def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
-                       Q: BigradedSeries | None = None) -> bool:
+                       Q: BigradedSeries | None = None,
+                       Qg: BigradedSeries | None = None) -> bool:
     """Is R Golod up to t-degree tmax: does the resolution's Poincare series
     agree with prod(1+t*y_i)/golod_denominator through t^tmax?
 
     Both denominators live in box m_I with t-degree <= deg m_I, so this is
     Q == golod_denominator through t^min(tmax, deg m_I): exact Golodness when
     tmax >= deg m_I, and a tmax above deg m_I changes nothing.  Q is the
-    denominator if the caller already has it; otherwise ``denominator``
-    resolves once, in box m_I.
+    denominator and Qg ``golod_denominator(ideal, char=char)`` if the caller
+    already has them; otherwise ``denominator`` resolves once, in box m_I, and
+    the Koszul homology is computed here.
     """
     if tmax < 2:
         raise InputError("a Golod certificate needs tmax >= 2")
     if Q is None:
         Q = denominator(ideal, char=char)
+    if Qg is None:
+        Qg = golod_denominator(ideal, char=char)
     top = ideal.top_lcm()
     T = min(tmax, total_degree(top))
-    return Q.restrict(T, top) == golod_denominator(ideal, char=char).restrict(T, top)
+    return Q.restrict(T, top) == Qg.restrict(T, top)
 
 
 def is_golod_generic(ideal: MonomialIdeal) -> bool:

@@ -2,7 +2,8 @@
 
 The homology oracle rebuilds every multigraded component from the raw
 differential data and takes ranks with sympy's exact rational elimination,
-so it shares no linear algebra with the package.  The subset oracles
+so it shares no linear algebra with the package; the d o d oracle multiplies
+dense matrices of the same stored scalars.  The subset oracles
 enumerate generator subsets with ``combinations`` and take each lcm on its
 own, the definition the package's shared subset-lcm table replaces.
 """
@@ -110,6 +111,26 @@ def oracle_homology(C, bound):
             if h:
                 result[i][j] = h
     return result
+
+
+def oracle_d_squared_violations(C):
+    """Every (i, row, col) where the dense product d_{i-1} d_i has an entry
+    that is nonzero (mod the characteristic) on a monomial the ring keeps."""
+    rels = C.ring.relations
+    out = []
+    for i in range(2, len(C.modules)):
+        top, mid, low = C.modules[i], C.modules[i - 1], C.modules[i - 2]
+        upper = [[C.diffs[i].get((m, c), 0) for c in range(len(top))] for m in range(len(mid))]
+        lower = [[C.diffs[i - 1].get((r, m), 0) for m in range(len(mid))] for r in range(len(low))]
+        for r in range(len(low)):
+            for c in range(len(top)):
+                total = sum(lower[r][m] * upper[m][c] for m in range(len(mid)))
+                if C.char:
+                    total %= C.char
+                mu = tuple(a - b for a, b in zip(top[c], low[r]))
+                if total and not any(all(x <= y for x, y in zip(rel, mu)) for rel in rels):
+                    out.append((i, r, c))
+    return out
 
 
 def standard_monomial_table(ideal, bound):

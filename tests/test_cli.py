@@ -207,6 +207,35 @@ def test_golod_check_keeps_the_truncated_certificate_as_oracle(closing_pair, mon
     assert main(["golod", b]) == 0  # only --check consults the old certificate
 
 
+@pytest.fixture
+def golod_denominator_calls(monkeypatch):
+    """Every computation of the Golod denominator, whichever binding is used."""
+    from monpoincare import resolution
+
+    calls = []
+    real = resolution.golod_denominator
+
+    def counted(ideal, bound=None, char=0):
+        calls.append(char)
+        return real(ideal, bound, char)
+
+    for mod in (cli, resolution):
+        monkeypatch.setattr(mod, "golod_denominator", counted)
+    return calls
+
+
+def test_golod_check_computes_the_golod_denominator_once(closing_pair, golod_denominator_calls,
+                                                         capsys):
+    a, b = closing_pair  # (x1^2, x2^2 x3) is a complete intersection, not Golod
+    for path, golod in ((a, False), (b, True)):
+        for extra in ([], ["--char", "2"], ["--tmax", "3"]):
+            golod_denominator_calls.clear()
+            assert main(["golod", path, "--check", "-f", "json"] + extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["golod_certified_to_truncation"] == golod, (path, extra)
+            assert len(golod_denominator_calls) == 1, (path, extra)
+
+
 def test_eagon_subcommand(ideal_file):
     gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
     assert main(["eagon", gen, "--imax", "5", "--check"]) == 0

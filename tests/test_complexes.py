@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from monpoincare.core import mdeg_add, minimalize
+from monpoincare import complexes
+from monpoincare.core import box_multidegrees, is_generic, mdeg_add, minimalize, total_degree
 from monpoincare.complexes import (
     Ring,
+    alive_basis,
+    alive_index,
     homology,
     is_taylor_minimal,
     koszul_complex,
@@ -11,12 +16,16 @@ from monpoincare.complexes import (
     scarf_faces,
     taylor_complex,
 )
+from monpoincare.resolution import eagon_resolution, resolve_residue_field
 
 from helpers import (
     brute_is_taylor_minimal,
     brute_scarf_faces,
+    cycle_ideal,
+    oracle_d_squared_violations,
     oracle_homology,
     random_corpus,
+    rp2_generators,
     standard_monomial_table,
 )
 
@@ -187,3 +196,89 @@ def test_minimize_agrees_with_koszul_homology():
         koszul_dims = {(i, j): d for i, dims in H.items() for j, d in dims.items()}
         assert {k: v for k, v in betti.items() if k[0] >= 1} == \
                {k: v for k, v in koszul_dims.items() if k[0] >= 1}
+
+
+def _assert_index_is_alive_basis(C, bound):
+    """alive_index of every module agrees with alive_basis on every cell of
+    the box (a missing key is an empty basis); returns the indexes."""
+    cells = box_multidegrees(bound)
+    indexes = [alive_index(C.ring, module, bound) for module in C.modules]
+    for i, index in enumerate(indexes):
+        assert set(index) <= set(cells), i
+        for j in cells:
+            assert index.get(j, []) == alive_basis(C, i, j), (i, j)
+    return indexes
+
+
+def test_alive_index_matches_alive_basis():
+    corpus = random_corpus(20, seed=53)
+    assert sum(0 in ideal.top_lcm() for ideal in corpus) >= 3  # unused variables
+    c5, rp2 = cycle_ideal(5), minimalize(rp2_generators(), 6)
+    for ideal in [*corpus, c5, rp2]:
+        top = ideal.top_lcm()
+        slack = mdeg_add(top, (1,) * ideal.num_vars)
+        _assert_index_is_alive_basis(koszul_complex(Ring.quotient(ideal)), slack)
+        _assert_index_is_alive_basis(taylor_complex(ideal), slack)
+        if is_generic(ideal):
+            _assert_index_is_alive_basis(eagon_resolution(ideal, 4), slack)
+        # the slack box of C5 and RP^2 is resolved only to t = 4, as in the
+        # tight-versus-slack test, to keep the suite fast
+        full = ideal not in (c5, rp2)
+        for char in (0, 2):
+            for bound, tmax in ((top, total_degree(top)),
+                                (slack, total_degree(top) + 1 if full else 4)):
+                res = resolve_residue_field(ideal, tmax, bound, char)
+                fresh = _assert_index_is_alive_basis(res.complex, bound)
+                assert res.complex.alive_memo == {bound: fresh}, (ideal, char, bound)
+
+
+def test_homology_reads_the_resolver_index(monkeypatch):
+    ideal = cycle_ideal(4)
+    res = resolve_residue_field(ideal, 4, char=2)
+    plain = replace(res.complex)
+    assert plain.alive_memo == {} and plain == res.complex  # the memo is not compared
+    expected = homology(plain, res.bound)
+    assert expected == oracle_homology(plain, res.bound)
+
+    def no_rebuild(*args):
+        raise AssertionError("homology rebuilt an index the resolver left")
+
+    monkeypatch.setattr(complexes, "alive_index", no_rebuild)
+    assert homology(res.complex, res.bound) == expected
+    with pytest.raises(AssertionError, match="rebuilt"):
+        homology(res.complex, ideal.top_lcm())  # another box builds its own
+
+
+def _perturbed(C, i, key):
+    """C with the scalar of diffs[i][key] moved by one (dropped if it becomes 0)."""
+    diffs = [dict(d) for d in C.diffs]
+    new = C.diffs[i].get(key, 0) + 1
+    if C.char:
+        new %= C.char
+    if new:
+        diffs[i][key] = new
+    else:
+        del diffs[i][key]
+    return replace(C, diffs=diffs)
+
+
+def test_d_squared_violations_match_dense_oracle():
+    triangle = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
+    closing = minimalize([(1, 2, 0), (1, 0, 2)], 3)
+    four = minimalize([(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)], 3)
+    for char in (0, 2):
+        taylor = replace(taylor_complex(four), char=char)
+        resolutions = [resolve_residue_field(ideal, 4, char=char).complex
+                       for ideal in (triangle, closing)]
+        for C in (taylor, *resolutions):
+            assert C.d_squared_violations() == [] == oracle_d_squared_violations(C)
+            for i in range(2, len(C.modules)):
+                for key in sorted(C.diffs[i]):
+                    broken = _perturbed(C, i, key)
+                    bad = broken.d_squared_violations()
+                    assert sorted(bad) == sorted(oracle_d_squared_violations(broken)), (
+                        char, i, key)
+                    # over S nothing is killed; over R, d_1 of a row of d_2 is
+                    # a variable, so the change survives on a standard column
+                    if C is taylor or (i == 2 and not C.ring.kills(C.modules[2][key[1]])):
+                        assert bad, (char, i, key)
