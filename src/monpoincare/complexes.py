@@ -23,7 +23,8 @@ from .core import (
     mask_subset,
     mdeg_sub,
     monomial_str,
-    subset_lcms,
+    staircase,
+    subset_table,
 )
 from .linalg import rank_of
 
@@ -185,8 +186,11 @@ def taylor_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 
 def scarf_faces(ideal: MonomialIdeal):
-    """Subsets of the generators whose lcm differs from every other subset's."""
-    lcms = subset_lcms(ideal.generators, ideal.num_vars)
+    """Subsets of the generators whose lcm differs from every other subset's.
+
+    Counts the staircase masks of the subset lcms; nothing is decoded.
+    """
+    lcms = subset_table(staircase(ideal.generators, ideal.num_vars).atoms)
     count = Counter(lcms)
     faces = [mask_subset(mask) for mask, m in enumerate(lcms) if count[m] == 1]
     faces.sort(key=lambda f: (len(f), f))
@@ -203,7 +207,7 @@ def scarf_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     """True iff all subset lcms are distinct, i.e. the Taylor resolution is minimal."""
-    lcms = subset_lcms(ideal.generators, ideal.num_vars)
+    lcms = subset_table(staircase(ideal.generators, ideal.num_vars).atoms)
     return len(set(lcms)) == len(lcms)
 
 

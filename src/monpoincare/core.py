@@ -3,10 +3,22 @@
 A monomial is encoded by its exponent vector ("multidegree"), a tuple of
 non-negative ints whose length is the number of ring variables.  All other
 modules build on the operations here.
+
+Loops over all 2^r subsets of an ideal's r generators use a second encoding,
+the **staircase bitmask** (:class:`Staircase`): one int in which the block
+for x_i is as wide as the largest exponent of x_i among the generators (0
+bits for an unused variable), and x_i^e sets the lowest e bits of its block.
+This is the polarization read as one integer.  On monomials dividing m_I the
+lcm is ``a | b``, a divides c exactly when ``a & ~c == 0``, and a and b are
+coprime exactly when ``a & b == 0``.  :func:`subset_table` builds the 2^r
+table of subset lcms on these ints, and :func:`subset_components` the table
+of l_J; both refuse more than ``SUBSET_TABLE_MAX_GENERATORS`` generators
+before allocating anything.
 """
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -172,7 +184,10 @@ def load_ideal(path) -> MonomialIdeal:
 
 
 def lcm_of_subset(ideal: MonomialIdeal, subset) -> Multidegree:
-    """m_J: componentwise max of the selected generators; empty subset gives 0."""
+    """m_J: componentwise max of the selected generators; empty subset gives 0.
+
+    One subset at a time; :func:`subset_lcms` gives every m_J at once.
+    """
     m = zero_mdeg(ideal.num_vars)
     for idx in subset:
         if not 0 <= idx < ideal.num_generators:
@@ -195,17 +210,93 @@ def in_lcm_lattice(ideal: MonomialIdeal, j: Multidegree) -> bool:
     return m == tuple(j)
 
 
+# a 2^22-entry (about 4M) subset table of ints takes about 200 MB, and each
+# further generator doubles it
+SUBSET_TABLE_MAX_GENERATORS = 22
+
+
+class Staircase(namedtuple("Staircase", "widths offsets atoms")):
+    """The staircase bitmask codec of a generator set (see the module docstring).
+
+    ``widths[i]`` is the largest exponent of x_i among the generators and
+    ``offsets[i]`` the first bit of x_i's block; ``atoms`` holds the
+    generators' masks, in order.  Only monomials dividing the generators' lcm
+    have a mask.
+    """
+
+    __slots__ = ()
+
+    def encode(self, m: Multidegree) -> int:
+        mask = 0
+        for e, off, w in zip(m, self.offsets, self.widths):
+            if e > w:
+                raise InputError(f"exponent {e} exceeds staircase width {w}")
+            mask |= ((1 << e) - 1) << off
+        return mask
+
+    def decode(self, mask: int) -> Multidegree:
+        return tuple((mask >> off & ((1 << w) - 1)).bit_length()
+                     for off, w in zip(self.offsets, self.widths))
+
+
+def staircase(gens, num_vars: int) -> Staircase:
+    """The staircase codec whose blocks fit ``gens`` exactly."""
+    widths = tuple(max((g[i] for g in gens), default=0) for i in range(num_vars))
+    offsets = tuple(sum(widths[:i]) for i in range(num_vars))
+    codec = Staircase(widths, offsets, ())
+    return codec._replace(atoms=tuple(codec.encode(g) for g in gens))
+
+
+def subset_table(masks) -> list:
+    """The union of ``masks[i]`` over i in J, for every subset J, indexed by
+    bitmask (bit i set iff i is in J).
+
+    On staircase masks of generators this is m_J.  The subsets holding
+    masks[i] are those below it joined with masks[i], so the table doubles once
+    per mask and each entry costs one ``|``.  Refuses more than
+    ``SUBSET_TABLE_MAX_GENERATORS`` masks before allocating.
+    """
+    r = len(masks)
+    if r > SUBSET_TABLE_MAX_GENERATORS:
+        raise InputError(
+            f"{r} generators need a subset table of 2^{r} entries; the limit is "
+            f"{SUBSET_TABLE_MAX_GENERATORS} generators (2^{SUBSET_TABLE_MAX_GENERATORS} entries)")
+    table = [0]
+    for g in masks:
+        table += [m | g for m in table]
+    return table
+
+
+def subset_components(masks) -> list:
+    """l_J for every subset J of the staircase masks ``masks``, indexed by
+    bitmask; l of the empty subset is 0.
+
+    Two generators are adjacent when their masks meet.  N[S], the generators
+    adjacent to some member of S, is a :func:`subset_table` of the neighbour
+    masks.  The component C of J's lowest member is the fixed point of
+    c -> N[c] & J, and l[J] = 1 + l[J minus C], a smaller index.
+    """
+    reach = subset_table([sum(1 << k for k, b in enumerate(masks) if a & b) for a in masks])
+    counts = [0] * len(reach)
+    for J in range(1, len(reach)):
+        c = J & -J
+        while (grown := reach[c] & J) != c:
+            c = grown
+        counts[J] = counts[J & ~c] + 1
+    return counts
+
+
 def subset_lcms(gens, num_vars: int) -> list:
     """m_J for every subset J of ``gens``, indexed by bitmask (bit i set iff
     gens[i] is in J).
 
-    The subsets holding gens[i] are those below it joined with gens[i], so the
-    table doubles once per generator and each entry costs one join.
+    The :func:`subset_table` of the generators' staircase masks, with only
+    its distinct values (the elements of L_I) decoded back to multidegrees.
     """
-    table = [zero_mdeg(num_vars)]
-    for g in gens:
-        table += [mdeg_join(m, g) for m in table]
-    return table
+    codec = staircase(gens, num_vars)
+    table = subset_table(codec.atoms)
+    decoded = {m: codec.decode(m) for m in set(table)}
+    return [decoded[m] for m in table]
 
 
 def mask_subset(mask: int) -> tuple:
@@ -214,7 +305,10 @@ def mask_subset(mask: int) -> tuple:
 
 
 def connected_components_lJ(ideal: MonomialIdeal, subset) -> int:
-    """l_J: components of the graph on J joining generators that share a variable."""
+    """l_J: components of the graph on J joining generators that share a variable.
+
+    One subset at a time; :func:`subset_components` gives every l_J at once.
+    """
     subset = sorted(set(subset))
     if not subset:
         raise InputError("l_J is undefined for the empty subset")

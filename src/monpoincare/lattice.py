@@ -9,9 +9,9 @@ from .core import (
     MonomialIdeal,
     Multidegree,
     Polarization,
-    coprime,
-    divides,
-    subset_lcms,
+    Staircase,
+    staircase,
+    subset_table,
     total_degree,
 )
 from .series import BigradedSeries
@@ -22,13 +22,19 @@ class LcmLattice:
     """All subset lcms of an ideal's generators, ordered by divisibility.
 
     ``elements`` is sorted by (total degree, lex); the bottom 0 comes first and
-    the top m_I last.  ``lcms`` is the 2^r table of :func:`subset_lcms`: m_J
-    for every generator subset J, indexed by bitmask.
+    the top m_I last.  Internally an element is its staircase bitmask under
+    ``codec`` (see :mod:`monpoincare.core`): ``masks[k]`` encodes
+    ``elements[k]``, joins are ``|``, divisibility is ``a & ~b == 0`` and
+    coprimality ``a & b == 0``.  ``lcms`` is the 2^r :func:`subset_table` of
+    the atoms' masks: the mask of m_J for every generator subset J, indexed by
+    bitmask.
     """
 
     num_vars: int
     atoms: tuple  # generator multidegrees, in the ideal's order
     elements: tuple
+    codec: Staircase
+    masks: tuple  # masks[k] encodes elements[k]
     lcms: tuple
 
     @property
@@ -41,9 +47,12 @@ class LcmLattice:
 
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    lcms = tuple(subset_lcms(ideal.generators, ideal.num_vars))
-    elements = tuple(sorted(set(lcms), key=lambda m: (total_degree(m), m)))
-    return LcmLattice(ideal.num_vars, ideal.generators, elements, lcms)
+    codec = staircase(ideal.generators, ideal.num_vars)
+    lcms = tuple(subset_table(codec.atoms))
+    decoded = sorted(((codec.decode(m), m) for m in set(lcms)),
+                     key=lambda em: (total_degree(em[0]), em[0]))
+    return LcmLattice(ideal.num_vars, ideal.generators, tuple(e for e, _ in decoded), codec,
+                      tuple(m for _, m in decoded), lcms)
 
 
 @dataclass(frozen=True)
@@ -71,28 +80,38 @@ class LatticeMap:
 
 
 def _induced_element_map(L1: LcmLattice, L2: LcmLattice, atom_map):
-    """Element map m_J -> m'_{sigma(J)} if well defined and bijective, else None."""
-    target_lcms = subset_lcms([L2.atoms[k] for k in atom_map], L2.num_vars)
-    fwd = {}
-    images = set()
-    for src, dst in zip(L1.lcms, target_lcms):
-        seen = fwd.get(src)
-        if seen is None:
-            if dst in images:
-                return None  # not injective
-            fwd[src] = dst
-            images.add(dst)
-        elif seen != dst:
-            return None  # not well defined
-    return fwd
+    """The mask map m_J -> m'_{sigma(J)} if well defined and injective, else None.
+
+    ``atom_map`` must list r distinct target atoms for L1's r atoms; then the
+    image is all of L2 and an injective map is a lattice isomorphism.
+    """
+    target_lcms = subset_table([L2.codec.atoms[k] for k in atom_map])
+    pairs = set(zip(L1.lcms, target_lcms))
+    # well defined: one image per source element; injective: one preimage per image
+    if not len(pairs) == len(L1.masks) == len(set(target_lcms)):
+        return None
+    return dict(pairs)
 
 
-def _gcd_preserving(element_map) -> bool:
-    items = [(a, b) for a, b in element_map.items() if any(a)]
-    for (a, fa), (b, fb) in combinations(items, 2):
-        if coprime(a, b) != coprime(fa, fb):
-            return False
-    return True
+def _gcd_preserving(fwd, atoms) -> bool:
+    """Does the isomorphism ``fwd`` (masks) keep coprimality of every pair of
+    nonzero elements?
+
+    Elements a and b are coprime iff every atom below a is coprime to every
+    atom below b, and an isomorphism maps the atoms below a onto the atoms
+    below fwd[a]; so the r^2 pairs of the atom masks ``atoms`` decide it.
+    """
+    pairs = [(a, fwd[a]) for a in atoms]
+    return all((a & b == 0) == (fa & fb == 0)
+               for (a, fa), (b, fb) in combinations(pairs, 2))
+
+
+def _lattice_map(L1: LcmLattice, L2: LcmLattice, atom_map, fwd) -> LatticeMap:
+    elements1 = dict(zip(L1.masks, L1.elements))
+    elements2 = dict(zip(L2.masks, L2.elements))
+    element_map = {elements1[a]: elements2[b] for a, b in fwd.items()}
+    return LatticeMap(L1, L2, tuple(atom_map), element_map,
+                      _gcd_preserving(fwd, L1.codec.atoms))
 
 
 def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
@@ -109,7 +128,7 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
         return []
 
     def upset_sizes(L):
-        return [sum(1 for m in L.elements if divides(a, m)) for a in L.atoms]
+        return [sum(1 for m in L.masks if a & ~m == 0) for a in L.codec.atoms]
 
     up1, up2 = upset_sizes(L1), upset_sizes(L2)
     r = len(L1.atoms)
@@ -120,7 +139,7 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
         if i == r:
             fwd = _induced_element_map(L1, L2, current)
             if fwd is not None:
-                found.append(LatticeMap(L1, L2, tuple(current), fwd, _gcd_preserving(fwd)))
+                found.append(_lattice_map(L1, L2, current, fwd))
             return
         for k in candidates[i]:
             if k not in used:
@@ -133,13 +152,27 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
 
 
 def lattice_map_from_atom_bijection(I1: MonomialIdeal, I2: MonomialIdeal, atom_map):
-    """The LatticeMap for a given atom bijection, or None if it is not one."""
+    """The LatticeMap for a given atom bijection, or None if it is not one.
+
+    ``atom_map[i]`` is the target atom of I1's generator i.  A map of the
+    wrong length or with an index outside I2's generators raises InputError;
+    unequal generator counts, a repeated target or a map that does not induce
+    a lattice isomorphism give None.
+    """
+    atom_map = tuple(atom_map)
+    r1, r2 = I1.num_generators, I2.num_generators
+    if len(atom_map) != r1:
+        raise InputError(f"atom map has {len(atom_map)} entries for {r1} generators")
+    if any(not (isinstance(k, int) and 0 <= k < r2) for k in atom_map):
+        raise InputError(f"atom map {atom_map} has an index outside range({r2})")
+    if r1 != r2 or len(set(atom_map)) != r1:
+        return None
     L1 = build_lcm_lattice(I1)
     L2 = build_lcm_lattice(I2)
-    fwd = _induced_element_map(L1, L2, tuple(atom_map))
+    fwd = _induced_element_map(L1, L2, atom_map)
     if fwd is None:
         return None
-    return LatticeMap(L1, L2, tuple(atom_map), fwd, _gcd_preserving(fwd))
+    return _lattice_map(L1, L2, atom_map, fwd)
 
 
 def polarization_lattice_map(pol: Polarization) -> LatticeMap:

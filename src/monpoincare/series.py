@@ -17,13 +17,13 @@ from .core import (
     InternalInconsistencyError,
     MonomialIdeal,
     Multidegree,
-    connected_components_lJ,
     divides,
     in_lcm_lattice,
-    mask_subset,
     mdeg_add,
     monomial_str,
-    subset_lcms,
+    staircase,
+    subset_components,
+    subset_table,
     total_degree,
     zero_mdeg,
 )
@@ -309,14 +309,18 @@ def series_from_deviations(table: DeviationTable, num_vars: int, tmax: int,
 
 
 def candidate_terms(ideal: MonomialIdeal):
-    """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J."""
-    out = set()
-    for mask, m in enumerate(subset_lcms(ideal.generators, ideal.num_vars)):
-        if mask:
-            face = mask_subset(mask)
-            l = connected_components_lJ(ideal, face)
-            out.add(((-1) ** l, len(face) + l, m))
-    return out
+    """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J.
+
+    m_J and l_J come from the two 2^r tables on the generators' staircase
+    masks (:func:`subset_table`, :func:`subset_components`); only the distinct
+    terms are decoded back to multidegrees.
+    """
+    codec = staircase(ideal.generators, ideal.num_vars)
+    lcms = subset_table(codec.atoms)
+    components = subset_components(codec.atoms)
+    terms = {(-1 if l & 1 else 1, J.bit_count() + l, m)
+             for J, (m, l) in enumerate(zip(lcms, components)) if J}
+    return {(sign, t, codec.decode(m)) for sign, t, m in terms}
 
 
 def _off_lattice_terms(Q: BigradedSeries, ideal: MonomialIdeal) -> list:

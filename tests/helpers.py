@@ -5,16 +5,18 @@ differential data and takes ranks with sympy's exact rational elimination,
 so it shares no linear algebra with the package; the d o d oracle multiplies
 dense matrices of the same stored scalars.  The subset oracles
 enumerate generator subsets with ``combinations`` and take each lcm on its
-own, the definition the package's shared subset-lcm table replaces.
+own, the definition the package's shared subset-lcm table replaces; the
+GCD-graph oracle compares every pair of lattice elements on multidegrees.
 """
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from monpoincare.core import (
     box_multidegrees,
     connected_components_lJ,
+    coprime,
     lcm_of_subset,
     minimalize,
     total_degree,
@@ -54,6 +56,12 @@ def random_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
             seen.add(key)
             out.append(ideal)
     return out
+
+
+def random_antichain(num_gens, num_vars, degree, seed):
+    """num_gens distinct monomials of one degree (so an antichain), seeded."""
+    monomials = [m for m in product(range(degree + 1), repeat=num_vars) if sum(m) == degree]
+    return minimalize(random.Random(seed).sample(monomials, num_gens), num_vars)
 
 
 def cycle_ideal(n):
@@ -173,3 +181,10 @@ def brute_candidate_terms(ideal):
         l = connected_components_lJ(ideal, f)
         out.add(((-1) ** l, len(f) + l, lcm_of_subset(ideal, f)))
     return out
+
+
+def oracle_gcd_preserving(element_map):
+    """Does the element map keep coprimality of every pair of nonzero elements?"""
+    items = [(a, b) for a, b in element_map.items() if any(a)]
+    return all(coprime(a, b) == coprime(fa, fb)
+               for (a, fa), (b, fb) in combinations(items, 2))

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from monpoincare import cli
 from monpoincare.cli import RunConfig, build_parser, main, run
-from monpoincare.core import InputError, InternalInconsistencyError
+from monpoincare.core import SUBSET_TABLE_MAX_GENERATORS, InputError, InternalInconsistencyError
 
 from helpers import rp2_generators
 
@@ -258,6 +259,23 @@ def test_exit_codes(ideal_file, tmp_path, capsys):
     assert main(["q", a, "--char", "4"]) == 2  # not a prime
     assert main(["q", a, "--tmax", "1"]) == 2  # below deg m_I
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, nfiles", [("candidates", 1), ("scarf", 1), ("lattice-iso", 2)])
+def test_oversized_subset_table_refused_before_allocating(ideal_file, command, nfiles, capsys):
+    r = SUBSET_TABLE_MAX_GENERATORS + 1
+    big = ideal_file("big", [f"x{i + 1}" for i in range(r)],
+                     [[1 if k == i else 0 for k in range(r)] for i in range(r)])
+    tracemalloc.start()
+    try:
+        assert main([command] + [big] * nfiles) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2^r-entry list alone would take 8 * 2^r bytes
+    assert peak < 2 ** r
+    err = capsys.readouterr().err
+    assert f"{r} generators" in err and f"limit is {SUBSET_TABLE_MAX_GENERATORS}" in err
 
 
 def test_char_option_runs(closing_pair, capsys):

@@ -1,22 +1,39 @@
 import json
+import random
 
 import pytest
 
 from monpoincare.core import (
+    SUBSET_TABLE_MAX_GENERATORS,
     InputError,
     MonomialIdeal,
     box_multidegrees,
     connected_components_lJ,
+    coprime,
+    divides,
     in_lcm_lattice,
     is_generic,
     lcm_of_subset,
     load_ideal,
+    mask_subset,
+    mdeg_join,
     minimalize,
     polarize,
+    staircase,
+    subset_components,
     subset_lcms,
+    subset_table,
 )
 
-from helpers import random_corpus
+from helpers import cycle_ideal, random_antichain, random_corpus, rp2_generators
+
+
+def staircase_cases():
+    """40 corpus ideals (several with an unused variable), C5-C8, RP^2 and a
+    seeded 14-generator antichain, after the zero ideal."""
+    return [minimalize([], 2), *random_corpus(40, seed=71),
+            *(cycle_ideal(n) for n in range(5, 9)), minimalize(rp2_generators(), 6),
+            random_antichain(14, 5, 4, seed=1)]
 
 
 def test_minimalize_divisibility():
@@ -69,6 +86,47 @@ def test_subset_lcms_matches_lcm_of_subset():
         assert len(table) == 2 ** r
         for mask, m in enumerate(table):
             assert m == lcm_of_subset(ideal, [i for i in range(r) if mask & (1 << i)])
+
+
+def test_staircase_codec_matches_multidegree_operations():
+    unused_variable = 0
+    for ideal in staircase_cases():
+        codec = staircase(ideal.generators, ideal.num_vars)
+        assert codec.atoms == tuple(codec.encode(g) for g in ideal.generators)
+        unused_variable += 0 in codec.widths
+        cells = box_multidegrees(ideal.top_lcm())
+        if len(cells) > 100:
+            cells = random.Random(3).sample(cells, 100)
+        masks = [codec.encode(c) for c in cells]
+        for a, ma in zip(cells, masks):
+            assert codec.decode(ma) == a
+            for b, mb in zip(cells, masks):
+                assert codec.decode(ma | mb) == mdeg_join(a, b)
+                assert (ma & ~mb == 0) == divides(a, b)
+                assert (ma & mb == 0) == coprime(a, b)
+    assert unused_variable >= 3
+    codec = staircase([(2, 0, 0), (0, 2, 1)], 3)
+    assert codec.widths == (2, 2, 1) and codec.atoms == (0b00011, 0b11100)
+    with pytest.raises(InputError):
+        codec.encode((3, 0, 0))
+
+
+def test_subset_components_match_connected_components_lJ():
+    for ideal in staircase_cases():
+        counts = subset_components(staircase(ideal.generators, ideal.num_vars).atoms)
+        assert len(counts) == 2 ** ideal.num_generators and counts[0] == 0
+        for mask in range(1, len(counts)):
+            assert counts[mask] == connected_components_lJ(ideal, mask_subset(mask)), \
+                (ideal, mask)
+
+
+def test_subset_table_refuses_oversized_generator_sets():
+    limit = SUBSET_TABLE_MAX_GENERATORS
+    with pytest.raises(InputError, match=f"{limit + 1} generators.*limit is {limit}"):
+        subset_table([1 << i for i in range(limit + 1)])
+    with pytest.raises(InputError, match=f"limit is {limit}"):
+        subset_components([1 << i for i in range(limit + 1)])
+    assert len(subset_table([1, 2, 4])) == 8
 
 
 def test_lcm_monotone():

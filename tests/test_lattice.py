@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from monpoincare.lattice import (
 )
 from monpoincare.series import denominator, series_from_terms, series_one
 
-from helpers import random_corpus
+from helpers import oracle_gcd_preserving, random_corpus
 
 CLOSING_I = [(2, 0, 0), (0, 2, 1)]
 CLOSING_IP = [(1, 2, 0), (1, 0, 2)]
@@ -96,12 +97,37 @@ def test_gcd_flag_invariant_under_gcd_automorphisms():
 
 
 def test_lattice_map_from_atom_bijection_rejects_non_isomorphism():
-    # (x, y) vs (x2, xy): both lattices have 4 elements but the unique atom
-    # candidate pairing by up-set size need not induce an isomorphism; here it
-    # does, so check a genuinely broken pairing on a 3-generator pair instead
     A = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)  # triangle: lattice of 5
     B = minimalize([(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)], 4)  # path: lattice of 8
-    assert lattice_map_from_atom_bijection(A, B, (0, 1, 2)) is None
+    assert lattice_map_from_atom_bijection(A, B, (0, 1, 2)) is None  # not well defined
+    assert lattice_map_from_atom_bijection(B, A, (0, 1, 2)) is None  # not injective
+
+
+def test_lattice_map_from_atom_bijection_requires_a_permutation():
+    I, Ip = minimalize(CLOSING_I, 3), minimalize(CLOSING_IP, 3)
+    assert lattice_map_from_atom_bijection(I, Ip, (1, 0)).gcd_preserving is False
+    with pytest.raises(InputError):
+        lattice_map_from_atom_bijection(I, Ip, (0,))  # too short
+    with pytest.raises(InputError):
+        lattice_map_from_atom_bijection(I, Ip, (0, 2))  # no generator 2
+    assert lattice_map_from_atom_bijection(I, Ip, (0, 0)) is None  # not a permutation
+    xy = minimalize([(1, 0), (0, 1)], 2)
+    xyz = minimalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert lattice_map_from_atom_bijection(xy, xyz, (0, 1)) is None  # 4 into 8 elements
+
+
+def test_gcd_flag_matches_all_element_pairs():
+    corpus = random_corpus()
+    by_shape = defaultdict(list)
+    for ideal in corpus:
+        by_shape[ideal.num_generators, len(build_lcm_lattice(ideal).elements)].append(ideal)
+    flags = []
+    for ideal in corpus[:120]:
+        for partner in by_shape[ideal.num_generators, len(build_lcm_lattice(ideal).elements)][:15]:
+            for m in find_lattice_isomorphisms(ideal, partner):
+                assert m.gcd_preserving == oracle_gcd_preserving(m.element_map), (ideal, partner)
+                flags.append(m.gcd_preserving)
+    assert flags.count(False) > 100 and flags.count(True) > 100
 
 
 def test_transport_denominator_terms():
