@@ -1,9 +1,10 @@
 """Command-line interface: one binary, subcommand per operation.
 
-A command resolves k over R at most once per ideal: in box m_I up to
-t = deg m_I, which fixes the denominator Q, and everything else follows from
-Q; with --check, in the slack box m_I + (1,..,1) instead, as a cross-check
-that Q read in box m_I reproduces the larger resolution.
+The denominator Q comes from the lcm lattice alone (``series.denominator``,
+no resolution of k over R), and the Poincare series, deviations and Golod
+verdicts follow from Q.  Only --check resolves k over R, once per ideal, in
+the slack box m_I + (1,..,1): an independent oracle whose Q must equal the
+lattice Q and reproduce the whole resolution.
 
 Exit codes: 0 success, 1 verification failure (a requested check did not
 hold), 2 input error (bad file, bad arguments, violated precondition), 3
@@ -12,6 +13,7 @@ internal error (a theorem-guaranteed property failed, i.e. a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -139,18 +141,28 @@ def _slack_bound(ideal):
 
 
 def _resolve_once(ideal, cfg, slack_tmax):
-    """Q from the one resolution of k over R that a command makes.
+    """Q from the lcm lattice, and under --check the one resolution of k over
+    R that a command makes.
 
-    Without --check: box m_I up to t = deg m_I (``denominator``), giving
-    (Q, None).  With --check: the slack box m_I + (1,..,1) up to
-    ``slack_tmax``, giving (Q, that resolution); Q is read off P in box m_I
-    and prod(1+t*y_i)/Q must reproduce all of P (mod t^(slack_tmax+1)),
-    else ``denominator_from_poincare`` raises an internal error.
+    Without --check: (Q, None), and nothing is resolved.  With --check: the
+    slack box m_I + (1,..,1) up to ``slack_tmax``, giving (Q, that
+    resolution).  Q read off its P in box m_I must reproduce all of P (mod
+    t^(slack_tmax+1); ``denominator_from_poincare``) and equal the lattice Q
+    through t^min(slack_tmax, deg m_I); either failure is an internal error.
     """
+    Q = denominator(ideal, char=cfg.characteristic)
     if not cfg.check:
-        return denominator(ideal, char=cfg.characteristic), None
+        return Q, None
     res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), cfg.characteristic)
-    return denominator_from_poincare(res.poincare_series(), ideal), res
+    resolved = denominator_from_poincare(res.poincare_series(), ideal)
+    strands = Q.restrict(resolved.tmax, resolved.ybound)
+    if strands != resolved:
+        t, j = min(key for key in strands.coeffs.keys() | resolved.coeffs.keys()
+                   if strands.coefficient(*key) != resolved.coefficient(*key))
+        raise InternalInconsistencyError(
+            f"Q from the lcm lattice has {strands.coefficient(t, j)}*y^{j}*t^{t}, but the "
+            f"resolution in box {res.bound} gives {resolved.coefficient(t, j)}*y^{j}*t^{t}")
+    return Q, res
 
 
 def _exact_denominator(ideal, cfg):
@@ -193,7 +205,7 @@ def cmd_poincare(cfg):
     bound = _slack_bound(ideal)
     Q, res = _resolve_once(ideal, cfg, tmax)
     # dim Tor_i^R(k,k)_j is the coefficient of t^i y^j in P
-    table = res.betti() if res else poincare_from_denominator(Q, tmax, bound).coeffs
+    table = poincare_from_denominator(Q, tmax, bound).coeffs
     _print_betti(table, ideal, cfg.fmt,
                  f"Tor^R(k,k) to t-degree {tmax}, multidegrees <= {list(bound)}")
     if cfg.check:
@@ -209,8 +221,8 @@ def cmd_deviations(cfg):
     ideal = load_ideal(cfg.paths[0])
     nmax = cfg.nmax if cfg.nmax is not None else 6
     bound = _slack_bound(ideal)
-    Q, res = _resolve_once(ideal, cfg, nmax)
-    P = res.poincare_series() if res else poincare_from_denominator(Q, nmax, bound)
+    Q, _ = _resolve_once(ideal, cfg, nmax)
+    P = poincare_from_denominator(Q, nmax, bound)
     table = deviations(P, nmax)
     rows = table.rows()
     if cfg.fmt == "json":
@@ -381,7 +393,8 @@ def cmd_lattice_iso(cfg):
         for idx, m in enumerate(isos):
             T = transport_denominator(QA, m)
             transported_out.append(T)
-            if m.gcd_preserving and T != QB:
+            # deg m_I, Q's t-truncation, may differ between the two ideals
+            if m.gcd_preserving and T.coeffs != QB.coeffs:
                 mismatch = idx
     if cfg.fmt == "json":
         doc = {"count": len(isos), "isomorphisms": payload}
@@ -460,7 +473,9 @@ def run(cfg: RunConfig) -> int:
         return 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (a parser is reusable)."""
     parser = argparse.ArgumentParser(
         prog="monpoincare",
         description="Poincare series denominators, deviations, Golod certificates and "

@@ -148,6 +148,9 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
                 used.remove(k)
 
     backtrack(0, set(), [])
+    # the recursive closure refers to itself; dropping it frees the two
+    # lattices' 2^r tables now instead of at the next cyclic collection
+    del backtrack
     return found
 
 

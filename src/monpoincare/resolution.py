@@ -8,12 +8,13 @@ the next free module covers a minimal generating set of that kernel (kernel
 vectors reduced against monomial shifts of the generators already chosen).
 
 The denominator Q of the Poincare series is a polynomial supported on
-L_I minus 0 with t-degree <= deg m_I, so one resolution in box m_I up to
-t = deg m_I fixes it (``series.denominator``); the Poincare series in any
-larger box, the deviations and the Golod verdict all follow from Q by series
+L_I minus 0 with t-degree <= deg m_I.  ``series.denominator`` computes it
+from the lcm lattice without resolving anything; the Poincare series in any
+box, the deviations and the Golod verdict all follow from Q by series
 division.  A tmax above deg m_I changes nothing, and the Golod verdict is
-exact once tmax >= deg m_I.  The slack box m_I + (1,..,1) is resolved only to
-cross-check that prod(1+t*y_i)/Q reproduces it.
+exact once tmax >= deg m_I.  The resolution here is the independent oracle:
+resolved in the slack box m_I + (1,..,1) under --check, its Q must equal the
+lattice Q and prod(1+t*y_i)/Q must reproduce it.
 """
 from __future__ import annotations
 
@@ -253,8 +254,8 @@ def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
     Q == golod_denominator through t^min(tmax, deg m_I): exact Golodness when
     tmax >= deg m_I, and a tmax above deg m_I changes nothing.  Q is the
     denominator and Qg ``golod_denominator(ideal, char=char)`` if the caller
-    already has them; otherwise ``denominator`` resolves once, in box m_I, and
-    the Koszul homology is computed here.
+    already has them; otherwise Q comes from the lcm lattice (``denominator``,
+    no resolution) and the Koszul homology is computed here.
     """
     if tmax < 2:
         raise InputError("a Golod certificate needs tmax >= 2")

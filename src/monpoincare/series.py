@@ -27,6 +27,7 @@ from .core import (
     total_degree,
     zero_mdeg,
 )
+from .linalg import rank_of
 
 
 @dataclass(frozen=True)
@@ -329,6 +330,14 @@ def _off_lattice_terms(Q: BigradedSeries, ideal: MonomialIdeal) -> list:
             if t >= 1 and not (any(j) and in_lcm_lattice(ideal, j))]
 
 
+def _require_on_lattice(Q: BigradedSeries, ideal: MonomialIdeal):
+    bad = _off_lattice_terms(Q, ideal)
+    if bad:
+        t, j, c = bad[0]
+        raise InternalInconsistencyError(
+            f"denominator term {c}*y^{j}*t^{t} has a multidegree outside L_I minus 0")
+
+
 def verify_lcm_coefficients(Q: BigradedSeries, ideal: MonomialIdeal) -> bool:
     """Every y-multidegree of a t-degree >= 1 term of Q is a subset lcm (nonbottom).
 
@@ -355,11 +364,7 @@ def denominator_from_poincare(P: BigradedSeries, ideal: MonomialIdeal) -> Bigrad
     tmax = min(P.tmax, total_degree(top))
     tight = P.restrict(tmax, top)
     Q = series_div(variables_product(ideal.num_vars, tmax, top), tight)
-    bad = _off_lattice_terms(Q, ideal)
-    if bad:
-        t, j, c = bad[0]
-        raise InternalInconsistencyError(
-            f"denominator term {c}*y^{j}*t^{t} has a multidegree outside L_I minus 0")
+    _require_on_lattice(Q, ideal)
     if (P.tmax, P.ybound) != (tmax, top) and poincare_from_denominator(Q, P.tmax, P.ybound) != P:
         raise InternalInconsistencyError(
             f"prod(1+t*y_i)/Q with Q read in box m_I = {top} does not reproduce the "
@@ -367,20 +372,85 @@ def denominator_from_poincare(P: BigradedSeries, ideal: MonomialIdeal) -> Bigrad
     return Q
 
 
-def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) -> BigradedSeries:
-    """Q with P = prod(1+t*y_i)/Q, from one resolution of the residue field.
+def _strand_polynomial(cells, char: int) -> dict:
+    """c_alpha(t) = -sum_k h_k t^(k+1) as {t: coefficient}, where h_k is the
+    homology in size k of the connected Taylor strand with basis ``cells``
+    (the subset masks J with m_J = alpha and a connected GCD graph).
 
-    Q lives in box m_I with t-degree <= deg m_I, so the resolution runs in
-    exactly that box; tmax may not be below deg m_I, and any tmax above it
-    changes nothing.  The slack box m_I + (1,..,1) is left to cross-checks
-    (``denominator_from_poincare`` of a larger resolution).
+    The boundary of J keeps the faces J minus {i} that are again cells, with
+    sign (-1)^(position of i in J); ranks are taken in characteristic char.
     """
-    from .resolution import resolve_residue_field
+    by_size = {}
+    for J in cells:
+        by_size.setdefault(J.bit_count(), []).append(J)
+    position = {J: i for same in by_size.values() for i, J in enumerate(same)}
+    rank = {}  # k -> rank of the boundary from size k to size k - 1
+    for k, upper in by_size.items():
+        ncols = len(by_size.get(k - 1, ()))
+        rows = []
+        for J in upper:
+            row, sign, rest = [0] * ncols, 1, J
+            while rest:
+                low = rest & -rest
+                i = position.get(J ^ low)
+                if i is not None:
+                    row[i] = sign
+                sign, rest = -sign, rest ^ low
+            if any(row):
+                rows.append(row)
+        rank[k] = rank_of(rows, ncols, char) if rows else 0
+    homology = {k: len(upper) - rank[k] - rank.get(k + 1, 0) for k, upper in by_size.items()}
+    return {k + 1: -h for k, h in homology.items() if h}
 
+
+def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) -> BigradedSeries:
+    """Q with P = prod(1+t*y_i)/Q, from the lcm lattice alone.
+
+    For alpha in L_I minus 0, U_alpha is the set of generator subsets J with
+    m_J = alpha whose GCD graph is connected, and c_alpha(t) comes from the
+    homology of the Taylor strand on U_alpha (``_strand_polynomial``).  Q is
+    the sum over all families of pairwise coprime alpha_1..alpha_l of
+    prod c_alpha_i(t) y^alpha_i, the empty family giving 1.  It is built in
+    one pass over alpha in (degree, lex) order: each alpha adds
+    c_alpha y^alpha times the terms so far whose multidegree is coprime to
+    alpha.  The subset lcms, the l_J and the coprimality test all run on
+    staircase masks.  A linear generator x_i splits off (S/I is S'/I' with
+    x_i dropped), so its c_alpha is t, the factor 1 + t*y_i.
+
+    No resolution is made.  Q lives in box m_I with t-degree <= deg m_I;
+    tmax may not be below deg m_I, and any tmax above it changes nothing.
+    Two theorem checks raise InternalInconsistencyError: no term lies above
+    t^deg(m_I), and every term of t-degree >= 1 lies on L_I minus 0.
+    ``denominator_from_poincare`` of a resolution is the independent oracle.
+    """
     top = ideal.top_lcm()
     degree_bound = total_degree(top)
     if tmax is not None and tmax < degree_bound:
         raise InputError(
             f"tmax {tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
-    res = resolve_residue_field(ideal, degree_bound, top, char)
-    return denominator_from_poincare(res.poincare_series(), ideal)
+    codec = staircase(ideal.generators, ideal.num_vars)
+    lcms = subset_table(codec.atoms)
+    components = subset_components(codec.atoms)
+    strands = {}
+    for J, (m, l) in enumerate(zip(lcms, components)):
+        if l == 1:
+            strands.setdefault(m, []).append(J)
+    terms = {0: {0: 1}}  # mask -> {t: coefficient}
+    for alpha in sorted(strands, key=lambda m: (m.bit_count(), codec.decode(m))):
+        c = {1: 1} if alpha.bit_count() == 1 else _strand_polynomial(strands[alpha], char)
+        if not c:
+            continue
+        for m, poly in [(m, poly) for m, poly in terms.items() if not m & alpha]:
+            out = terms.setdefault(m | alpha, {})
+            for t1, c1 in poly.items():
+                for t2, c2 in c.items():
+                    out[t1 + t2] = out.get(t1 + t2, 0) + c1 * c2
+    coeffs = {(t, codec.decode(m)): c for m, poly in terms.items() for t, c in poly.items() if c}
+    high = sorted(key for key in coeffs if key[0] > degree_bound)
+    if high:
+        t, j = high[0]
+        raise InternalInconsistencyError(
+            f"denominator term {coeffs[t, j]}*y^{j}*t^{t} lies above t^deg(m_I) = t^{degree_bound}")
+    Q = BigradedSeries(ideal.num_vars, degree_bound, top, coeffs)
+    _require_on_lattice(Q, ideal)
+    return Q

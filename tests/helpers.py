@@ -7,6 +7,8 @@ dense matrices of the same stored scalars.  The subset oracles
 enumerate generator subsets with ``combinations`` and take each lcm on its
 own, the definition the package's shared subset-lcm table replaces; the
 GCD-graph oracle compares every pair of lattice elements on multidegrees.
+The denominator oracle reads Q off a minimal resolution of k over R in box
+m_I, so it shares nothing with the lattice formula of ``series.denominator``.
 """
 import random
 from collections import Counter
@@ -22,6 +24,8 @@ from monpoincare.core import (
     total_degree,
 )
 from monpoincare.complexes import scarf_faces
+from monpoincare.resolution import resolve_residue_field
+from monpoincare.series import denominator_from_poincare
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 200
@@ -62,6 +66,13 @@ def random_antichain(num_gens, num_vars, degree, seed):
     """num_gens distinct monomials of one degree (so an antichain), seeded."""
     monomials = [m for m in product(range(degree + 1), repeat=num_vars) if sum(m) == degree]
     return minimalize(random.Random(seed).sample(monomials, num_gens), num_vars)
+
+
+def resolver_denominator(ideal, char=0):
+    """Q read off the resolution of k over R in box m_I up to t = deg m_I."""
+    top = ideal.top_lcm()
+    res = resolve_residue_field(ideal, total_degree(top), top, char)
+    return denominator_from_poincare(res.poincare_series(), ideal)
 
 
 def cycle_ideal(n):

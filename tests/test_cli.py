@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from monpoincare import cli
 from monpoincare.cli import RunConfig, build_parser, main, run
 from monpoincare.core import SUBSET_TABLE_MAX_GENERATORS, InputError, InternalInconsistencyError
+from monpoincare.series import series_from_terms
 
 from helpers import rp2_generators
 
@@ -164,22 +166,19 @@ def test_each_command_resolves_at_most_once(closing_pair, ideal_file, resolve_ca
                                             capsys):
     a, b = closing_pair
     gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    # the slack box m_I + (1,..,1); m_I = x1^2 x2^2 x3, x1 x2^2 x3^2 or x^3 y^2
+    slack = {a: (3, 3, 2), b: (2, 3, 3), gen: (4, 3)}
     flag = ["--check"] if check else []
     for argv in (["q", a], ["q", b], ["verify-lcm", a], ["golod", a], ["golod", b],
                  ["golod", b, "--tmax", "3"], ["deviations", b, "--nmax", "4"],
-                 ["poincare", b, "--tmax", "4"]):
+                 ["poincare", b, "--tmax", "4"], ["golod-generic", gen],
+                 ["lattice-iso", a, b, "--transport"]):
         resolve_calls.clear()
         assert main(argv + flag) == 0, argv
-        assert len(resolve_calls) == 1, argv
-        if not check:
-            # box m_I up to t = deg m_I; m_I = x1^2 x2^2 x3 or x1 x2^2 x3^2
-            assert resolve_calls == [(5, (2, 2, 1) if argv[1] == a else (1, 2, 2))], argv
-    resolve_calls.clear()
-    assert main(["golod-generic", gen] + flag) == 0
-    assert len(resolve_calls) == int(check)
-    resolve_calls.clear()
-    assert main(["lattice-iso", a, b, "--transport"] + flag) == 0
-    assert len(resolve_calls) == 2  # once per ideal
+        # Q comes from the lattice; only --check resolves, once per ideal
+        ideals = argv[1:3] if argv[0] == "lattice-iso" else argv[1:2]
+        assert [bound for _, bound in resolve_calls] == (
+            [slack[path] for path in ideals] if check else []), argv
     capsys.readouterr()
 
 
@@ -189,7 +188,7 @@ def test_q_tmax_above_deg_m_I_changes_nothing(closing_pair, resolve_calls, capsy
     plain = capsys.readouterr().out
     assert main(["q", a, "--tmax", "40", "-f", "json"]) == 0
     assert capsys.readouterr().out == plain
-    assert resolve_calls == [(5, (2, 2, 1))] * 2
+    assert resolve_calls == []
 
 
 def test_golod_check_keeps_the_truncated_certificate_as_oracle(closing_pair, monkeypatch,
@@ -261,7 +260,8 @@ def test_exit_codes(ideal_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, nfiles", [("candidates", 1), ("scarf", 1), ("lattice-iso", 2)])
+@pytest.mark.parametrize("command, nfiles",
+                         [("candidates", 1), ("scarf", 1), ("lattice-iso", 2), ("q", 1)])
 def test_oversized_subset_table_refused_before_allocating(ideal_file, command, nfiles, capsys):
     r = SUBSET_TABLE_MAX_GENERATORS + 1
     big = ideal_file("big", [f"x{i + 1}" for i in range(r)],
@@ -276,6 +276,64 @@ def test_oversized_subset_table_refused_before_allocating(ideal_file, command, n
     assert peak < 2 ** r
     err = capsys.readouterr().err
     assert f"{r} generators" in err and f"limit is {SUBSET_TABLE_MAX_GENERATORS}" in err
+
+
+def test_q_check_names_the_first_term_the_resolution_contradicts(closing_pair, monkeypatch,
+                                                                 capsys):
+    _, b = closing_pair  # Q = 1 - t^2 y^(1,2,0) - t^2 y^(1,0,2) - t^3 y^(1,2,2)
+    real = cli.denominator
+    extra = []
+
+    def wrong(ideal, tmax=None, char=0):
+        Q = real(ideal, tmax, char)
+        return Q + series_from_terms(Q.num_vars, Q.tmax, Q.ybound, extra)
+
+    monkeypatch.setattr(cli, "denominator", wrong)
+    extra[:] = [(3, (1, 2, 2), 1), (2, (1, 2, 0), 1)]
+    assert main(["q", b, "--check"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "0*y^(1, 2, 0)*t^2" in err and "-1*y^(1, 2, 0)*t^2" in err and "t^3" not in err
+    extra[:] = [(3, (1, 2, 2), 1)]
+    assert main(["q", b, "--check"]) == 3
+    assert "0*y^(1, 2, 2)*t^3" in capsys.readouterr().err
+    # Q is compared mod t^(tmax+1) when the resolution stops below deg m_I
+    assert main(["poincare", b, "--tmax", "2", "--check"]) == 0
+    assert main(["q", b]) == 0  # without --check nothing contradicts it
+    capsys.readouterr()
+
+
+def test_lattice_iso_transport_compares_coefficients_not_boxes(ideal_file, capsys):
+    # (x^2, y^3) and (x^2, y^2): GCD-preserving isomorphisms, the same Q
+    # coefficients, but deg m_I is 5 and 4
+    a = ideal_file("a", ["x", "y"], [[2, 0], [0, 3]])
+    b = ideal_file("b", ["x", "y"], [[2, 0], [0, 2]])
+    assert main(["lattice-iso", a, b, "--transport"]) == 0
+    assert main(["lattice-iso", b, a, "--transport", "--check"]) == 0
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(closing_pair, monkeypatch, capsys):
+    a, b = closing_pair
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["q", a]) == 0
+    first = len(built)  # the top-level parser and one per subcommand
+    assert first == 1 + len(cli._COMMANDS)
+    assert main(["golod", b]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["q", a, "--tmax", "many"])
+    assert exc.value.code == 2
+    assert main(["q", b, "-f", "json"]) == 0  # a failed parse leaves the parser usable
+    assert len(built) == first
+    capsys.readouterr()
 
 
 def test_char_option_runs(closing_pair, capsys):

@@ -1,3 +1,4 @@
+import gc
 from collections import defaultdict
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from monpoincare.lattice import (
 )
 from monpoincare.series import denominator, series_from_terms, series_one
 
-from helpers import oracle_gcd_preserving, random_corpus
+from helpers import oracle_gcd_preserving, random_corpus, resolver_denominator
 
 CLOSING_I = [(2, 0, 0), (0, 2, 1)]
 CLOSING_IP = [(1, 2, 0), (1, 0, 2)]
@@ -144,6 +145,33 @@ def test_transport_denominator_terms():
     assert all(j in iso.target.elements for (_, j) in T.coeffs)
 
 
+def test_transported_resolver_q_is_the_lattice_q_of_the_target():
+    # one side is read off a resolution, so the lattice formula of
+    # series.denominator is never compared with itself
+    corpus = random_corpus()
+    for ideal in corpus[:60]:
+        pol = polarize(ideal)
+        T = transport_denominator(resolver_denominator(ideal), polarization_lattice_map(pol))
+        assert T == denominator(pol.ideal), ideal
+    by_shape = defaultdict(list)
+    for ideal in corpus:
+        by_shape[ideal.num_generators, len(build_lcm_lattice(ideal).elements)].append(ideal)
+    checked = 0
+    for ideal in corpus[:60]:
+        Q = resolver_denominator(ideal)
+        for partner in by_shape[ideal.num_generators, len(build_lcm_lattice(ideal).elements)]:
+            for m in find_lattice_isomorphisms(ideal, partner):
+                if m.gcd_preserving and partner != ideal:
+                    # deg m_I, and so the t-truncation, may differ
+                    assert transport_denominator(Q, m).coeffs == denominator(partner).coeffs
+                    checked += 1
+    assert checked > 100
+    # isomorphic lattices, no GCD-preserving map: the closing pair's Q differ
+    I, Ip = minimalize(CLOSING_I, 3), minimalize(CLOSING_IP, 3)
+    for m in find_lattice_isomorphisms(I, Ip):
+        assert transport_denominator(resolver_denominator(I), m) != denominator(Ip)
+
+
 def test_transport_single_atom_and_unit():
     I = minimalize([(2, 1)], 2)
     iso = find_lattice_isomorphisms(I, I)[0]
@@ -160,3 +188,17 @@ def test_transport_rejects_non_lattice_multidegrees():
     bad = series_from_terms(3, 2, (2, 2, 1), [(0, (0, 0, 0), 1), (1, (1, 0, 0), -1)])
     with pytest.raises(InputError):
         transport_denominator(bad, iso)
+
+
+def test_find_isomorphisms_leaves_no_reference_cycle():
+    # a cycle would keep both lattices' 2^r tables alive until the next
+    # cyclic garbage collection
+    I = minimalize(CLOSING_IP, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        found = find_lattice_isomorphisms(I, I)
+        del found
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

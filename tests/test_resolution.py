@@ -1,7 +1,7 @@
 import pytest
 
 from monpoincare.core import InputError, mdeg_add, minimalize, total_degree
-from monpoincare.complexes import Ring, homology, koszul_complex, minimize, taylor_complex
+from monpoincare.complexes import homology
 from monpoincare.resolution import (
     eagon_resolution,
     golod_denominator,
@@ -16,7 +16,6 @@ from monpoincare.series import (
     denominator_from_poincare,
     poincare_from_denominator,
     series_from_terms,
-    series_inverse,
     series_mul,
     variables_product,
 )
@@ -129,9 +128,9 @@ def test_is_golod_truncated():
 
 
 def _assert_tight_box_matches_slack_box(ideal, char, slack_tmax):
-    """Q from box m_I agrees with one resolution in box m_I + (1,..,1) up to
-    slack_tmax: the same Q, the same P, and the same Golod verdicts as the
-    truncated Poincare series certificate."""
+    """Q in box m_I, from the lcm lattice, agrees with one resolution in box
+    m_I + (1,..,1) up to slack_tmax: the same Q, the same P, and the same
+    Golod verdicts as the truncated Poincare series certificate."""
     top = ideal.top_lcm()
     degree_bound = total_degree(top)
     slack = mdeg_add(top, (1,) * ideal.num_vars)

@@ -20,7 +20,20 @@ from monpoincare.series import (
     verify_lcm_coefficients,
 )
 
-from helpers import brute_candidate_terms, random_corpus
+from monpoincare import series
+from helpers import (
+    brute_candidate_terms,
+    cycle_ideal,
+    random_corpus,
+    resolver_denominator,
+    rp2_generators,
+)
+
+D10 = minimalize([(3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)], 4)
+# ideals with a linear generator, which splits off the factor 1 + t*y_i
+LINEAR = [minimalize(gens, len(gens[0])) for gens in (
+    [(1,)], [(1, 0), (0, 1)], [(1, 0, 0), (0, 2, 0), (0, 1, 1)],
+    [(1, 0, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])]
 
 
 def _random_unit_series(rng, tmax=4, ybound=(3, 3), nterms=6, tmin=0, constant=1):
@@ -192,6 +205,46 @@ def test_denominator_trivial_and_errors():
     I = minimalize([(2, 0, 0), (0, 2, 1)], 3)
     with pytest.raises(InputError):
         denominator(I, tmax=3)  # below deg m_I = 5
+
+
+def test_denominator_matches_the_resolver_in_box_m_I():
+    # the lattice formula against Q read off a resolution of k over R; C8's
+    # resolution takes seconds in char 0, so it runs in char 2 only
+    cases = [*random_corpus(), *(cycle_ideal(n) for n in range(4, 9)),
+             minimalize(rp2_generators(), 6), D10, *LINEAR]
+    for ideal in cases:
+        for char in (0, 2):
+            if ideal.num_vars == 8 and char == 0:
+                continue
+            assert denominator(ideal, char=char) == resolver_denominator(ideal, char), (ideal, char)
+
+
+def test_denominator_terms_are_candidate_terms():
+    # observed, not a theorem the code relies on: every term of t-degree >= 1
+    # is ((-1)^l_J, |J| + l_J, m_J) for some subset J
+    cases = [*random_corpus(), *(cycle_ideal(n) for n in range(4, 10)),
+             minimalize(rp2_generators(), 6)]
+    checked = 0
+    for ideal in cases:
+        cands = candidate_terms(ideal)
+        for char in (0, 2):
+            for (t, j), c in denominator(ideal, char=char).coeffs.items():
+                if t >= 1:
+                    assert (1 if c > 0 else -1, t, j) in cands, (ideal, char, t, j, c)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_denominator_flags_terms_the_theorems_forbid(monkeypatch):
+    I = minimalize([(1, 2, 0), (1, 0, 2)], 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "in_lcm_lattice", lambda ideal, j: j != (1, 2, 2))
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"-1\*y\^\(1, 2, 2\)\*t\^3 has a multidegree outside L_I"):
+            denominator(I)
+    monkeypatch.setattr(series, "_strand_polynomial", lambda cells, char: {6: -1})
+    with pytest.raises(InternalInconsistencyError, match=r"-1\*y\^\(1, 0, 2\)\*t\^6 lies above"):
+        denominator(I)
 
 
 def test_denominator_against_numerator_identity():
