@@ -1,124 +1,154 @@
-"""Exact linear algebra used by the homology and resolution machinery.
+"""Exact sparse linear algebra used by the homology and resolution machinery.
 
-Vectors are plain lists of Python ints.  Over the rationals (char 0) rows are
-kept primitive (content 1, first nonzero entry positive) and elimination uses
-integer cross-multiplication, so no floating point appears.  Char-0
-``kernel_basis`` is the exception to integer-only arithmetic: it
-back-substitutes each kernel vector with ``Fraction`` before clearing
-denominators, and that is most of the char-0 resolver's time (ROADMAP item 3
-names a fraction-free replacement).  Over GF(p) entries are canonical
-representatives in [0, p).
+A row is a dict {column: nonzero entry}; a list is read as the same row.
+``EchelonSpace`` keeps its rows in reduced echelon form: the pivot of a row is
+its first nonzero column, and no other row has an entry in a pivot column.
+Over GF(p) entries are canonical representatives in [0, p) and every pivot is
+1.  Over the rationals (char 0) entries are integers, every row is primitive
+(content 1) with a positive pivot, and elimination cross-multiplies, so no
+fraction or float appears.  Reducing a vector eliminates each pivot in its
+support once, and ``kernel_basis`` reads every kernel vector straight off the
+reduced rows.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _normalize(row):
-    """Make an integer row primitive with positive leading entry (in place)."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
+def _sparse(vec, p: int) -> dict:
+    """A fresh {column: entry} copy of a dict or list row, entries mod p."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    if p:
+        return {c: x % p for c, x in items if x % p}
+    return {c: x for c, x in items if x}
+
+
+def _make_primitive(row: dict) -> None:
+    """Divide an integer row by its content (in place)."""
+    g = gcd(*row.values())
     if g > 1:
-        for i, x in enumerate(row):
-            row[i] = x // g
-    for x in row:
-        if x > 0:
-            return row
-        if x < 0:
-            return [-y for y in row]
-    return row
+        for c in row:
+            row[c] //= g
 
 
 class EchelonSpace:
-    """Incrementally built row space in echelon form (pivot = first nonzero)."""
+    """Incrementally built row space in reduced echelon form."""
 
     def __init__(self, ncols: int, char: int = 0):
         self.ncols = ncols
         self.char = char
-        self.rows = []
-        self.row_of_col = {}  # pivot column -> index into rows
+        self.rows = {}  # pivot column -> reduced row {column: entry}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return vec reduced against the stored pivots (a fresh list)."""
+    def _eliminate(self, v: dict, c: int, row: dict) -> None:
+        """Clear column c of v with row, whose pivot is c (in place)."""
         p = self.char
-        v = [x % p for x in vec] if p else list(vec)
-        for j in range(self.ncols):
-            if not v[j]:
-                continue
-            r = self.row_of_col.get(j)
-            if r is None:
-                break
-            row = self.rows[r]
-            if p:
-                factor = (v[j] * pow(row[j], -1, p)) % p
-                for k in range(j, self.ncols):
-                    if row[k]:
-                        v[k] = (v[k] - factor * row[k]) % p
+        if p:
+            f = v[c]  # the pivot is 1
+            for k, x in row.items():
+                y = (v.get(k, 0) - f * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+            return
+        g = gcd(row[c], v[c])
+        a, b = row[c] // g, v[c] // g
+        if a != 1:
+            for k in v:
+                v[k] *= a
+        for k, x in row.items():
+            y = v.get(k, 0) - b * x
+            if y:
+                v[k] = y
             else:
-                a, b = row[j], v[j]
-                for k in range(self.ncols):
-                    v[k] = v[k] * a - row[k] * b
-                _normalize(v)
+                del v[k]
+        if v:
+            _make_primitive(v)
+
+    def _reduce(self, vec) -> dict:
+        """vec minus its part along the stored rows (a fresh dict)."""
+        v = _sparse(vec, self.char)
+        rows = self.rows
+        # a stored row is zero at every other pivot, so eliminating one pivot
+        # leaves v's entries at the others unchanged
+        for c in [c for c in v if c in rows]:
+            self._eliminate(v, c, rows[c])
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec) -> bool:
         """Insert vec's residual; True if it enlarged the space."""
-        v = self.reduce(vec)
-        for j in range(self.ncols):
-            if v[j]:
-                self.row_of_col[j] = len(self.rows)
-                self.rows.append(v if self.char else _normalize(v))
-                return True
-        return False
+        v = self._reduce(vec)
+        if not v:
+            return False
+        c = min(v)
+        p = self.char
+        if p:
+            inv = pow(v[c], -1, p)
+            if inv != 1:
+                for k in v:
+                    v[k] = v[k] * inv % p
+        else:
+            _make_primitive(v)
+            if v[c] < 0:
+                for k in v:
+                    v[k] = -v[k]
+        for row in self.rows.values():
+            if c in row:
+                self._eliminate(row, c, v)
+        self.rows[c] = v
+        return True
 
 
 def rank_of(rows, ncols: int, char: int = 0) -> int:
     space = EchelonSpace(ncols, char)
     for row in rows:
         space.add(row)
+        if space.dim == ncols:
+            break
     return space.dim
 
 
 def kernel_basis(rows, ncols: int, char: int = 0):
     """Basis of the right kernel {v : M v = 0} as primitive integer vectors.
 
-    Deterministic: one vector per non-pivot column, in column order.
+    Deterministic: one dense vector per non-pivot column f, in column order,
+    the one with entry 1 at f (over GF(p); over Q its primitive multiple with
+    first nonzero entry positive) and 0 at every other non-pivot column.  Its
+    entry at a pivot c is -row_c[f] / row_c[c], read off the reduced row.
     """
     space = EchelonSpace(ncols, char)
     for row in rows:
         space.add(row)
-    pivot_cols = sorted(space.row_of_col)
-    free_cols = [c for c in range(ncols) if c not in space.row_of_col]
-    ordered = [(c, space.rows[space.row_of_col[c]]) for c in pivot_cols]
+    # non-pivot column -> (pivot, entry, pivot entry) of the rows reaching it
+    reach = {f: [] for f in range(ncols) if f not in space.rows}
+    for c, row in space.rows.items():
+        for f, x in row.items():
+            if f != c:
+                reach[f].append((c, x, row[c]))
     basis = []
-    for f in free_cols:
+    for f, hits in reach.items():
+        v = [0] * ncols
         if char:
-            v = [0] * ncols
             v[f] = 1
-            for p, row in reversed(ordered):
-                s = sum(row[k] * v[k] for k in range(p + 1, ncols) if row[k] and v[k])
-                v[p] = (-s * pow(row[p], -1, char)) % char
+            for c, x, _ in hits:
+                v[c] = -x % char
         else:
-            w = [Fraction(0)] * ncols
-            w[f] = Fraction(1)
-            for p, row in reversed(ordered):
-                s = sum(row[k] * w[k] for k in range(p + 1, ncols) if row[k] and w[k])
-                w[p] = Fraction(-s, row[p])
-            lcm = 1
-            for x in w:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-            v = _normalize([int(x * lcm) for x in w])
+            scale = lcm(*(a for _, _, a in hits))
+            v[f] = scale
+            for c, x, a in hits:
+                v[c] = -x * (scale // a)
+            g = gcd(*v)
+            first = min([f] + [c for c, _, _ in hits])
+            if v[first] < 0:
+                g = -g
+            if g != 1:
+                v = [x // g for x in v]
         basis.append(v)
     return basis
-

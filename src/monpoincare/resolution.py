@@ -49,7 +49,7 @@ from .complexes import (
     scarf_faces,
     standard_monomials,
 )
-from .linalg import EchelonSpace, kernel_basis
+from .linalg import EchelonSpace, kernel_basis, rank_of
 from .series import BigradedSeries, denominator, series_div, series_from_terms, variables_product
 
 
@@ -90,6 +90,16 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     modules[k] is filled as its generators are chosen, so before choosing at
     a cell it lists the earlier generators that reach it.  The indexes are
     left in ``complex.alive_memo[bound]`` for ``homology`` over the same box.
+
+    Each cell j is rank-first.  Its matrix M is built as sparse rows and
+    z = #columns - rank(M) is the dimension of the kernel at j; z = 0 skips
+    the cell.  The earlier generators alive at j, restricted to its columns,
+    are added to a span until it reaches dimension z, which means they cover
+    the kernel and the cell is skipped.  Only otherwise is ``kernel_basis(M)``
+    computed, and its vectors that enlarge the span become new generators
+    until the span reaches z.  So every kernel basis computed yields at least
+    one generator, and the generators are those a greedy pass over the whole
+    kernel basis would choose.
     """
     n = ideal.num_vars
     top = ideal.top_lcm()
@@ -126,30 +136,37 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
             cols = cols_at.get(j)
             if not cols:
                 continue
-            rows_pos = {r: ri for ri, r in enumerate(rows_at.get(j, ()))}
-            M = [[0] * len(cols) for _ in rows_pos]
+            alive_rows = set(rows_at.get(j, ()))
+            M = {}  # row generator -> {column position: scalar}
             for ci, c in enumerate(cols):
                 for r, s in col_entries.get(c, ()):
-                    ri = rows_pos.get(r)
-                    if ri is not None:
-                        M[ri][ci] = s
-            kernel = kernel_basis(M, len(cols), char)
-            if not kernel:
+                    if r in alive_rows:
+                        M.setdefault(r, {})[ci] = s
+            M = list(M.values())
+            z = len(cols) - rank_of(M, len(cols), char)
+            if not z:
                 continue
             # the earlier generators alive at j; those dividing j with a
-            # non-standard cofactor map to zero here and are not in the index
+            # non-standard cofactor map to zero here and are not in the index,
+            # and entries on columns dead at j drop out
+            pos = {c: ci for ci, c in enumerate(cols)}
             span = EchelonSpace(len(cols), char)
             for w in index.get(j, ()):
-                span.add([vecs[w].get(c, 0) for c in cols])
+                span.add({pos[c]: x for c, x in vecs[w].items() if c in pos})
+                if span.dim == z:
+                    break
+            if span.dim == z:
+                continue
             new = []
-            for v in kernel:
+            for v in kernel_basis(M, len(cols), char):
                 if span.add(v):
                     new.append(len(vecs))
                     degs.append(j)
                     vecs.append({c: x for c, x in zip(cols, v) if x})
-            if new:
-                for cell in alive_cells(j, bound, standard):
-                    index.setdefault(cell, []).extend(new)
+                    if span.dim == z:
+                        break
+            for cell in alive_cells(j, bound, standard):
+                index.setdefault(cell, []).extend(new)
         modules.append(degs)
         alive.append(index)
         diffs.append({(r, ci): s for ci, vec in enumerate(vecs) for r, s in vec.items()})
@@ -157,27 +174,6 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     cpx = FreeComplex(ring, modules, diffs, None, char)
     cpx.alive_memo[bound] = alive
     return ResidueFieldResolution(ideal, tmax, bound, cpx)
-
-
-def _class_representatives(K: FreeComplex, i: int, j: Multidegree, char: int):
-    """Representative cycles of a basis of H_i(K)_j, reduced mod boundaries."""
-    cols = alive_basis(K, i, j)
-    if not cols:
-        return [], cols
-    rows = alive_basis(K, i - 1, j)
-    M = component_matrix(K, i, j, rows, cols) if i >= 1 else []
-    cycles = kernel_basis(M, len(cols), char)
-    span = EchelonSpace(len(cols), char)
-    nxt = alive_basis(K, i + 1, j)
-    if nxt:
-        upper = K.diffs[i + 1]
-        for c in nxt:
-            span.add([upper.get((r, c), 0) for r in cols])
-    reps = []
-    for v in cycles:
-        if span.add(v):
-            reps.append(span.rows[-1])
-    return reps, cols
 
 
 def _merge_sign(left, right) -> int:
@@ -357,25 +353,7 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
                         target[w] = ms * c
         return lhs == target
 
-    def backtrack(k):
-        if k == len(order):
-            return True
-        face = order[k]
-        lower = [(A, tuple(x for x in face if x not in A))
-                 for size in range(1, len(face))
-                 for A in combinations(face, size)
-                 if face[0] in A]  # each unordered bipartition once
-        for cand in candidates[face]:
-            assigned[face] = cand
-            ok = all(pair_identity_holds(A, B) for A, B in lower)
-            if ok:
-                ok = all(pair_identity_holds(face, g) for g in order[:k])
-            if ok and backtrack(k + 1):
-                return True
-            del assigned[face]
-        return False
-
-    if not backtrack(0):
+    if not _assign_cycles(0, order, candidates, assigned, pair_identity_holds):
         raise InternalInconsistencyError(
             "no coherent system of Scarf cycle representatives exists")
     for face, cycle in assigned.items():
@@ -383,12 +361,42 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
     return assigned
 
 
+def _assign_cycles(k, order, candidates, assigned, pair_identity_holds) -> bool:
+    """Backtracking search extending ``assigned`` to the faces order[k:], each
+    candidate checked against its bipartitions and the faces before it.  A
+    module-level function, so the recursion holds no closure cell that would
+    keep the ring and the candidate tables in a reference cycle."""
+    if k == len(order):
+        return True
+    face = order[k]
+    lower = [(A, tuple(x for x in face if x not in A))
+             for size in range(1, len(face))
+             for A in combinations(face, size)
+             if face[0] in A]  # each unordered bipartition once
+    for cand in candidates[face]:
+        assigned[face] = cand
+        ok = all(pair_identity_holds(A, B) for A, B in lower)
+        if ok:
+            ok = all(pair_identity_holds(face, g) for g in order[:k])
+        if ok and _assign_cycles(k + 1, order, candidates, assigned, pair_identity_holds):
+            return True
+        del assigned[face]
+    return False
+
+
 def _verify_class_rep(K: FreeComplex, i: int, j: Multidegree, cycle: dict, char: int):
     """Check a proposed cycle is alive, closed, and spans the 1-dim H_i(K)_j."""
-    reps, cols = _class_representatives(K, i, j, char)
-    if len(reps) != 1:
+    cols = alive_basis(K, i, j)
+    M = component_matrix(K, i, j, alive_basis(K, i - 1, j), cols)
+    span = EchelonSpace(len(cols), char)  # the boundaries
+    nxt = alive_basis(K, i + 1, j)
+    upper = K.diffs[i + 1] if nxt else {}
+    for c in nxt:
+        span.add({ci: upper[(r, c)] for ci, r in enumerate(cols) if (r, c) in upper})
+    dim = len(cols) - rank_of(M, len(cols), char) - span.dim
+    if dim != 1:
         raise InternalInconsistencyError(
-            f"H_{i}(K)_{j} has dimension {len(reps)}, expected 1 for a Scarf face")
+            f"H_{i}(K)_{j} has dimension {dim}, expected 1 for a Scarf face")
     labels = K.labels[i]
     pos = {labels[c]: ci for ci, c in enumerate(cols)}
     vec = [0] * len(cols)
@@ -396,17 +404,10 @@ def _verify_class_rep(K: FreeComplex, i: int, j: Multidegree, cycle: dict, char:
         if wedge not in pos:
             raise InternalInconsistencyError(f"representative at {j} is zero over the ring")
         vec[pos[wedge]] = coeff
-    rows = alive_basis(K, i - 1, j)
-    M = component_matrix(K, i, j, rows, cols)
     for row in M:
         s = sum(a * b for a, b in zip(row, vec))
         if s % char if char else s:
             raise InternalInconsistencyError(f"representative at {j} is not a cycle")
-    span = EchelonSpace(len(cols), char)
-    nxt = alive_basis(K, i + 1, j)
-    upper = K.diffs[i + 1] if nxt else {}
-    for c in nxt:
-        span.add([upper.get((r, c), 0) for r in cols])
     if span.contains(vec):
         raise InternalInconsistencyError(f"representative at {j} is a boundary")
 

@@ -389,14 +389,14 @@ def _strand_polynomial(cells, char: int) -> dict:
         ncols = len(by_size.get(k - 1, ()))
         rows = []
         for J in upper:
-            row, sign, rest = [0] * ncols, 1, J
+            row, sign, rest = {}, 1, J
             while rest:
                 low = rest & -rest
                 i = position.get(J ^ low)
                 if i is not None:
                     row[i] = sign
                 sign, rest = -sign, rest ^ low
-            if any(row):
+            if row:
                 rows.append(row)
         rank[k] = rank_of(rows, ncols, char) if rows else 0
     homology = {k: len(upper) - rank[k] - rank.get(k + 1, 0) for k, upper in by_size.items()}

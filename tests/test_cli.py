@@ -131,6 +131,14 @@ def test_golod_explicit_tmax_on_rp2(rp2, capsys):
     assert json.loads(capsys.readouterr().out)["golod_certified_to_truncation"]
 
 
+@pytest.mark.parametrize("char", ["0", "2"])
+def test_q_check_on_rp2_resolves_the_slack_box(rp2, char, capsys):
+    # RP^2 is not Golod and its Q depends on the characteristic; --check
+    # resolves k over R in the 729-cell slack box up to t^6
+    assert main(["q", rp2, "--tmax", "6", "--char", char, "--check"]) == 0
+    assert "Q = 1" in capsys.readouterr().out
+
+
 def test_betti_depends_on_the_characteristic(rp2, capsys):
     tables = {}
     for p in ("0", "2"):

@@ -1,6 +1,9 @@
 import random
+from math import gcd
 
 from monpoincare.linalg import EchelonSpace, kernel_basis, rank_of
+
+from helpers import dense_kernel_basis, dense_rank_of
 
 
 def test_echelon_membership():
@@ -51,3 +54,46 @@ def test_kernel_mod_p():
             assert rank_of(M, n, char=p) + len(ker) == n
             for v in ker:
                 assert all(sum(row[i] * v[i] for i in range(n)) % p == 0 for row in M)
+
+
+def _random_matrix(rng, sparse):
+    m, n = rng.randint(0, 9), rng.randint(1, 9)
+    if sparse:
+        return [[rng.choice((-1, 1)) if rng.random() < 0.3 else 0 for _ in range(n)]
+                for _ in range(m)], n
+    return [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], n
+
+
+def test_kernel_and_rank_match_the_dense_oracle():
+    # the reduced-echelon kernel is the canonical free-column basis, so the
+    # vectors are identical to the Fraction back-substitution's, not just
+    # the same space
+    rng = random.Random(2024)
+    for char in (0, 2, 3, 7):
+        for sparse in (False, True):
+            for _ in range(200):
+                M, n = _random_matrix(rng, sparse)
+                expected, rank = dense_kernel_basis(M, n, char), dense_rank_of(M, n, char)
+                as_dicts = [{c: x for c, x in enumerate(row) if x} for row in M]
+                for rows in (M, as_dicts):
+                    assert kernel_basis(rows, n, char) == expected, (M, char)
+                    assert rank_of(rows, n, char) == rank, (M, char)
+
+
+def test_echelon_rows_stay_reduced():
+    rng = random.Random(7)
+    for char in (0, 2, 3, 7):
+        for _ in range(100):
+            M, n = _random_matrix(rng, rng.random() < 0.5)
+            space = EchelonSpace(n, char)
+            for row in M:
+                space.add(row if rng.random() < 0.5 else dict(enumerate(row)))
+            for c, row in space.rows.items():
+                assert min(row) == c and all(row.values())
+                assert all(c not in other for d, other in space.rows.items() if d != c)
+                if char:
+                    assert row[c] == 1 and all(0 < x < char for x in row.values())
+                else:
+                    assert row[c] > 0 and gcd(*row.values()) == 1
+            for row in M:
+                assert space.contains(row) and space.contains(dict(enumerate(row)))

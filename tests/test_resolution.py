@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from monpoincare import resolution
 from monpoincare.core import InputError, mdeg_add, minimalize, total_degree
 from monpoincare.complexes import homology
 from monpoincare.resolution import (
@@ -20,7 +23,13 @@ from monpoincare.series import (
     variables_product,
 )
 
-from helpers import cycle_ideal, eagon_rank_formula, random_corpus, rp2_generators
+from helpers import (
+    D10_GENERATORS,
+    cycle_ideal,
+    eagon_rank_formula,
+    random_corpus,
+    rp2_generators,
+)
 
 
 def test_resolve_zero_ideal_is_koszul():
@@ -273,3 +282,37 @@ def test_residue_field_resolution_char2_matches_char0_small():
     b0 = resolve_residue_field(I, 3).betti()
     b2 = resolve_residue_field(I, 3, char=2).betti()
     assert b0 == b2
+
+
+def test_every_kernel_basis_the_resolver_computes_yields_a_generator(monkeypatch):
+    # rank first: a cell whose kernel is zero, or already covered by the
+    # earlier generators alive there, computes no kernel basis, so there is
+    # one call per (module, multidegree) that gains a generator
+    calls = []
+    kernel_basis = resolution.kernel_basis
+
+    def counted(*args):
+        calls.append(args)
+        return kernel_basis(*args)
+
+    monkeypatch.setattr(resolution, "kernel_basis", counted)
+    for ideal in (cycle_ideal(5), minimalize(D10_GENERATORS, 4)):
+        for char in (0, 2):
+            calls.clear()
+            res = resolve_residue_field(ideal, total_degree(ideal.top_lcm()) + 1, char=char)
+            modules = res.complex.modules
+            assert len(calls) == sum(len(set(module)) for module in modules[2:]) > 0
+
+
+def test_eagon_resolution_leaves_no_reference_cycle():
+    # a cycle through the Scarf representative search would keep the ring
+    # and the candidate tables alive until the next cyclic collection
+    D10 = minimalize(D10_GENERATORS, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        Y = eagon_resolution(D10, 5)
+        del Y
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
