@@ -85,9 +85,6 @@ class FreeComplex:
     def top_degree(self) -> int:
         return len(self.modules) - 1
 
-    def rank(self, i: int) -> int:
-        return len(self.modules[i]) if 0 <= i <= self.top_degree else 0
-
     def ranks(self):
         return [len(m) for m in self.modules]
 
@@ -286,12 +283,8 @@ def alive_basis(C: FreeComplex, i: int, j: Multidegree):
             if divides(deg, j) and not ring.kills(mdeg_sub(j, deg))]
 
 
-def component_matrix(C: FreeComplex, i: int, j: Multidegree, rows=None, cols=None):
-    """k-linear matrix of d_i in multidegree j over the alive bases."""
-    if rows is None:
-        rows = alive_basis(C, i - 1, j)
-    if cols is None:
-        cols = alive_basis(C, i, j)
+def component_matrix(C: FreeComplex, i: int, j: Multidegree, rows, cols):
+    """k-linear matrix of d_i in multidegree j over the alive bases rows, cols."""
     diff = C.diffs[i] if 0 < i <= C.top_degree else {}
     return [[diff.get((r, c), 0) for c in cols] for r in rows]
 

@@ -67,16 +67,8 @@ def total_degree(a: Multidegree) -> int:
     return sum(a)
 
 
-def support(a: Multidegree) -> frozenset:
-    return frozenset(i for i, x in enumerate(a) if x)
-
-
 def coprime(a: Multidegree, b: Multidegree) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def is_squarefree(a: Multidegree) -> bool:
-    return all(x <= 1 for x in a)
 
 
 def box_multidegrees(bound: Multidegree):

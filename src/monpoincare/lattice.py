@@ -71,13 +71,6 @@ class LatticeMap:
         except KeyError:
             raise InputError(f"{m} is not an element of the source lattice") from None
 
-    def inverse(self) -> "LatticeMap":
-        inv_atoms = [0] * len(self.atom_map)
-        for i, k in enumerate(self.atom_map):
-            inv_atoms[k] = i
-        return LatticeMap(self.target, self.source, tuple(inv_atoms),
-                          {v: k for k, v in self.element_map.items()}, self.gcd_preserving)
-
 
 def _induced_element_map(L1: LcmLattice, L2: LcmLattice, atom_map):
     """The mask map m_J -> m'_{sigma(J)} if well defined and injective, else None.

@@ -1,6 +1,6 @@
-"""Minimal free resolution of the residue field over R = S/I, the Koszul
-homology dimensions of R, Golod certificates, and the Eagon-style resolution
-for generic ideals.
+"""Minimal free resolution of the residue field over R = S/I, Golod
+certificates, the Koszul homology dimensions of R (an oracle), and the
+Eagon-style resolution for generic ideals.
 
 The resolution is built degree by degree: in each multidegree of a fixed box
 the kernel of the previous differential is an exact k-linear computation, and
@@ -14,7 +14,9 @@ box, the deviations and the Golod verdict all follow from Q by series
 division.  A tmax above deg m_I changes nothing, and the Golod verdict is
 exact once tmax >= deg m_I.  The resolution here is the independent oracle:
 resolved in the slack box m_I + (1,..,1) under --check, its Q must equal the
-lattice Q and prod(1+t*y_i)/Q must reproduce it.
+lattice Q and prod(1+t*y_i)/Q must reproduce it.  The Golod denominator comes
+from the Betti numbers of S/I that ``series.betti_numbers`` reads off the same
+lattice; the Koszul homology of R is computed only as their oracle.
 """
 from __future__ import annotations
 
@@ -50,7 +52,8 @@ from .complexes import (
     standard_monomials,
 )
 from .linalg import EchelonSpace, kernel_basis, rank_of
-from .series import BigradedSeries, denominator, series_div, series_from_terms, variables_product
+from .series import (BigradedSeries, betti_numbers, denominator, series_div,
+                     series_from_terms, variables_product)
 
 
 @dataclass
@@ -201,30 +204,29 @@ def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> 
     return out
 
 
-def koszul_homology_dims(ideal: MonomialIdeal, bound: Multidegree | None = None,
-                         char: int = 0) -> dict:
-    """dim H_i(Koszul over R)_j for j <= bound, as {(i, j): dim}."""
-    if bound is None:
-        bound = ideal.top_lcm()
-    ring = Ring.quotient(ideal)
-    table = homology(koszul_complex(ring), tuple(bound), char)
+def koszul_homology_dims(ideal: MonomialIdeal, char: int = 0) -> dict:
+    """dim H_i(Koszul complex over R)_j for j <= m_I as {(i, j): dim}: by Tor
+    symmetry the Betti numbers of S/I, so the oracle of ``series.betti_numbers``."""
+    table = homology(koszul_complex(Ring.quotient(ideal)), ideal.top_lcm(), char)
     return {(i, j): d for i, dims in table.items() for j, d in dims.items()}
 
 
-def golod_denominator(ideal: MonomialIdeal, bound: Multidegree | None = None,
-                      char: int = 0) -> BigradedSeries:
-    """1 - sum over i >= 1 of dim H_i(K)_j y^j t^(i+1); the denominator of the
-    Poincare series when R is Golod."""
-    if bound is None:
-        bound = ideal.top_lcm()
-    bound = tuple(bound)
-    dims = koszul_homology_dims(ideal, bound, char)
-    tmax = total_degree(bound)
+def _require_in_m_squared(ideal: MonomialIdeal):
+    """The Golod tests here are stated for I inside m^2: refuse a linear generator."""
+    for g in ideal.generators:
+        if total_degree(g) == 1:
+            raise InputError(f"Golod tests need I in m^2; {ideal.generator_str(g)} is linear")
+
+
+def golod_denominator(ideal: MonomialIdeal, char: int = 0) -> BigradedSeries:
+    """1 - sum over i >= 1 of beta_{i,j} y^j t^(i+1), from the Betti numbers of
+    ``series.betti_numbers``: the denominator of the Poincare series when R is
+    Golod.  It lies in box m_I up to t^deg(m_I) for I inside m^2 only."""
+    _require_in_m_squared(ideal)
+    top = ideal.top_lcm()
     terms = [(0, zero_mdeg(ideal.num_vars), 1)]
-    for (i, j), d in dims.items():
-        if i >= 1:
-            terms.append((i + 1, j, -d))
-    return series_from_terms(ideal.num_vars, tmax, bound, terms)
+    terms += [(i + 1, j, -b) for (i, j), b in betti_numbers(ideal, char).items() if i >= 1]
+    return series_from_terms(ideal.num_vars, total_degree(top), top, terms)
 
 
 def golod_series_match(P: BigradedSeries, ideal: MonomialIdeal, char: int = 0,
@@ -250,9 +252,10 @@ def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
     Q == golod_denominator through t^min(tmax, deg m_I): exact Golodness when
     tmax >= deg m_I, and a tmax above deg m_I changes nothing.  Q is the
     denominator and Qg ``golod_denominator(ideal, char=char)`` if the caller
-    already has them; otherwise Q comes from the lcm lattice (``denominator``,
-    no resolution) and the Koszul homology is computed here.
+    already has them; otherwise both come from the lcm lattice, with no
+    resolution and no complex.  A linear generator raises InputError.
     """
+    _require_in_m_squared(ideal)
     if tmax < 2:
         raise InputError("a Golod certificate needs tmax >= 2")
     if Q is None:
@@ -265,8 +268,9 @@ def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
 
 
 def is_golod_generic(ideal: MonomialIdeal) -> bool:
-    """Golod test for generic ideals: no Scarf face may split into two parts
-    with coprime lcms (equivalently m_A * m_B = m_{A u B})."""
+    """Golod test for generic ideals inside m^2: no Scarf face may split into
+    two parts with coprime lcms (equivalently m_A * m_B = m_{A u B})."""
+    _require_in_m_squared(ideal)
     if not is_generic(ideal):
         raise InputError("criterion only applies to generic ideals")
     for face in scarf_faces(ideal):

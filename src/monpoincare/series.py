@@ -4,6 +4,10 @@ A series lives in Z[y_1..y_n][t] truncated at a t-degree ``tmax`` and a
 componentwise multidegree bound ``ybound``.  Both truncations are quotient
 maps (multidegree keys only ever grow under multiplication), so arithmetic
 inside the box is exact.
+
+Q (``denominator``) and the Betti numbers of S/I (``betti_numbers``), which
+give the Golod denominator, are read off the Taylor strands of the lcm
+lattice (generator subsets grouped by lcm); neither builds a complex over R.
 """
 from __future__ import annotations
 
@@ -59,9 +63,6 @@ class BigradedSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def t_degree(self) -> int:
-        return max((t for (t, _) in self.coeffs), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, BigradedSeries):
@@ -264,9 +265,6 @@ class DeviationTable:
     nmax: int
     entries: dict  # (n, multidegree) -> nonzero int
 
-    def get(self, n: int, j) -> int:
-        return self.entries.get((n, tuple(j)), 0)
-
     def rows(self):
         return sorted(self.entries.items())
 
@@ -403,6 +401,28 @@ def _strand_polynomial(cells, char: int) -> dict:
     return {k + 1: -h for k, h in homology.items() if h}
 
 
+def _lcm_strands(ideal: MonomialIdeal, connected: bool):
+    """The staircase codec and the Taylor strands {m_J: [J, ...]} of every subset
+    mask J, or, when ``connected``, only of those with l_J = 1."""
+    codec = staircase(ideal.generators, ideal.num_vars)
+    components = subset_components(codec.atoms) if connected else None
+    strands = {}
+    for J, m in enumerate(subset_table(codec.atoms)):
+        if not connected or components[J] == 1:
+            strands.setdefault(m, []).append(J)
+    return codec, strands
+
+
+def betti_numbers(ideal: MonomialIdeal, char: int = 0) -> dict:
+    """{(i, alpha): dim Tor_i^S(S/I, k)_alpha}, zeros omitted: each Betti number
+    is the homology in size i of the full Taylor strand {J : m_J = alpha}
+    (Gasharov-Peeva-Welker), from ``_strand_polynomial``; the empty set gives
+    (0, 0) -> 1.  ``resolution.koszul_homology_dims`` is the oracle."""
+    codec, strands = _lcm_strands(ideal, connected=False)
+    return {(t - 1, codec.decode(alpha)): -c for alpha, cells in strands.items()
+            for t, c in _strand_polynomial(cells, char).items()}
+
+
 def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) -> BigradedSeries:
     """Q with P = prod(1+t*y_i)/Q, from the lcm lattice alone.
 
@@ -428,13 +448,7 @@ def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) ->
     if tmax is not None and tmax < degree_bound:
         raise InputError(
             f"tmax {tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
-    codec = staircase(ideal.generators, ideal.num_vars)
-    lcms = subset_table(codec.atoms)
-    components = subset_components(codec.atoms)
-    strands = {}
-    for J, (m, l) in enumerate(zip(lcms, components)):
-        if l == 1:
-            strands.setdefault(m, []).append(J)
+    codec, strands = _lcm_strands(ideal, connected=True)
     terms = {0: {0: 1}}  # mask -> {t: coefficient}
     for alpha in sorted(strands, key=lambda m: (m.bit_count(), codec.decode(m))):
         c = {1: 1} if alpha.bit_count() == 1 else _strand_polynomial(strands[alpha], char)

@@ -8,7 +8,9 @@ enumerate generator subsets with ``combinations`` and take each lcm on its
 own, the definition the package's shared subset-lcm table replaces; the
 GCD-graph oracle compares every pair of lattice elements on multidegrees.
 The denominator oracle reads Q off a minimal resolution of k over R in box
-m_I, so it shares nothing with the lattice formula of ``series.denominator``.
+m_I, so it shares nothing with the lattice formula of ``series.denominator``;
+the Golod-denominator oracle builds the Golod formula from the Koszul
+homology of R, not from the lcm-lattice strands of ``series.betti_numbers``.
 The dense kernel oracle is the package's former linear algebra: dense rows in
 (unreduced) echelon form and a ``Fraction`` back-substitution per kernel
 vector, against which the sparse reduced-echelon ``linalg`` is compared.
@@ -28,8 +30,8 @@ from monpoincare.core import (
     total_degree,
 )
 from monpoincare.complexes import scarf_faces
-from monpoincare.resolution import resolve_residue_field
-from monpoincare.series import denominator_from_poincare
+from monpoincare.resolution import koszul_homology_dims, resolve_residue_field
+from monpoincare.series import denominator_from_poincare, series_from_terms
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 200
@@ -79,10 +81,26 @@ def resolver_denominator(ideal, char=0):
     return denominator_from_poincare(res.poincare_series(), ideal)
 
 
+def koszul_golod_denominator(ideal, char=0):
+    """1 - sum over i >= 1 of dim H_i(Koszul over R)_j y^j t^(i+1), in box m_I
+    up to t = deg m_I: the Golod denominator from the Koszul homology of R."""
+    top = ideal.top_lcm()
+    terms = [(0, (0,) * ideal.num_vars, 1)]
+    terms += [(i + 1, j, -d) for (i, j), d in koszul_homology_dims(ideal, char).items() if i]
+    return series_from_terms(ideal.num_vars, total_degree(top), top, terms)
+
+
 def cycle_ideal(n):
     """Edge ideal of the n-cycle: x_i x_{i+1}, indices mod n (non-Golod for n >= 4)."""
     return minimalize([tuple(1 if k in (i, (i + 1) % n) else 0 for k in range(n))
                        for i in range(n)], n)
+
+
+# ideals with a linear generator, which splits off the factor 1 + t*y_i;
+# the third is Taylor-minimal
+LINEAR = [minimalize(gens, len(gens[0])) for gens in (
+    [(1,)], [(1, 0), (0, 1)], [(1, 0, 0), (0, 2, 0), (0, 1, 1)],
+    [(1, 0, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])]
 
 
 # a generic, non-Golod ideal whose slack box m_I + (1,..,1) has 400 cells

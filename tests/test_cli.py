@@ -9,7 +9,7 @@ from monpoincare.cli import RunConfig, build_parser, main, run
 from monpoincare.core import SUBSET_TABLE_MAX_GENERATORS, InputError, InternalInconsistencyError
 from monpoincare.series import series_from_terms
 
-from helpers import rp2_generators
+from helpers import LINEAR, rp2_generators
 
 
 @pytest.fixture
@@ -151,6 +151,44 @@ def test_betti_depends_on_the_characteristic(rp2, capsys):
     assert tables["2"] == {**tables["0"], (3, ones): 1, (4, ones): 1}
 
 
+def test_betti_check_compares_the_strands_with_the_koszul_homology(closing_pair, monkeypatch,
+                                                                   capsys):
+    a, _ = closing_pair
+    real = cli.betti_numbers
+    monkeypatch.setattr(cli, "betti_numbers",
+                        lambda ideal, char=0: {**real(ideal, char), (2, (2, 2, 1)): 2})
+    assert main(["betti", a, "--check"]) == 1
+    assert "disagree with the Koszul homology" in capsys.readouterr().err
+    assert main(["betti", a]) == 0  # only --check consults the oracle
+    capsys.readouterr()
+
+
+def _linear_ideal_files(ideal_file):
+    """(x), (x, y), (x, y^2) and the LINEAR ideals of the tests, as files."""
+    ideals = [([1],), ([1, 0], [0, 1]), ([1, 0], [0, 2])]
+    ideals += [tuple(list(g) for g in ideal.generators) for ideal in LINEAR]
+    return [ideal_file(f"linear{k}", [f"x{i + 1}" for i in range(len(gens[0]))], list(gens))
+            for k, gens in enumerate(ideals)]
+
+
+@pytest.mark.parametrize("char", ["0", "2"])
+def test_q_check_on_ideals_with_a_linear_generator(ideal_file, char, capsys):
+    # a linear generator x_i splits off the factor 1 + t*y_i, which is no
+    # candidate term; the terms coprime to it still are
+    for path in _linear_ideal_files(ideal_file):
+        assert main(["q", path, "--check", "--char", char]) == 0, path
+    capsys.readouterr()
+
+
+def test_golod_tests_refuse_a_linear_generator(ideal_file, capsys):
+    # the Golod tests are stated for I inside m^2: exit 2 naming the generator
+    for path in _linear_ideal_files(ideal_file)[:3]:
+        for argv in (["golod", path], ["golod-generic", path]):
+            for flag in ([], ["--check"]):
+                assert main(argv + flag) == 2, argv + flag
+                assert "Golod tests need I in m^2; x" in capsys.readouterr().err, argv + flag
+
+
 @pytest.fixture
 def resolve_calls(monkeypatch):
     """Every resolution of k over R as (tmax, bound), whichever binding is used."""
@@ -190,6 +228,32 @@ def test_each_command_resolves_at_most_once(closing_pair, ideal_file, resolve_ca
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_only_koszul_eagon_and_betti_check_build_the_koszul_complex(closing_pair, ideal_file,
+                                                                    monkeypatch, check, capsys):
+    from monpoincare import complexes, resolution
+
+    calls = []
+    real = complexes.koszul_complex
+
+    def counted(ring):
+        calls.append(ring)
+        return real(ring)
+
+    for mod in (cli, complexes, resolution):
+        monkeypatch.setattr(mod, "koszul_complex", counted)
+    a, b = closing_pair
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    builders = {"koszul", "eagon", "betti"} if check else {"koszul", "eagon"}
+    for command in cli._COMMANDS:
+        paths = [a, b] if command == "lattice-iso" else [gen if "golod" in command
+                                                         or command == "eagon" else b]
+        calls.clear()
+        assert main([command, *paths, *(["--check"] if check else [])]) == 0, command
+        assert bool(calls) == (command in builders), command
+    capsys.readouterr()
+
+
 def test_q_tmax_above_deg_m_I_changes_nothing(closing_pair, resolve_calls, capsys):
     a, _ = closing_pair
     assert main(["q", a, "-f", "json"]) == 0
@@ -223,9 +287,9 @@ def golod_denominator_calls(monkeypatch):
     calls = []
     real = resolution.golod_denominator
 
-    def counted(ideal, bound=None, char=0):
+    def counted(ideal, char=0):
         calls.append(char)
-        return real(ideal, bound, char)
+        return real(ideal, char)
 
     for mod in (cli, resolution):
         monkeypatch.setattr(mod, "golod_denominator", counted)

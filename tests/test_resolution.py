@@ -15,6 +15,7 @@ from monpoincare.resolution import (
     resolve_residue_field,
 )
 from monpoincare.series import (
+    betti_numbers,
     denominator,
     denominator_from_poincare,
     poincare_from_denominator,
@@ -25,8 +26,10 @@ from monpoincare.series import (
 
 from helpers import (
     D10_GENERATORS,
+    LINEAR,
     cycle_ideal,
     eagon_rank_formula,
+    koszul_golod_denominator,
     random_corpus,
     rp2_generators,
 )
@@ -114,6 +117,22 @@ def test_koszul_homology_dims_closing_example():
     assert koszul_homology_dims(minimalize([], 2)) == {(0, (0, 0)): 1}
 
 
+def test_betti_numbers_and_golod_denominator_match_the_koszul_homology():
+    # Tor symmetry: the full Taylor strands of the lcm lattice against the
+    # Koszul homology of R, cell by cell in box m_I
+    cases = [*random_corpus(), *(cycle_ideal(n) for n in range(4, 9)),
+             minimalize(rp2_generators(), 6), minimalize(D10_GENERATORS, 4), minimalize([], 3)]
+    for ideal in cases + LINEAR:
+        for char in (0, 2):
+            assert betti_numbers(ideal, char) == koszul_homology_dims(ideal, char), (ideal, char)
+            if ideal in LINEAR:
+                with pytest.raises(InputError, match="is linear"):
+                    golod_denominator(ideal, char)
+            else:
+                assert golod_denominator(ideal, char) == koszul_golod_denominator(ideal, char), (
+                    ideal, char)
+
+
 def test_golod_denominator_values():
     Ip = minimalize([(1, 2, 0), (1, 0, 2)], 3)
     Q = golod_denominator(Ip)
@@ -134,6 +153,9 @@ def test_is_golod_truncated():
     assert is_golod_truncated(minimalize([(3, 1)], 2), 4)
     with pytest.raises(InputError):
         is_golod_truncated(minimalize([(2,)], 1), 1)
+    # the test is stated for I inside m^2; k[y]/(y^2) = S/(x, y^2) is Golod
+    with pytest.raises(InputError, match="x1 is linear"):
+        is_golod_truncated(minimalize([(1, 0), (0, 2)], 2), 4)
 
 
 def _assert_tight_box_matches_slack_box(ideal, char, slack_tmax):
@@ -183,6 +205,8 @@ def test_is_golod_generic():
     assert is_golod_generic(minimalize([(3, 2)], 2))
     with pytest.raises(InputError):
         is_golod_generic(minimalize([(1, 2, 0), (1, 0, 2)], 3))  # not generic
+    with pytest.raises(InputError, match="x1 is linear"):
+        is_golod_generic(minimalize([(1, 0), (0, 2)], 2))
 
 
 def test_golod_q_equals_denominator_for_golod_ring():

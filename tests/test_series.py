@@ -22,6 +22,7 @@ from monpoincare.series import (
 
 from monpoincare import series
 from helpers import (
+    LINEAR,
     brute_candidate_terms,
     cycle_ideal,
     random_corpus,
@@ -30,10 +31,6 @@ from helpers import (
 )
 
 D10 = minimalize([(3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)], 4)
-# ideals with a linear generator, which splits off the factor 1 + t*y_i
-LINEAR = [minimalize(gens, len(gens[0])) for gens in (
-    [(1,)], [(1, 0), (0, 1)], [(1, 0, 0), (0, 2, 0), (0, 1, 1)],
-    [(1, 0, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])]
 
 
 def _random_unit_series(rng, tmax=4, ybound=(3, 3), nterms=6, tmin=0, constant=1):
