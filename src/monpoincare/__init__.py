@@ -45,7 +45,6 @@ from .resolution import (
 )
 from .series import (
     BigradedSeries,
-    DeviationTable,
     candidate_terms,
     denominator,
     deviations,

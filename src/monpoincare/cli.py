@@ -8,6 +8,17 @@ k over R, once per ideal, in the slack box m_I + (1,..,1): an independent
 oracle whose Q must equal the lattice Q and reproduce the whole resolution.
 Only ``koszul``, ``eagon`` and ``betti --check`` build a complex over R.
 
+Besides that resolution, --check compares: for ``q``, Q's terms with the
+candidate terms on Taylor-minimal and Golod rings; for ``golod``, the same
+when the verdict is exact and Golod (the verdict, Q against the Golod
+denominator, is itself the certificate); for ``golod-generic``, the Scarf
+criterion with that verdict; for ``poincare``, the resolution's d o d and
+exactness; for ``deviations``, the series they expand to with P; for
+``betti``, the strands with the Koszul homology of R; for the complex
+commands, d o d (and exactness for ``eagon``); for ``polarize``, the
+depolarization and the GCD-graph isomorphism.  That Q's terms lie on L_I
+minus 0 is checked on every call, with or without --check.
+
 Exit codes: 0 success, 1 verification failure (a requested check did not
 hold), 2 input error (bad file, bad arguments, violated precondition), 3
 internal error (a theorem-guaranteed property failed, i.e. a bug).
@@ -46,7 +57,6 @@ from .lattice import (
 from .resolution import (
     eagon_resolution,
     golod_denominator,
-    golod_series_match,
     is_golod_generic,
     is_golod_truncated,
     koszul_homology_dims,
@@ -201,8 +211,6 @@ def cmd_q(cfg):
     Q = _exact_denominator(ideal, cfg)
     _print_series(Q, ideal, cfg.fmt, "Q")
     if cfg.check:
-        if not verify_lcm_coefficients(Q, ideal):
-            raise VerificationFailure("a denominator multidegree is not a subset lcm")
         # stated for Taylor-minimal and Golod rings; Golodness is tested in m^2 only
         in_m_squared = all(total_degree(g) > 1 for g in ideal.generators)
         if is_taylor_minimal(ideal) or in_m_squared and is_golod_truncated(
@@ -236,7 +244,7 @@ def cmd_deviations(cfg):
     Q, _ = _resolve_once(ideal, cfg, nmax)
     P = poincare_from_denominator(Q, nmax, bound)
     table = deviations(P, nmax)
-    rows = table.rows()
+    rows = sorted(table.items())
     if cfg.fmt == "json":
         _emit_json({"ideal": ideal.to_dict(), "nmax": nmax,
                     "deviations": [{"n": n, "y": list(j), "e": e} for (n, j), e in rows]})
@@ -319,24 +327,19 @@ def cmd_golod(cfg):
     # golod_denominator refuses a linear generator before anything is resolved
     Qg = golod_denominator(ideal, char=cfg.characteristic)
     # the slack resolution must reach t = deg m_I + 1 to check Q's t-degree
-    Q, res = _resolve_once(ideal, cfg, max(tmax, _default_tmax(ideal)))
+    Q, _ = _resolve_once(ideal, cfg, max(tmax, _default_tmax(ideal)))
     verdict = is_golod_truncated(ideal, tmax, cfg.characteristic, Q, Qg)
+    exact = tmax >= _default_tmax(ideal, 0)
     if cfg.fmt == "json":
         _emit_json({"ideal": ideal.to_dict(), "tmax": tmax, "bound": list(bound),
                     "golod_certified_to_truncation": verdict})
     else:
         state = "IS" if verdict else "is NOT"
-        exact = "exact" if tmax >= _default_tmax(ideal, 0) else "certificate is truncation-bounded"
-        print(f"R {state} Golod up to t-degree {tmax}, multidegrees <= {list(bound)} ({exact})")
-    if cfg.check:
-        # the certificate that predates the comparison of denominators
-        P = res.poincare_series().restrict(tmax, bound)
-        if golod_series_match(P, ideal, cfg.characteristic, Qg) != verdict:
-            raise VerificationFailure("the Golod verdict from Q disagrees with the truncated "
-                                      "Poincare series certificate")
-    if cfg.check and verdict:
-        if Q != Qg:
-            raise VerificationFailure("certified Golod but Q differs from the Golod formula")
+        scope = "exact" if exact else "certificate is truncation-bounded"
+        print(f"R {state} Golod up to t-degree {tmax}, multidegrees <= {list(bound)} ({scope})")
+    # the candidate-term property is stated for Golod rings, which a
+    # truncation-bounded verdict does not establish
+    if cfg.check and verdict and exact:
         _check_candidate_terms(Q, ideal)
     return 0
 
@@ -516,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("scarf", "Scarf complex of I over S")
     add("koszul", "Koszul complex over R = S/I")
     add("betti", "multigraded Betti numbers of S/I over S")
-    add("golod", "truncated Golod certificate via the resolution", tmax=True)
+    add("golod", "Golod certificate: Q against the Golod denominator to t-degree tmax",
+        tmax=True)
     add("golod-generic", "Golod criterion for generic ideals (Scarf splittings)")
     add("eagon", "Eagon-style resolution of k over R for generic I", imax=True)
     add("lattice-iso", "lattice isomorphisms between two ideals' LCM lattices",

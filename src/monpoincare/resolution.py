@@ -10,13 +10,14 @@ vectors reduced against monomial shifts of the generators already chosen).
 The denominator Q of the Poincare series is a polynomial supported on
 L_I minus 0 with t-degree <= deg m_I.  ``series.denominator`` computes it
 from the lcm lattice without resolving anything; the Poincare series in any
-box, the deviations and the Golod verdict all follow from Q by series
-division.  A tmax above deg m_I changes nothing, and the Golod verdict is
-exact once tmax >= deg m_I.  The resolution here is the independent oracle:
+box and the deviations follow from Q by series division.  The Golod
+verdict (``is_golod_truncated``) compares Q with the Golod denominator, which
+comes from the Betti numbers of S/I that ``series.betti_numbers`` reads off
+the same lattice; the Koszul homology of R is computed only as their oracle.
+A tmax above deg m_I changes nothing, and the Golod verdict is exact once
+tmax >= deg m_I.  The resolution here is the independent oracle of Q:
 resolved in the slack box m_I + (1,..,1) under --check, its Q must equal the
-lattice Q and prod(1+t*y_i)/Q must reproduce it.  The Golod denominator comes
-from the Betti numbers of S/I that ``series.betti_numbers`` reads off the same
-lattice; the Koszul homology of R is computed only as their oracle.
+lattice Q and prod(1+t*y_i)/Q must reproduce it.
 """
 from __future__ import annotations
 
@@ -52,8 +53,7 @@ from .complexes import (
     standard_monomials,
 )
 from .linalg import EchelonSpace, kernel_basis, rank_of
-from .series import (BigradedSeries, betti_numbers, denominator, series_div,
-                     series_from_terms, variables_product)
+from .series import BigradedSeries, betti_numbers, denominator, series_from_terms
 
 
 @dataclass
@@ -229,31 +229,20 @@ def golod_denominator(ideal: MonomialIdeal, char: int = 0) -> BigradedSeries:
     return series_from_terms(ideal.num_vars, total_degree(top), top, terms)
 
 
-def golod_series_match(P: BigradedSeries, ideal: MonomialIdeal, char: int = 0,
-                       Qg: BigradedSeries | None = None) -> bool:
-    """Does a computed Poincare series equal prod(1+t*y_i)/golod_denominator
-    within its own truncation box?  The certificate that predates
-    ``is_golod_truncated``'s comparison of denominators; kept as its oracle.
-    Qg is ``golod_denominator(ideal, char=char)`` if the caller already has it."""
-    if Qg is None:
-        Qg = golod_denominator(ideal, char=char)
-    # terms above t^tmax cannot change P mod t^(tmax+1)
-    Qg = Qg.restrict(P.tmax, P.ybound)
-    return series_div(variables_product(ideal.num_vars, P.tmax, P.ybound), Qg) == P
-
-
 def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
                        Q: BigradedSeries | None = None,
                        Qg: BigradedSeries | None = None) -> bool:
-    """Is R Golod up to t-degree tmax: does the resolution's Poincare series
-    agree with prod(1+t*y_i)/golod_denominator through t^tmax?
+    """Is R Golod up to t-degree tmax: does Q agree with golod_denominator
+    through t^tmax?  Since P = prod(1+t*y_i)/Q, this is the same as P agreeing
+    with prod(1+t*y_i)/golod_denominator mod t^(tmax+1).
 
     Both denominators live in box m_I with t-degree <= deg m_I, so this is
     Q == golod_denominator through t^min(tmax, deg m_I): exact Golodness when
     tmax >= deg m_I, and a tmax above deg m_I changes nothing.  Q is the
     denominator and Qg ``golod_denominator(ideal, char=char)`` if the caller
     already has them; otherwise both come from the lcm lattice, with no
-    resolution and no complex.  A linear generator raises InputError.
+    resolution and no complex.  This is the package's only Golod certificate
+    for arbitrary I; a linear generator raises InputError.
     """
     _require_in_m_squared(ideal)
     if tmax < 2:

@@ -257,20 +257,9 @@ def binomial_factor_power(num_vars: int, tmax: int, ybound, sign: int, n: int,
     return series_from_terms(num_vars, tmax, ybound, terms)
 
 
-@dataclass(frozen=True)
-class DeviationTable:
-    """Exponents e_{n,j} of the infinite-product decomposition of a series."""
-
-    num_vars: int
-    nmax: int
-    entries: dict  # (n, multidegree) -> nonzero int
-
-    def rows(self):
-        return sorted(self.entries.items())
-
-
-def deviations(P: BigradedSeries, nmax: int) -> DeviationTable:
-    """Factor P as a product of (1 +/- y^j t^n)^(e_{n,j}) factors, inductively.
+def deviations(P: BigradedSeries, nmax: int) -> dict:
+    """Factor P as a product of (1 +/- y^j t^n)^(e_{n,j}) factors, inductively;
+    the exponents as {(n, multidegree): e_{n,j}}, zeros omitted.
 
     Step n matches the t^n slice of P by multiplying (odd n) or dividing
     (even n) the running product, which pins e_{n,j} uniquely.
@@ -291,14 +280,15 @@ def deviations(P: BigradedSeries, nmax: int) -> DeviationTable:
             # odd n: multiply by (1+y^j t^n)^e; even n: divide by (1-y^j t^n)^e
             running = running * binomial_factor_power(
                 P.num_vars, P.tmax, P.ybound, sign, n, j, e if n % 2 else -e)
-    return DeviationTable(P.num_vars, nmax, entries)
+    return entries
 
 
-def series_from_deviations(table: DeviationTable, num_vars: int, tmax: int,
+def series_from_deviations(table: dict, num_vars: int, tmax: int,
                            ybound) -> BigradedSeries:
-    """Expand prod (1+y^j t^n)^e [n odd] / prod (1-y^j t^n)^e [n even]."""
+    """Expand prod (1+y^j t^n)^e [n odd] / prod (1-y^j t^n)^e [n even] over the
+    {(n, multidegree): e} table of ``deviations``."""
     out = series_one(num_vars, tmax, tuple(ybound))
-    for (n, j), e in table.rows():
+    for (n, j), e in sorted(table.items()):
         if n > tmax:
             continue
         sign = 1 if n % 2 else -1
@@ -423,7 +413,7 @@ def betti_numbers(ideal: MonomialIdeal, char: int = 0) -> dict:
             for t, c in _strand_polynomial(cells, char).items()}
 
 
-def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) -> BigradedSeries:
+def denominator(ideal: MonomialIdeal, char: int = 0) -> BigradedSeries:
     """Q with P = prod(1+t*y_i)/Q, from the lcm lattice alone.
 
     For alpha in L_I minus 0, U_alpha is the set of generator subsets J with
@@ -437,17 +427,13 @@ def denominator(ideal: MonomialIdeal, tmax: int | None = None, char: int = 0) ->
     staircase masks.  A linear generator x_i splits off (S/I is S'/I' with
     x_i dropped), so its c_alpha is t, the factor 1 + t*y_i.
 
-    No resolution is made.  Q lives in box m_I with t-degree <= deg m_I;
-    tmax may not be below deg m_I, and any tmax above it changes nothing.
+    No resolution is made.  Q lives in box m_I with t-degree <= deg m_I.
     Two theorem checks raise InternalInconsistencyError: no term lies above
     t^deg(m_I), and every term of t-degree >= 1 lies on L_I minus 0.
     ``denominator_from_poincare`` of a resolution is the independent oracle.
     """
     top = ideal.top_lcm()
     degree_bound = total_degree(top)
-    if tmax is not None and tmax < degree_bound:
-        raise InputError(
-            f"tmax {tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
     codec, strands = _lcm_strands(ideal, connected=True)
     terms = {0: {0: 1}}  # mask -> {t: coefficient}
     for alpha in sorted(strands, key=lambda m: (m.bit_count(), codec.decode(m))):

@@ -11,6 +11,9 @@ The denominator oracle reads Q off a minimal resolution of k over R in box
 m_I, so it shares nothing with the lattice formula of ``series.denominator``;
 the Golod-denominator oracle builds the Golod formula from the Koszul
 homology of R, not from the lcm-lattice strands of ``series.betti_numbers``.
+The Golod-series oracle divides prod(1+t*y_i) by the Golod denominator and
+compares the quotient with a resolution's Poincare series, where
+``is_golod_truncated`` compares denominators.
 The dense kernel oracle is the package's former linear algebra: dense rows in
 (unreduced) echelon form and a ``Fraction`` back-substitution per kernel
 vector, against which the sparse reduced-echelon ``linalg`` is compared.
@@ -30,8 +33,10 @@ from monpoincare.core import (
     total_degree,
 )
 from monpoincare.complexes import scarf_faces
-from monpoincare.resolution import koszul_homology_dims, resolve_residue_field
-from monpoincare.series import denominator_from_poincare, series_from_terms
+from monpoincare.resolution import (golod_denominator, koszul_homology_dims,
+                                   resolve_residue_field)
+from monpoincare.series import (denominator_from_poincare, series_div, series_from_terms,
+                                variables_product)
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 200
@@ -88,6 +93,14 @@ def koszul_golod_denominator(ideal, char=0):
     terms = [(0, (0,) * ideal.num_vars, 1)]
     terms += [(i + 1, j, -d) for (i, j), d in koszul_homology_dims(ideal, char).items() if i]
     return series_from_terms(ideal.num_vars, total_degree(top), top, terms)
+
+
+def golod_series_match(P, ideal, char=0):
+    """Does a computed Poincare series equal prod(1+t*y_i)/golod_denominator
+    within its own truncation box?"""
+    # terms above t^tmax cannot change P mod t^(tmax+1)
+    Qg = golod_denominator(ideal, char=char).restrict(P.tmax, P.ybound)
+    return series_div(variables_product(ideal.num_vars, P.tmax, P.ybound), Qg) == P
 
 
 def cycle_ideal(n):

@@ -6,10 +6,11 @@ import pytest
 
 from monpoincare import cli
 from monpoincare.cli import RunConfig, build_parser, main, run
-from monpoincare.core import SUBSET_TABLE_MAX_GENERATORS, InputError, InternalInconsistencyError
+from monpoincare.core import (SUBSET_TABLE_MAX_GENERATORS, InputError,
+                              InternalInconsistencyError, minimalize)
 from monpoincare.series import series_from_terms
 
-from helpers import LINEAR, rp2_generators
+from helpers import D10_GENERATORS, LINEAR, cycle_ideal, rp2_generators
 
 
 @pytest.fixture
@@ -263,8 +264,7 @@ def test_q_tmax_above_deg_m_I_changes_nothing(closing_pair, resolve_calls, capsy
     assert resolve_calls == []
 
 
-def test_golod_check_keeps_the_truncated_certificate_as_oracle(closing_pair, monkeypatch,
-                                                               capsys):
+def test_golod_check_passes_below_and_above_deg_m_I(closing_pair, ideal_file, capsys):
     a, b = closing_pair
     for path, tmax in [(a, "3"), (a, "4"), (b, "2"), (b, "7")]:
         assert main(["golod", path, "--tmax", tmax, "--check"]) == 0
@@ -272,11 +272,16 @@ def test_golod_check_keeps_the_truncated_certificate_as_oracle(closing_pair, mon
     assert main(["golod", b, "-f", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["tmax"], doc["bound"]) == (7, [2, 3, 3])  # deg m_I + 2, m_I + 1
-    real = cli.golod_series_match
-    monkeypatch.setattr(cli, "golod_series_match", lambda *args: not real(*args))
-    assert main(["golod", b, "--check"]) == 1
-    assert "disagrees with the truncated" in capsys.readouterr().err
-    assert main(["golod", b]) == 0  # only --check consults the old certificate
+    # below deg m_I, Q and the Golod denominator agree only through t^tmax on
+    # these non-Golod rings; --check must not ask for Q to equal it
+    c5, c6, d10 = (ideal_file(name, list(I.var_names), [list(g) for g in I.generators])
+                   for name, I in (("C5", cycle_ideal(5)), ("C6", cycle_ideal(6)),
+                                   ("D10", minimalize(D10_GENERATORS, 4))))
+    for argv in ([c5, "--tmax", "2"], [c5, "--tmax", "3"], [c6, "--tmax", "2", "--char", "2"],
+                 [d10, "--tmax", "2"]):
+        assert main(["golod", *argv, "--check"]) == 0, argv
+        out = capsys.readouterr().out
+        assert "R IS Golod" in out and "(certificate is truncation-bounded)" in out, argv
 
 
 @pytest.fixture
@@ -356,8 +361,8 @@ def test_q_check_names_the_first_term_the_resolution_contradicts(closing_pair, m
     real = cli.denominator
     extra = []
 
-    def wrong(ideal, tmax=None, char=0):
-        Q = real(ideal, tmax, char)
+    def wrong(ideal, char=0):
+        Q = real(ideal, char)
         return Q + series_from_terms(Q.num_vars, Q.tmax, Q.ybound, extra)
 
     monkeypatch.setattr(cli, "denominator", wrong)

@@ -1,4 +1,5 @@
-"""Import lint: every name a package module imports is used in that module.
+"""Import lint: every name a package module or a test file imports is used
+in that file.
 
 ``__init__.py`` is exempt, since its imports are the package's public names.
 A name counts as used when it appears as a bare name anywhere in the module
@@ -11,6 +12,7 @@ from pathlib import Path
 import monpoincare
 
 PACKAGE = Path(monpoincare.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list:
@@ -34,9 +36,18 @@ def test_the_lint_sees_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
 
 
+def _unused_by_file(paths) -> dict:
+    return {p.name: found for p in paths
+            if (found := unused_imports(p.read_text(encoding="utf-8")))}
+
+
 def test_package_modules_use_every_name_they_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 7
-    unused = {p.name: found for p in modules
-              if (found := unused_imports(p.read_text(encoding="utf-8")))}
-    assert unused == {}
+    assert _unused_by_file(modules) == {}
+
+
+def test_test_files_use_every_name_they_import():
+    files = sorted(TESTS.glob("*.py"))
+    assert len(files) >= 9
+    assert _unused_by_file(files) == {}

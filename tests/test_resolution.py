@@ -8,7 +8,6 @@ from monpoincare.complexes import homology
 from monpoincare.resolution import (
     eagon_resolution,
     golod_denominator,
-    golod_series_match,
     is_golod_generic,
     is_golod_truncated,
     koszul_homology_dims,
@@ -29,6 +28,7 @@ from helpers import (
     LINEAR,
     cycle_ideal,
     eagon_rank_formula,
+    golod_series_match,
     koszul_golod_denominator,
     random_corpus,
     rp2_generators,

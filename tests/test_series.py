@@ -125,7 +125,7 @@ def test_truncation_box_enforced():
 def test_deviations_product_of_linear_factors():
     P = variables_product(2, 4, (3, 3))
     table = deviations(P, 4)
-    assert table.entries == {(1, (1, 0)): 1, (1, (0, 1)): 1}
+    assert table == {(1, (1, 0)): 1, (1, (0, 1)): 1}
 
 
 def test_deviations_hypersurface():
@@ -134,7 +134,7 @@ def test_deviations_hypersurface():
     P = series_mul(numer, series_inverse(
         series_from_terms(1, 6, (7,), [(0, (0,), 1), (2, (2,), -1)])))
     table = deviations(P, 6)
-    assert table.entries == {(1, (1,)): 1, (2, (2,)): 1}
+    assert table == {(1, (1,)): 1, (2, (2,)): 1}
     assert series_from_deviations(table, 1, 6, (7,)) == P
 
 
@@ -155,7 +155,7 @@ def test_deviations_reject_t0_terms():
 
 def test_series_from_deviations_trivial():
     empty = deviations(series_one(2, 3, (2, 2)), 3)
-    assert empty.entries == {}
+    assert empty == {}
     assert series_from_deviations(empty, 2, 3, (2, 2)) == series_one(2, 3, (2, 2))
 
 
@@ -195,13 +195,9 @@ def test_verify_lcm_coefficients():
     assert not verify_lcm_coefficients(fake, I)
 
 
-def test_denominator_trivial_and_errors():
-    empty = minimalize([], 2)
-    Q = denominator(empty)
+def test_denominator_of_the_zero_ideal():
+    Q = denominator(minimalize([], 2))
     assert Q.coeffs == {(0, (0, 0)): 1}
-    I = minimalize([(2, 0, 0), (0, 2, 1)], 3)
-    with pytest.raises(InputError):
-        denominator(I, tmax=3)  # below deg m_I = 5
 
 
 def test_denominator_matches_the_resolver_in_box_m_I():
