@@ -264,7 +264,8 @@ def test_q_tmax_above_deg_m_I_changes_nothing(closing_pair, resolve_calls, capsy
     assert resolve_calls == []
 
 
-def test_golod_check_passes_below_and_above_deg_m_I(closing_pair, ideal_file, capsys):
+def test_golod_check_keeps_the_truncated_certificate_as_oracle(closing_pair, ideal_file,
+                                                               monkeypatch, capsys):
     a, b = closing_pair
     for path, tmax in [(a, "3"), (a, "4"), (b, "2"), (b, "7")]:
         assert main(["golod", path, "--tmax", tmax, "--check"]) == 0
@@ -272,6 +273,16 @@ def test_golod_check_passes_below_and_above_deg_m_I(closing_pair, ideal_file, ca
     assert main(["golod", b, "-f", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["tmax"], doc["bound"]) == (7, [2, 3, 3])  # deg m_I + 2, m_I + 1
+    # golod-generic --check holds the Scarf criterion against is_golod_truncated
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    real = cli.is_golod_truncated
+    monkeypatch.setattr(cli, "is_golod_truncated", lambda *args: not real(*args))
+    assert main(["golod-generic", gen, "--check"]) == 1
+    assert "disagrees with truncated certificate" in capsys.readouterr().err
+    assert main(["golod-generic", gen]) == 0  # only --check consults the certificate
+
+
+def test_golod_check_passes_below_and_above_deg_m_I(ideal_file, capsys):
     # below deg m_I, Q and the Golod denominator agree only through t^tmax on
     # these non-Golod rings; --check must not ask for Q to equal it
     c5, c6, d10 = (ideal_file(name, list(I.var_names), [list(g) for g in I.generators])

@@ -195,9 +195,15 @@ def test_verify_lcm_coefficients():
     assert not verify_lcm_coefficients(fake, I)
 
 
-def test_denominator_of_the_zero_ideal():
+def test_denominator_trivial_and_errors():
     Q = denominator(minimalize([], 2))
     assert Q.coeffs == {(0, (0, 0)): 1}
+    # a Poincare series whose box does not reach m_I = (2, 2, 1) holds too
+    # little to extract Q from
+    I = minimalize([(2, 0, 0), (0, 2, 1)], 3)
+    P = poincare_from_denominator(denominator(I), 5, (2, 2, 1)).restrict(5, (2, 2, 0))
+    with pytest.raises(InputError, match="too small to extract"):
+        denominator_from_poincare(P, I)
 
 
 def test_denominator_matches_the_resolver_in_box_m_I():
