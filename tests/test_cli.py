@@ -453,3 +453,109 @@ def test_runconfig_validation():
     with pytest.raises(InputError):
         RunConfig("q", ["x.json"], fmt="yaml")
     assert run(RunConfig("nonsense", ["x.json"])) == 2
+
+
+def _fails_check(argv, capsys, message):
+    """``main(argv)`` exits 1 and reports ``message`` as the failed check."""
+    assert main(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert f"verification failed: {message}" in captured.err, captured.err
+    return captured.out
+
+
+def test_complex_check_reports_a_nonzero_d_squared(closing_pair, monkeypatch, capsys):
+    a, _ = closing_pair
+    real = cli.taylor_complex
+
+    def one_sign_flipped(ideal):
+        T = real(ideal)
+        key = min(T.diffs[2])
+        T.diffs[2][key] = -T.diffs[2][key]
+        return T
+
+    monkeypatch.setattr(cli, "taylor_complex", one_sign_flipped)
+    _fails_check(["taylor", a, "--check"], capsys,
+                 "Taylor complex over S: d o d != 0 at [(2, 0, 0)]")
+    assert main(["taylor", a]) == 0  # only --check composes the differentials
+    capsys.readouterr()
+
+
+def test_q_check_reports_a_term_that_is_no_candidate(closing_pair, monkeypatch, capsys):
+    _, b = closing_pair  # Taylor-minimal: every subset lcm is distinct
+    monkeypatch.setattr(cli, "candidate_terms", lambda ideal: set())
+    _fails_check(["q", b, "--check"], capsys, "term -1 t^2 y^(1, 0, 2) not a candidate term")
+
+
+def test_poincare_check_reports_a_resolution_that_is_not_exact(closing_pair, monkeypatch,
+                                                                capsys):
+    _, b = closing_pair
+    monkeypatch.setattr(cli, "homology", lambda C, bound, char: {1: {(1, 0, 0): 1}})
+    _fails_check(["poincare", b, "--tmax", "3", "--check"], capsys,
+                 "resolution not exact at degree 1: {(1, 0, 0): 1}")
+
+
+def test_deviations_check_reports_a_series_other_than_P(closing_pair, monkeypatch, capsys):
+    _, b = closing_pair
+    monkeypatch.setattr(cli, "series_from_deviations", lambda *args: None)
+    _fails_check(["deviations", b, "--nmax", "3", "--check"], capsys,
+                 "deviations do not reproduce the Poincare series")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_lcm_reports_a_term_off_the_lattice(closing_pair, monkeypatch, fmt, capsys):
+    a, _ = closing_pair
+    monkeypatch.setattr(cli, "verify_lcm_coefficients", lambda Q, ideal: False)
+    out = _fails_check(["verify-lcm", a, "-f", fmt], capsys, "verify-lcm failed")
+    if fmt == "json":
+        assert json.loads(out)["all_terms_are_subset_lcms"] is False
+    else:
+        assert out == "FAIL: some denominator multidegree is not a subset lcm\n"
+
+
+def test_eagon_check_reports_a_resolution_that_is_not_exact(ideal_file, monkeypatch, capsys):
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    monkeypatch.setattr(cli, "homology", lambda C, bound, char: {2: {(1, 1): 1}})
+    _fails_check(["eagon", gen, "--imax", "4", "--check"], capsys,
+                 "Eagon resolution not exact at degree 2: {(1, 1): 1}")
+
+
+def test_lattice_iso_reports_a_transported_Q_that_differs(closing_pair, monkeypatch, capsys):
+    a, _ = closing_pair
+    real = cli.transport_denominator
+
+    def shifted(Q, m):
+        T = real(Q, m)
+        return T + series_from_terms(T.num_vars, T.tmax, T.ybound, [(1, (1, 0, 0), 1)])
+
+    monkeypatch.setattr(cli, "transport_denominator", shifted)
+    message = "isomorphism [1] preserves GCD graphs but transported Q differs"
+    for fmt in ("table", "json"):
+        out = _fails_check(["lattice-iso", a, a, "--transport", "-f", fmt], capsys, message)
+        assert "t*y1" in out if fmt == "table" else json.loads(out)["transported"]
+    assert main(["lattice-iso", a, a]) == 0  # nothing is transported without --transport
+    capsys.readouterr()
+
+
+def test_polarize_check_reports_a_wrong_depolarization(closing_pair, monkeypatch, capsys):
+    a, b = closing_pair
+    real = cli.polarize
+    other = real(cli.load_ideal(b))
+    monkeypatch.setattr(cli, "polarize", lambda ideal: other)
+    _fails_check(["polarize", a, "--check"], capsys, "depolarization does not recover the ideal")
+    monkeypatch.setattr(cli, "polarize", real)
+    monkeypatch.setattr(cli, "polarization_lattice_map",
+                        lambda pol: argparse.Namespace(gcd_preserving=False))
+    _fails_check(["polarize", a, "--check"], capsys,
+                 "polarization map is not a GCD-graph isomorphism")
+    assert main(["polarize", a]) == 0  # only --check consults the lattice map
+    capsys.readouterr()
+
+
+def test_golod_generic_json(ideal_file, capsys):
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    assert main(["golod-generic", gen, "-f", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"ideal": {"vars": ["x", "y"], "gens": [[0, 2], [1, 1], [3, 0]]},
+                   "golod": True}
+    assert main(["golod-generic", gen]) == 0
+    assert capsys.readouterr().out == "generic ideal; R IS Golod\n"
