@@ -14,7 +14,6 @@ from .core import (
     load_ideal,
     minimalize,
     polarize,
-    subset_lcms,
 )
 from .complexes import (
     FreeComplex,

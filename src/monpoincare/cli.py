@@ -1,5 +1,10 @@
 """Command-line interface: one binary, subcommand per operation.
 
+Each subcommand is declared once, in ``_COMMANDS`` (handler, help, number of
+ideal files, options), from which ``build_parser`` builds the parser.  ``main``
+parses, refuses a --char that is not 0 or a prime below 3.3e24 (Miller-Rabin),
+loads the ideal files and calls ``handler(args, *ideals)``.
+
 The denominator Q comes from the lcm lattice alone (``series.denominator``,
 no resolution of k over R), and the Poincare series, deviations and Golod
 verdicts follow from Q; the Betti numbers of S/I and the Golod denominator
@@ -29,7 +34,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .core import (
     InputError,
@@ -78,39 +82,14 @@ class VerificationFailure(Exception):
     """A --check (or verify-style subcommand) found a violated property."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    paths: list = field(default_factory=list)
-    tmax: int | None = None
-    nmax: int | None = None
-    imax: int | None = None
-    characteristic: int = 0
-    fmt: str = "table"
-    check: bool = False
-    transport: bool = False
-
-    def __post_init__(self):
-        if self.characteristic:
-            p = self.characteristic
-            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-                raise InputError(f"characteristic must be 0 or a prime, got {p}")
-        if self.fmt not in ("table", "json"):
-            raise InputError(f"unknown output format {self.fmt!r}")
-
-
 def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _series_payload(Q, ideal):
-    return {"ideal": ideal.to_dict(), **Q.to_json_dict()}
 
 
 def _print_series(Q, ideal, fmt, title):
     names = tuple(f"y{i + 1}" for i in range(ideal.num_vars))
     if fmt == "json":
-        _emit_json(_series_payload(Q, ideal))
+        _emit_json({"ideal": ideal.to_dict(), **Q.to_json_dict()})
         return
     print(f"{title} = {Q.render(names)}")
     print(f"{'t':>3}  {'coeff':>6}  y-multidegree")
@@ -153,7 +132,7 @@ def _slack_bound(ideal):
     return mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
 
 
-def _resolve_once(ideal, cfg, slack_tmax):
+def _resolve_once(ideal, args, slack_tmax):
     """Q from the lcm lattice, and under --check the one resolution of k over
     R that a command makes.
 
@@ -163,10 +142,10 @@ def _resolve_once(ideal, cfg, slack_tmax):
     t^(slack_tmax+1); ``denominator_from_poincare``) and equal the lattice Q
     through t^min(slack_tmax, deg m_I); either failure is an internal error.
     """
-    Q = denominator(ideal, char=cfg.characteristic)
-    if not cfg.check:
+    Q = denominator(ideal, char=args.char)
+    if not args.check:
         return Q, None
-    res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), cfg.characteristic)
+    res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), args.char)
     resolved = denominator_from_poincare(res.poincare_series(), ideal)
     strands = Q.restrict(resolved.tmax, resolved.ybound)
     if strands != resolved:
@@ -178,14 +157,16 @@ def _resolve_once(ideal, cfg, slack_tmax):
     return Q, res
 
 
-def _exact_denominator(ideal, cfg):
-    """The whole of Q, for q, verify-lcm and lattice-iso: --tmax may not be
-    below deg m_I, and only --check resolves up to a larger one."""
+def _exact_denominator(ideal, args, tmax=None):
+    """The whole of Q, for q, verify-lcm and lattice-iso.  ``tmax`` (the
+    --tmax of q and verify-lcm; lattice-iso has none) may not be below
+    deg m_I, and it only sets how far --check resolves: to deg m_I + 1 when
+    it is None."""
     degree_bound = _default_tmax(ideal, 0)
-    if cfg.tmax is not None and cfg.tmax < degree_bound:
+    if tmax is not None and tmax < degree_bound:
         raise InputError(
-            f"tmax {cfg.tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
-    return _resolve_once(ideal, cfg, cfg.tmax if cfg.tmax is not None else degree_bound + 1)[0]
+            f"tmax {tmax} is below deg m_I = {degree_bound}; denominator would be truncated")
+    return _resolve_once(ideal, args, tmax if tmax is not None else degree_bound + 1)[0]
 
 
 def _check_complex(C, what):
@@ -206,46 +187,45 @@ def _check_candidate_terms(Q, ideal):
             raise VerificationFailure(f"term {c} t^{t} y^{j} not a candidate term")
 
 
-def cmd_q(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    Q = _exact_denominator(ideal, cfg)
-    _print_series(Q, ideal, cfg.fmt, "Q")
-    if cfg.check:
+def cmd_q(args, ideal):
+    Q = _exact_denominator(ideal, args, args.tmax)
+    _print_series(Q, ideal, args.format, "Q")
+    if args.check:
         # stated for Taylor-minimal and Golod rings; Golodness is tested in m^2 only
         in_m_squared = all(total_degree(g) > 1 for g in ideal.generators)
         if is_taylor_minimal(ideal) or in_m_squared and is_golod_truncated(
-                ideal, _default_tmax(ideal, 2), cfg.characteristic, Q):
+                ideal, _default_tmax(ideal, 2), args.char, Q):
             _check_candidate_terms(Q, ideal)
     return 0
 
 
-def cmd_poincare(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    tmax = cfg.tmax if cfg.tmax is not None else _default_tmax(ideal, 2)
+def cmd_poincare(args, ideal):
+    tmax = args.tmax if args.tmax is not None else _default_tmax(ideal, 2)
     bound = _slack_bound(ideal)
-    Q, res = _resolve_once(ideal, cfg, tmax)
+    Q, res = _resolve_once(ideal, args, tmax)
     # dim Tor_i^R(k,k)_j is the coefficient of t^i y^j in P
     table = poincare_from_denominator(Q, tmax, bound).coeffs
-    _print_betti(table, ideal, cfg.fmt,
+    _print_betti(table, ideal, args.format,
                  f"Tor^R(k,k) to t-degree {tmax}, multidegrees <= {list(bound)}")
-    if cfg.check:
+    if args.check:
         _check_complex(res.complex, "residue field resolution")
-        H = homology(res.complex, res.bound, cfg.characteristic)
+        H = homology(res.complex, res.bound, args.char)
         for i in range(1, tmax):
             if H.get(i):
                 raise VerificationFailure(f"resolution not exact at degree {i}: {H[i]}")
     return 0
 
 
-def cmd_deviations(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    nmax = cfg.nmax if cfg.nmax is not None else 6
+def cmd_deviations(args, ideal):
+    nmax = args.nmax
+    if nmax < 0:
+        raise InputError(f"--nmax must be non-negative, got {nmax}")
     bound = _slack_bound(ideal)
-    Q, _ = _resolve_once(ideal, cfg, nmax)
+    Q, _ = _resolve_once(ideal, args, nmax)
     P = poincare_from_denominator(Q, nmax, bound)
     table = deviations(P, nmax)
     rows = sorted(table.items())
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(), "nmax": nmax,
                     "deviations": [{"n": n, "y": list(j), "e": e} for (n, j), e in rows]})
     else:
@@ -253,16 +233,15 @@ def cmd_deviations(cfg):
         print(f"{'n':>3}  {'e':>4}  multidegree")
         for (n, j), e in rows:
             print(f"{n:>3}  {e:>4}  {monomial_str(j, ideal.var_names)} {list(j)}")
-    if cfg.check:
+    if args.check:
         if series_from_deviations(table, ideal.num_vars, nmax, bound) != P:
             raise VerificationFailure("deviations do not reproduce the Poincare series")
     return 0
 
 
-def cmd_candidates(cfg):
-    ideal = load_ideal(cfg.paths[0])
+def cmd_candidates(args, ideal):
     rows = sorted(candidate_terms(ideal), key=lambda x: (x[1], x[2], x[0]))
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(),
                     "candidates": [{"sign": s, "t": t, "y": list(j)} for s, t, j in rows]})
     else:
@@ -273,11 +252,10 @@ def cmd_candidates(cfg):
     return 0
 
 
-def cmd_verify_lcm(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    Q = _exact_denominator(ideal, cfg)
+def cmd_verify_lcm(args, ideal):
+    Q = _exact_denominator(ideal, args, args.tmax)
     ok = verify_lcm_coefficients(Q, ideal)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(), "all_terms_are_subset_lcms": ok})
     else:
         print("all denominator multidegrees are subset lcms" if ok
@@ -287,50 +265,49 @@ def cmd_verify_lcm(cfg):
     return 0
 
 
-def _complex_command(cfg, builder, what):
-    ideal = load_ideal(cfg.paths[0])
-    C = builder(ideal)
-    _print_complex(C, ideal, cfg.fmt, what)
-    if cfg.check:
+def _complex_command(args, ideal, C, what):
+    _print_complex(C, ideal, args.format, what)
+    if args.check:
         _check_complex(C, what)
     return 0
 
 
-def cmd_taylor(cfg):
-    return _complex_command(cfg, taylor_complex, "Taylor complex over S")
+def cmd_taylor(args, ideal):
+    return _complex_command(args, ideal, taylor_complex(ideal), "Taylor complex over S")
 
 
-def cmd_scarf(cfg):
-    return _complex_command(cfg, scarf_complex, "Scarf complex over S")
+def cmd_scarf(args, ideal):
+    return _complex_command(args, ideal, scarf_complex(ideal), "Scarf complex over S")
 
 
-def cmd_koszul(cfg):
-    return _complex_command(cfg, lambda I: koszul_complex(Ring.quotient(I)),
+def cmd_koszul(args, ideal):
+    return _complex_command(args, ideal, koszul_complex(Ring.quotient(ideal)),
                             "Koszul complex over R")
 
 
-def cmd_betti(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    table = betti_numbers(ideal, cfg.characteristic)
-    _print_betti(table, ideal, cfg.fmt, "multigraded Betti numbers of S/I over S")
+def cmd_betti(args, ideal):
+    table = betti_numbers(ideal, args.char)
+    _print_betti(table, ideal, args.format, "multigraded Betti numbers of S/I over S")
     # Tor_i^S(S/I, k)_j = H_i(Koszul complex over R)_j, all inside the box m_I
-    if cfg.check and koszul_homology_dims(ideal, cfg.characteristic) != table:
+    if args.check and koszul_homology_dims(ideal, args.char) != table:
         raise VerificationFailure("the Betti numbers from the lcm-lattice strands disagree "
                                   "with the Koszul homology of R")
     return 0
 
 
-def cmd_golod(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    tmax = cfg.tmax if cfg.tmax is not None else _default_tmax(ideal, 2)
+def cmd_golod(args, ideal):
+    tmax = args.tmax if args.tmax is not None else _default_tmax(ideal, 2)
     bound = _slack_bound(ideal)
-    # golod_denominator refuses a linear generator before anything is resolved
-    Qg = golod_denominator(ideal, char=cfg.characteristic)
+    # golod_denominator refuses a linear generator, and a tmax below 2 is
+    # refused here, both before --check resolves anything
+    Qg = golod_denominator(ideal, char=args.char)
+    if tmax < 2:
+        raise InputError("a Golod certificate needs tmax >= 2")
     # the slack resolution must reach t = deg m_I + 1 to check Q's t-degree
-    Q, _ = _resolve_once(ideal, cfg, max(tmax, _default_tmax(ideal)))
-    verdict = is_golod_truncated(ideal, tmax, cfg.characteristic, Q, Qg)
+    Q, _ = _resolve_once(ideal, args, max(tmax, _default_tmax(ideal)))
+    verdict = is_golod_truncated(ideal, tmax, args.char, Q, Qg)
     exact = tmax >= _default_tmax(ideal, 0)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(), "tmax": tmax, "bound": list(bound),
                     "golod_certified_to_truncation": verdict})
     else:
@@ -339,33 +316,30 @@ def cmd_golod(cfg):
         print(f"R {state} Golod up to t-degree {tmax}, multidegrees <= {list(bound)} ({scope})")
     # the candidate-term property is stated for Golod rings, which a
     # truncation-bounded verdict does not establish
-    if cfg.check and verdict and exact:
+    if args.check and verdict and exact:
         _check_candidate_terms(Q, ideal)
     return 0
 
 
-def cmd_golod_generic(cfg):
-    ideal = load_ideal(cfg.paths[0])
+def cmd_golod_generic(args, ideal):
     verdict = is_golod_generic(ideal)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(), "golod": verdict})
     else:
         print(f"generic ideal; R {'IS' if verdict else 'is NOT'} Golod")
-    if cfg.check:
+    if args.check:
         tmax = _default_tmax(ideal, 2)
-        Q, _ = _resolve_once(ideal, cfg, tmax)
-        if verdict != is_golod_truncated(ideal, tmax, cfg.characteristic, Q):
+        Q, _ = _resolve_once(ideal, args, tmax)
+        if verdict != is_golod_truncated(ideal, tmax, args.char, Q):
             raise VerificationFailure("generic criterion disagrees with truncated certificate")
     return 0
 
 
-def cmd_eagon(cfg):
-    ideal = load_ideal(cfg.paths[0])
-    imax = cfg.imax if cfg.imax is not None else 6
-    Y = eagon_resolution(ideal, imax, cfg.characteristic)
+def cmd_eagon(args, ideal):
+    Y = eagon_resolution(ideal, args.imax, args.char)
     ideal_names = ideal.var_names
-    if cfg.fmt == "json":
-        _emit_json({"ideal": ideal.to_dict(), "imax": imax, "modules": _ranks_payload(Y)})
+    if args.format == "json":
+        _emit_json({"ideal": ideal.to_dict(), "imax": args.imax, "modules": _ranks_payload(Y)})
     else:
         print(f"Eagon-style resolution of k over R = S/{ideal}, ranks {Y.ranks()}")
         for i, lab in enumerate(Y.labels):
@@ -373,18 +347,16 @@ def cmd_eagon(cfg):
                 ",".join(ideal_names[v] for v in S) or "1",
                 "@".join("T" + str(list(f)) for f in chain) or "1") for S, chain in lab]
             print(f"  degree {i}: {'; '.join(pretty)}")
-    if cfg.check:
+    if args.check:
         _check_complex(Y, "Eagon resolution")
-        H = homology(Y, _slack_bound(ideal), cfg.characteristic)
-        for i in range(1, imax):
+        H = homology(Y, _slack_bound(ideal), args.char)
+        for i in range(1, args.imax):
             if H.get(i):
                 raise VerificationFailure(f"Eagon resolution not exact at degree {i}: {H[i]}")
     return 0
 
 
-def cmd_lattice_iso(cfg):
-    A = load_ideal(cfg.paths[0])
-    B = load_ideal(cfg.paths[1])
+def cmd_lattice_iso(args, A, B):
     isos = find_lattice_isomorphisms(A, B)
     payload = []
     for m in isos:
@@ -393,18 +365,18 @@ def cmd_lattice_iso(cfg):
         payload.append({"atoms": pairing, "gcd_preserving": m.gcd_preserving})
     transported_out = []
     mismatch = None
-    if cfg.transport and isos:
-        QA = _exact_denominator(A, cfg)
-        QB = _exact_denominator(B, cfg)
+    if args.transport and isos:
+        QA = _exact_denominator(A, args)
+        QB = _exact_denominator(B, args)
         for idx, m in enumerate(isos):
             T = transport_denominator(QA, m)
             transported_out.append(T)
             # deg m_I, Q's t-truncation, may differ between the two ideals
             if m.gcd_preserving and T.coeffs != QB.coeffs:
                 mismatch = idx
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {"count": len(isos), "isomorphisms": payload}
-        if cfg.transport:
+        if args.transport:
             doc["transported"] = [T.to_json_dict() for T in transported_out]
         _emit_json(doc)
     else:
@@ -412,7 +384,7 @@ def cmd_lattice_iso(cfg):
         for k, item in enumerate(payload):
             arrows = ", ".join(f"{a} -> {b}" for a, b in item["atoms"])
             print(f"  [{k}] {arrows}   gcd_preserving={item['gcd_preserving']}")
-            if cfg.transport and transported_out:
+            if args.transport and transported_out:
                 names = tuple(f"y{i+1}" for i in range(B.num_vars))
                 print(f"      transported Q = {transported_out[k].render(names)}")
     if mismatch is not None:
@@ -421,16 +393,15 @@ def cmd_lattice_iso(cfg):
     return 0
 
 
-def cmd_polarize(cfg):
-    ideal = load_ideal(cfg.paths[0])
+def cmd_polarize(args, ideal):
     pol = polarize(ideal)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(), "polarized": pol.ideal.to_dict(),
                     "arities": list(pol.arities)})
     else:
         print(f"polarization of {ideal}: {pol.ideal}")
         print(f"  variables: {', '.join(pol.ideal.var_names)}")
-    if cfg.check:
+    if args.check:
         from .core import minimalize
         back = minimalize([pol.backward(g) for g in pol.ideal.generators],
                           ideal.num_vars, ideal.var_names)
@@ -441,42 +412,54 @@ def cmd_polarize(cfg):
     return 0
 
 
+# Miller-Rabin with these bases decides primality exactly below the limit
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with every one of _PRIME_BASES as a witness; exact for
+    p < _PRIME_LIMIT, in O(log p) multiplications per base."""
+    if p < 2:
+        return False
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if p != a and x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(s)):
+            return False
+    return True
+
+
+_EXACT_TMAX = {"--tmax": {"type": int, "help": "t-degree bound, at least deg m_I (default: "
+                          "deg m_I; --check resolves to deg m_I + 1, or to a larger tmax)"}}
+_TMAX = {"--tmax": {"type": int, "help": "t-degree bound (default: deg m_I + 2)"}}
+# name -> (handler, help, number of ideal files, {option flag: add_argument
+# keywords}); main calls handler(args, *ideals) with the loaded files
 _COMMANDS = {
-    "q": (cmd_q, 1),
-    "poincare": (cmd_poincare, 1),
-    "deviations": (cmd_deviations, 1),
-    "candidates": (cmd_candidates, 1),
-    "verify-lcm": (cmd_verify_lcm, 1),
-    "taylor": (cmd_taylor, 1),
-    "scarf": (cmd_scarf, 1),
-    "koszul": (cmd_koszul, 1),
-    "betti": (cmd_betti, 1),
-    "golod": (cmd_golod, 1),
-    "golod-generic": (cmd_golod_generic, 1),
-    "eagon": (cmd_eagon, 1),
-    "lattice-iso": (cmd_lattice_iso, 2),
-    "polarize": (cmd_polarize, 1),
+    "q": (cmd_q, "denominator Q_R(y,t) of the Poincare series", 1, _EXACT_TMAX),
+    "poincare": (cmd_poincare, "multigraded Betti numbers of k over R", 1, _TMAX),
+    "deviations": (cmd_deviations, "multigraded deviations from the Poincare series", 1,
+                   {"--nmax": {"type": int, "default": 6,
+                               "help": "largest n of e_{n,j} (default: %(default)s)"}}),
+    "candidates": (cmd_candidates, "signed subset-lcm candidate terms for Q", 1, {}),
+    "verify-lcm": (cmd_verify_lcm, "check every Q multidegree is a subset lcm", 1, _EXACT_TMAX),
+    "taylor": (cmd_taylor, "Taylor complex of S/I over S", 1, {}),
+    "scarf": (cmd_scarf, "Scarf complex of I over S", 1, {}),
+    "koszul": (cmd_koszul, "Koszul complex over R = S/I", 1, {}),
+    "betti": (cmd_betti, "multigraded Betti numbers of S/I over S", 1, {}),
+    "golod": (cmd_golod, "Golod certificate: Q against the Golod denominator to t-degree tmax",
+              1, _TMAX),
+    "golod-generic": (cmd_golod_generic,
+                      "Golod criterion for generic ideals (Scarf splittings)", 1, {}),
+    "eagon": (cmd_eagon, "Eagon-style resolution of k over R for generic I", 1,
+              {"--imax": {"type": int, "default": 6,
+                          "help": "homological degree bound (default: %(default)s)"}}),
+    "lattice-iso": (cmd_lattice_iso, "lattice isomorphisms between two ideals' LCM lattices", 2,
+                    {"--transport": {"action": "store_true", "help": "also transport the "
+                                     "denominator along each isomorphism"}}),
+    "polarize": (cmd_polarize, "polarization to a squarefree ideal", 1, {}),
 }
-
-
-def run(cfg: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    try:
-        if cfg.subcommand not in _COMMANDS:
-            raise InputError(f"unknown subcommand {cfg.subcommand!r}")
-        handler, nargs = _COMMANDS[cfg.subcommand]
-        if len(cfg.paths) != nargs:
-            raise InputError(f"{cfg.subcommand} expects {nargs} ideal file(s)")
-        return handler(cfg)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalInconsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 @functools.cache
@@ -487,70 +470,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poincare series denominators, deviations, Golod certificates and "
                     "resolutions for monomial quotient rings (exact arithmetic).")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, helptext, npaths=1, tmax=False, nmax=False, imax=False, transport=False):
+    for name, (_, helptext, nfiles, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("paths", nargs=npaths, metavar="IDEAL.json",
+        p.add_argument("paths", nargs=nfiles, metavar="IDEAL.json",
                        help='ideal file: {"vars": [...], "gens": [[...], ...]}')
-        if tmax:
-            p.add_argument("--tmax", type=int, default=None)
-        if nmax:
-            p.add_argument("--nmax", type=int, default=None)
-        if imax:
-            p.add_argument("--imax", type=int, default=None)
-        if transport:
-            p.add_argument("--transport", action="store_true",
-                           help="also transport the denominator along each isomorphism")
-            p.add_argument("--tdeg", type=int, default=None, dest="tmax",
-                           help="t-degree bound for the transported denominators")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", "-f", choices=("table", "json"), default="table")
         p.add_argument("--char", type=int, default=0,
                        help="coefficient field characteristic (0 or a prime)")
         p.add_argument("--check", action="store_true",
                        help="also run the invariant suite for this operation")
-        return p
-
-    add("q", "denominator Q_R(y,t) of the Poincare series", tmax=True)
-    add("poincare", "multigraded Betti numbers of k over R", tmax=True)
-    add("deviations", "multigraded deviations from the Poincare series", nmax=True)
-    add("candidates", "signed subset-lcm candidate terms for Q")
-    add("verify-lcm", "check every Q multidegree is a subset lcm", tmax=True)
-    add("taylor", "Taylor complex of S/I over S")
-    add("scarf", "Scarf complex of I over S")
-    add("koszul", "Koszul complex over R = S/I")
-    add("betti", "multigraded Betti numbers of S/I over S")
-    add("golod", "Golod certificate: Q against the Golod denominator to t-degree tmax",
-        tmax=True)
-    add("golod-generic", "Golod criterion for generic ideals (Scarf splittings)")
-    add("eagon", "Eagon-style resolution of k over R for generic I", imax=True)
-    add("lattice-iso", "lattice isomorphisms between two ideals' LCM lattices",
-        npaths=2, transport=True)
-    add("polarize", "polarization to a squarefree ideal")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        paths=list(args.paths),
-        tmax=getattr(args, "tmax", None),
-        nmax=getattr(args, "nmax", None),
-        imax=getattr(args, "imax", None),
-        characteristic=args.char,
-        fmt=args.format,
-        check=args.check,
-        transport=getattr(args, "transport", False),
-    )
-
-
 def main(argv=None) -> int:
+    """Parse, check --char, load the ideal files and run the subcommand's
+    handler; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        if args.char >= _PRIME_LIMIT:
+            raise InputError(f"characteristic {args.char} is too large; the limit is "
+                             f"{_PRIME_LIMIT}")
+        if args.char and not _is_prime(args.char):
+            raise InputError(f"characteristic must be 0 or a prime, got {args.char}")
+        return _COMMANDS[args.subcommand][0](args, *map(load_ideal, args.paths))
+    except VerificationFailure as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from .core import (
@@ -19,12 +20,13 @@ from .core import (
     Multidegree,
     box_multidegrees,
     divides,
-    lcm_of_subset,
     mask_subset,
+    mdeg_join,
     mdeg_sub,
     monomial_str,
     staircase,
     subset_table,
+    zero_mdeg,
 )
 from .linalg import rank_of
 
@@ -147,16 +149,18 @@ def _entry(ring: Ring, diff: dict, row: int, col: int, scalar: int, mono: Multid
             diff.pop(key, None)
 
 
-def _subset_complex(ideal: MonomialIdeal, faces_by_size) -> FreeComplex:
-    """Simplicial-style complex on generator subsets with lcm multidegrees.
+def _subset_complex(ring: Ring, atoms, faces_by_size) -> FreeComplex:
+    """Simplicial-style complex over ``ring`` on subsets J of ``atoms`` (faces
+    listed by size, increasing tuples of atom indices), where T_J has the lcm
+    m_J of its atoms as multidegree.
 
-    d(T_J) = sum over j in J at 1-based position a of (-1)^a (m_J/m_{J\\j}) T_{J\\j}.
+    d(T_J) = sum over j in J at 1-based position a of (-1)^(a+1) (m_J/m_{J\\j}) T_{J\\j}.
     """
-    ring = Ring.ambient(ideal)
     modules, labels, diffs = [], [], [{}]
     index = []
     for size, faces in enumerate(faces_by_size):
-        modules.append([lcm_of_subset(ideal, f) for f in faces])
+        modules.append([reduce(mdeg_join, (atoms[i] for i in f), zero_mdeg(ring.num_vars))
+                        for f in faces])
         labels.append(list(faces))
         index.append({f: k for k, f in enumerate(faces)})
         if size == 0:
@@ -170,16 +174,19 @@ def _subset_complex(ideal: MonomialIdeal, faces_by_size) -> FreeComplex:
                     raise InternalInconsistencyError(
                         f"face {sub} missing below {face}; subset complex not closed")
                 mono = mdeg_sub(modules[size][col], modules[size - 1][row])
-                _entry(ring, diff, row, col, (-1) ** a, mono)
+                _entry(ring, diff, row, col, (-1) ** (a + 1), mono)
         diffs.append(diff)
     return FreeComplex(ring, modules, diffs, labels)
 
 
+def _all_subsets(r: int):
+    return [list(combinations(range(r), size)) for size in range(r + 1)]
+
+
 def taylor_complex(ideal: MonomialIdeal) -> FreeComplex:
     """Taylor complex of S/I on the minimal generators, over S."""
-    r = ideal.num_generators
-    faces = [list(combinations(range(r), size)) for size in range(r + 1)]
-    return _subset_complex(ideal, faces)
+    return _subset_complex(Ring.ambient(ideal), ideal.generators,
+                           _all_subsets(ideal.num_generators))
 
 
 def scarf_faces(ideal: MonomialIdeal):
@@ -199,7 +206,7 @@ def scarf_complex(ideal: MonomialIdeal) -> FreeComplex:
     faces = scarf_faces(ideal)
     top = max((len(f) for f in faces), default=0)
     by_size = [[f for f in faces if len(f) == size] for size in range(top + 1)]
-    return _subset_complex(ideal, by_size)
+    return _subset_complex(Ring.ambient(ideal), ideal.generators, by_size)
 
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
@@ -209,30 +216,15 @@ def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
 
 
 def koszul_complex(ring: Ring) -> FreeComplex:
-    """Exterior-algebra Koszul complex on the variables of the ring.
+    """Exterior-algebra Koszul complex on the variables of the ring: the
+    subset complex of x_1..x_n over the ring, so
 
     d(e_{i_1} ^ .. ^ e_{i_k}) = sum_a (-1)^(a+1) x_{i_a} (wedge omitting i_a),
     indices strictly increasing.
     """
     n = ring.num_vars
-    modules, labels, diffs = [], [], [{}]
-    index = []
-    for size in range(n + 1):
-        wedges = list(combinations(range(n), size))
-        modules.append([tuple(1 if v in w else 0 for v in range(n)) for w in wedges])
-        labels.append(wedges)
-        index.append({w: k for k, w in enumerate(wedges)})
-        if size == 0:
-            continue
-        diff = {}
-        for col, wedge in enumerate(wedges):
-            for a, v in enumerate(wedge, start=1):
-                sub = tuple(x for x in wedge if x != v)
-                row = index[size - 1][sub]
-                mono = tuple(1 if k == v else 0 for k in range(n))
-                _entry(ring, diff, row, col, (-1) ** (a + 1), mono)
-        diffs.append(diff)
-    return FreeComplex(ring, modules, diffs, labels)
+    units = [tuple(1 if k == v else 0 for k in range(n)) for v in range(n)]
+    return _subset_complex(ring, units, _all_subsets(n))
 
 
 def standard_monomials(ring: Ring, bound: Multidegree) -> set:

@@ -178,7 +178,8 @@ def load_ideal(path) -> MonomialIdeal:
 def lcm_of_subset(ideal: MonomialIdeal, subset) -> Multidegree:
     """m_J: componentwise max of the selected generators; empty subset gives 0.
 
-    One subset at a time; :func:`subset_lcms` gives every m_J at once.
+    One subset at a time; the :func:`subset_table` of the generators'
+    staircase masks holds every m_J at once, encoded.
     """
     m = zero_mdeg(ideal.num_vars)
     for idx in subset:
@@ -276,19 +277,6 @@ def subset_components(masks) -> list:
             c = grown
         counts[J] = counts[J & ~c] + 1
     return counts
-
-
-def subset_lcms(gens, num_vars: int) -> list:
-    """m_J for every subset J of ``gens``, indexed by bitmask (bit i set iff
-    gens[i] is in J).
-
-    The :func:`subset_table` of the generators' staircase masks, with only
-    its distinct values (the elements of L_I) decoded back to multidegrees.
-    """
-    codec = staircase(gens, num_vars)
-    table = subset_table(codec.atoms)
-    decoded = {m: codec.decode(m) for m in set(table)}
-    return [decoded[m] for m in table]
 
 
 def mask_subset(mask: int) -> tuple:

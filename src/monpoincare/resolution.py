@@ -179,11 +179,6 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     return ResidueFieldResolution(ideal, tmax, bound, cpx)
 
 
-def _merge_sign(left, right) -> int:
-    inversions = sum(1 for a in left for b in right if a > b)
-    return -1 if inversions % 2 else 1
-
-
 def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> dict:
     """Exterior product of two Koszul component vectors, reduced over the ring."""
     out = {}
@@ -196,7 +191,7 @@ def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> 
             mono = mdeg_sub(target, tuple(1 if v in union else 0 for v in range(ring.num_vars)))
             if ring.kills(mono):
                 continue
-            new = out.get(union, 0) + a * b * _merge_sign(s1, s2)
+            new = out.get(union, 0) + a * b * _perm_sign(s1 + s2)
             if new:
                 out[union] = new
             else:
@@ -277,6 +272,8 @@ def is_golod_generic(ideal: MonomialIdeal) -> bool:
 
 
 def _perm_sign(seq) -> int:
+    """The sign of the permutation sorting ``seq``: for two increasing tuples
+    A and B, ``_perm_sign(A + B)`` is the sign of merging them."""
     inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))
                      if seq[a] > seq[b])
     return -1 if inversions % 2 else 1
@@ -293,7 +290,7 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
     permutation sorting them into generator order.  The differential formulas
     force the chain-level identities
 
-        z_A ^ z_B = merge_sign(A, B) * (m_A m_B / m_{A u B}) * z_{A u B}
+        z_A ^ z_B = perm_sign(A + B) * (m_A m_B / m_{A u B}) * z_{A u B}
 
     for disjoint faces with Scarf union, and z_A ^ z_B = 0 otherwise; a greedy
     choice of attainment variables can violate them, so the (small) space of
@@ -339,7 +336,7 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
                 if union not in assigned:
                     return True  # rechecked when the union is assigned
                 j = mdeg_add(m_face[A], m_face[B])
-                ms = _merge_sign(A, B)
+                ms = _perm_sign(A + B)
                 for w, c in assigned[union].items():
                     mono = mdeg_sub(j, tuple(1 if v in w else 0 for v in range(n)))
                     if not ring.kills(mono):
@@ -477,7 +474,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
                     continue
                 target = (tuple(sorted(S + T)), chain[1:])
                 row = index[i - 1][target]
-                _entry(ring, diff, row, col, sgn_S * _merge_sign(S, T) * coeff,
+                _entry(ring, diff, row, col, sgn_S * _perm_sign(S + T) * coeff,
                        mdeg_sub(col_mdeg, modules[i - 1][row]))
             # merges of adjacent faces; the sign exponent is the summed
             # homological weight of the factors up to and including the first
@@ -491,7 +488,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
                         target = (S, chain[:q - 1] + (union,) + chain[q + 1:])
                         row = index[i - 1][target]
                         _entry(ring, diff, row, col,
-                               sgn_S * ((-1) ** weight) * _merge_sign(A, B),
+                               sgn_S * ((-1) ** weight) * _perm_sign(A + B),
                                mdeg_sub(col_mdeg, modules[i - 1][row]))
                 weight += len(B) + 1
         diffs.append(diff)

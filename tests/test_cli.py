@@ -1,13 +1,14 @@
 import argparse
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from monpoincare import cli
-from monpoincare.cli import RunConfig, build_parser, main, run
-from monpoincare.core import (SUBSET_TABLE_MAX_GENERATORS, InputError,
-                              InternalInconsistencyError, minimalize)
+from monpoincare.cli import build_parser, main
+from monpoincare.core import (SUBSET_TABLE_MAX_GENERATORS, InternalInconsistencyError,
+                              minimalize)
 from monpoincare.series import series_from_terms
 
 from helpers import D10_GENERATORS, LINEAR, cycle_ideal, rp2_generators
@@ -62,8 +63,8 @@ def test_q_json_stable(closing_pair, capsys):
 
 def test_q_check_passes(closing_pair):
     a, b = closing_pair
-    assert run(RunConfig("q", [a], check=True)) == 0
-    assert run(RunConfig("q", [b], check=True)) == 0
+    assert main(["q", a, "--check"]) == 0
+    assert main(["q", b, "--check"]) == 0
 
 
 def test_lattice_iso_closing_pair(closing_pair, capsys):
@@ -86,7 +87,7 @@ def test_lattice_iso_json(closing_pair, capsys):
 def test_lattice_iso_transport_consistency_self(closing_pair):
     a, _ = closing_pair
     # identity isomorphism is gcd-preserving; transported Q must match
-    assert run(RunConfig("lattice-iso", [a, a], transport=True)) == 0
+    assert main(["lattice-iso", a, a, "--transport"]) == 0
 
 
 def test_poincare_and_deviations(closing_pair, capsys):
@@ -432,10 +433,10 @@ def test_char_option_runs(closing_pair, capsys):
 
 
 def test_internal_error_exit_code(closing_pair, monkeypatch, capsys):
-    def broken(cfg):
+    def broken(args, ideal):
         raise InternalInconsistencyError("d o d != 0 at degree 2")
 
-    monkeypatch.setitem(cli._COMMANDS, "q", (broken, 1))
+    monkeypatch.setitem(cli._COMMANDS, "q", (broken, *cli._COMMANDS["q"][1:]))
     assert main(["q", closing_pair[0]]) == 3
     assert "internal error: d o d != 0 at degree 2" in capsys.readouterr().err
 
@@ -447,12 +448,15 @@ def test_parser_rejects_unknown_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_runconfig_validation():
-    with pytest.raises(InputError):
-        RunConfig("q", ["x.json"], characteristic=6)
-    with pytest.raises(InputError):
-        RunConfig("q", ["x.json"], fmt="yaml")
-    assert run(RunConfig("nonsense", ["x.json"])) == 2
+def test_runconfig_validation(closing_pair, capsys):
+    a, _ = closing_pair
+    assert main(["q", a, "--char", "6"]) == 2
+    assert "characteristic must be 0 or a prime, got 6" in capsys.readouterr().err
+    for argv in (["q", a, "--format", "yaml"], ["nonsense", a]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
 
 
 def _fails_check(argv, capsys, message):
@@ -559,3 +563,38 @@ def test_golod_generic_json(ideal_file, capsys):
                    "golod": True}
     assert main(["golod-generic", gen]) == 0
     assert capsys.readouterr().out == "generic ideal; R IS Golod\n"
+
+
+def _timed_main(argv):
+    """(exit code, seconds) of one ``main(argv)`` call."""
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+def test_char_is_tested_for_primality_without_trial_division(closing_pair, capsys):
+    _, b = closing_pair
+    assert main(["q", b]) == 0
+    over_Q = capsys.readouterr().out
+    p = 10 ** 18 + 3  # 19 digits; trial division up to its square root took minutes
+    code, seconds = _timed_main(["q", b, "--char", str(p)])
+    assert code == 0 and seconds < 0.5
+    assert capsys.readouterr().out == over_Q
+    for bad in (9999999967 * 9999999943, 1, -7, 561, 3317044064679887385961979):
+        code, seconds = _timed_main(["q", b, "--char", str(bad)])
+        assert code == 2 and seconds < 0.5, bad
+        assert f"characteristic must be 0 or a prime, got {bad}" in capsys.readouterr().err
+    code, seconds = _timed_main(["q", b, "--char", str(10 ** 25 + 13)])
+    assert code == 2 and seconds < 0.5
+    assert "is too large; the limit is 3317044064679887385961981" in capsys.readouterr().err
+
+
+def test_bad_bounds_are_refused_before_the_work(closing_pair, rp2, capsys):
+    # --check would first resolve RP^2's slack box for seconds
+    code, seconds = _timed_main(["golod", rp2, "--tmax", "1", "--check", "--char", "2"])
+    assert code == 2 and seconds < 0.5
+    assert "a Golod certificate needs tmax >= 2" in capsys.readouterr().err
+    _, b = closing_pair
+    for flag in ([], ["--check"]):
+        assert main(["deviations", b, "--nmax", "-1", *flag]) == 2, flag
+        assert "error: --nmax must be non-negative, got -1" in capsys.readouterr().err, flag

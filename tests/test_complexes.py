@@ -34,10 +34,10 @@ def test_taylor_two_variables():
     I = minimalize([(1, 0), (0, 1)], 2, ("x", "y"))
     T = taylor_complex(I)
     assert T.ranks() == [1, 2, 1]
-    # generators sort as (y, x); d(T_{xy}) = x T_y - y T_x, which is the
-    # expected y T_x - x T_y up to the global sign of the convention
+    # generators sort as (y, x); with the Koszul sign (-1)^(a+1),
+    # d(T_{yx}) = y T_x - x T_y
     assert I.generators == ((0, 1), (1, 0))
-    assert T.diffs[2] == {(0, 0): 1, (1, 0): -1}
+    assert T.diffs[2] == {(0, 0): -1, (1, 0): 1}
     assert T.entry_monomial(2, 0, 0) == (1, 0)
     assert T.entry_monomial(2, 1, 0) == (0, 1)
     assert T.is_complex()

@@ -21,7 +21,6 @@ from monpoincare.core import (
     polarize,
     staircase,
     subset_components,
-    subset_lcms,
     subset_table,
 )
 
@@ -79,10 +78,17 @@ def test_lcm_of_subset():
         lcm_of_subset(I, [2])
 
 
+def _decoded_subset_lcms(ideal):
+    """m_J for every subset J, indexed by bitmask, decoded from the staircase
+    subset table."""
+    codec = staircase(ideal.generators, ideal.num_vars)
+    return [codec.decode(m) for m in subset_table(codec.atoms)]
+
+
 def test_subset_lcms_matches_lcm_of_subset():
     for ideal in [minimalize([], 2), *random_corpus(40, seed=71)]:
         r = ideal.num_generators
-        table = subset_lcms(ideal.generators, ideal.num_vars)
+        table = _decoded_subset_lcms(ideal)
         assert len(table) == 2 ** r
         for mask, m in enumerate(table):
             assert m == lcm_of_subset(ideal, [i for i in range(r) if mask & (1 << i)])
@@ -217,6 +223,6 @@ def test_load_ideal_errors(tmp_path):
 
 def test_in_lcm_lattice_matches_subset_lcms():
     for ideal in [minimalize([], 2), *random_corpus(30, seed=83)]:
-        lattice = set(subset_lcms(ideal.generators, ideal.num_vars))
+        lattice = set(_decoded_subset_lcms(ideal))
         for j in box_multidegrees(ideal.top_lcm()):
             assert in_lcm_lattice(ideal, j) == (j in lattice), (ideal, j)

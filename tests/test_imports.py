@@ -1,12 +1,16 @@
 """Import lint: every name a package module or a test file imports is used
-in that file.
+in that file; and dead-code lint: every private function, class or method
+of the package is named somewhere in the package outside its own body.
 
-``__init__.py`` is exempt, since its imports are the package's public names.
-A name counts as used when it appears as a bare name anywhere in the module
-(an ``ast.Name``, which includes the base of an attribute access such as
-``json.dumps`` and names in annotations).
+``__init__.py`` is exempt from the import lint, since its imports are the
+package's public names.  A name counts as used when it appears as a bare name
+anywhere in the module (an ``ast.Name``, which includes the base of an
+attribute access such as ``json.dumps`` and names in annotations); a private
+definition counts as referenced when its name appears as an ``ast.Name`` or an
+attribute (``self._step``).  Dunder methods are not private names.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import monpoincare
@@ -51,3 +55,40 @@ def test_test_files_use_every_name_they_import():
     files = sorted(TESTS.glob("*.py"))
     assert len(files) >= 9
     assert _unused_by_file(files) == {}
+
+
+def _names_read(tree) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def dead_private_names(sources: dict) -> list:
+    """(file, line, name) of each private function, class or method in
+    ``sources`` ({file name: source}) that nothing outside its own body names."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = sum((_names_read(tree) for tree in trees.values()), Counter())
+    dead = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and used[node.name] == _names_read(node)[node.name]):
+                dead.append((file, node.lineno, node.name))
+    return sorted(dead)
+
+
+def test_the_lint_sees_a_dead_private_name():
+    a = ("def _used():\n    pass\n\n\ndef _dead(n):\n    return _dead(n - 1)\n\n\n"
+         "class _Box:\n    def _peek(self):\n        pass\n\n    def __repr__(self):\n"
+         "        return self._shown()\n\n    def _shown(self):\n        return ''\n")
+    b = "from .a import _Box, _used\n_used()\n_Box()\n"
+    assert dead_private_names({"a.py": a, "b.py": b}) == [("a.py", 5, "_dead"),
+                                                          ("a.py", 10, "_peek")]
+    assert dead_private_names({"a.py": a}) == [("a.py", 1, "_used"), ("a.py", 5, "_dead"),
+                                               ("a.py", 9, "_Box"), ("a.py", 10, "_peek")]
+
+
+def test_package_private_names_are_all_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 8
+    assert dead_private_names(sources) == []
