@@ -372,7 +372,7 @@ def cmd_lattice_iso(args, A, B):
             T = transport_denominator(QA, m)
             transported_out.append(T)
             # deg m_I, Q's t-truncation, may differ between the two ideals
-            if m.gcd_preserving and T.coeffs != QB.coeffs:
+            if mismatch is None and m.gcd_preserving and T.coeffs != QB.coeffs:
                 mismatch = idx
     if args.format == "json":
         doc = {"count": len(isos), "isomorphisms": payload}

@@ -8,6 +8,16 @@ inside the box is exact.
 Q (``denominator``) and the Betti numbers of S/I (``betti_numbers``), which
 give the Golod denominator, are read off the Taylor strands of the lcm
 lattice (generator subsets grouped by lcm); neither builds a complex over R.
+
+The deviations e_{n,j} (``deviations``) are the exponents of
+P = prod (1+y^j t^n)^e [n odd] / prod (1-y^j t^n)^e [n even] (Avramov,
+"Infinite free resolutions", 1998, section 7).  They come from one division,
+G = t*dP/dt / P = sum over (n, j) and k >= 1 of n*s_k*e_{n,j} y^(k*j) t^(k*n)
+with s_k = (-1)^(k+1) for odd n and 1 for even n: in increasing n, e_{n,j}
+is (G_{n,j} minus the pushes of the entries (n/k, j/k), k >= 2) / n, kept in
+an ``owed`` map that each entry pushes forward to its multiples in the box.
+``series_from_deviations`` expands a table back into P, the check of
+``deviations --check``.
 """
 from __future__ import annotations
 
@@ -258,28 +268,48 @@ def binomial_factor_power(num_vars: int, tmax: int, ybound, sign: int, n: int,
 
 
 def deviations(P: BigradedSeries, nmax: int) -> dict:
-    """Factor P as a product of (1 +/- y^j t^n)^(e_{n,j}) factors, inductively;
-    the exponents as {(n, multidegree): e_{n,j}}, zeros omitted.
+    """The exponents e_{n,j} of P = prod (1+y^j t^n)^e [n odd] / prod
+    (1-y^j t^n)^e [n even], as {(n, multidegree): e_{n,j}} for n <= nmax,
+    zeros omitted.  For P_R these are the deviations (Avramov, "Infinite free
+    resolutions", 1998, section 7).
 
-    Step n matches the t^n slice of P by multiplying (odd n) or dividing
-    (even n) the running product, which pins e_{n,j} uniquely.
+    They are read off the logarithmic derivative G = t*dP/dt / P, one
+    ``series_div`` in the box (nmax, P.ybound).  The factor of (n, j) adds
+    n*s_k*e_{n,j} to G at (k*n, k*j) for every k >= 1, with s_k = (-1)^(k+1)
+    for odd n and s_k = 1 for even n.  So, in increasing n, e_{n,j} is what
+    G at (n, j) still owes after the entries of lower t-degree, divided by n;
+    the division is exact.  The ``owed`` map is seeded from G, and each entry
+    pushes its -n*s_k*e to every multiple (k*n, k*j), k >= 2, inside the box.
+    A key can be owed although G is 0 there, so every owed key is visited.
     """
     if P.constant_term != 1 or any(t == 0 and any(j) for (t, j) in P.coeffs):
         raise InputError("deviations need a series of the form 1 + (terms of t-degree >= 1)")
     if nmax > P.tmax:
         raise InputError(f"nmax {nmax} exceeds series truncation {P.tmax}")
-    running = series_one(P.num_vars, P.tmax, P.ybound)
+    P = P.restrict(nmax, P.ybound)
+    ybound = P.ybound
+    tdP = BigradedSeries(P.num_vars, nmax, ybound,
+                         {(t, j): t * c for (t, j), c in P.coeffs.items() if t})
+    owed = {}  # n -> {multidegree j: G_{n,j} minus the pushes of the entries found}
+    for (t, j), c in series_div(tdP, P).coeffs.items():
+        owed.setdefault(t, {})[j] = c
     entries = {}
     for n in range(1, nmax + 1):
-        diff = P - running
-        sign = 1 if n % 2 else -1
-        for (t, j), e in sorted(diff.coeffs.items()):
-            if t != n:
+        for j, c in sorted(owed.pop(n, {}).items()):
+            e, rest = divmod(c, n)
+            if rest:
+                raise InternalInconsistencyError(
+                    f"deviation at n={n}, y^{j}: t*dP/dt / P owes {c} there, "
+                    f"which is not a multiple of {n}")
+            if not e:
                 continue
             entries[(n, j)] = e
-            # odd n: multiply by (1+y^j t^n)^e; even n: divide by (1-y^j t^n)^e
-            running = running * binomial_factor_power(
-                P.num_vars, P.tmax, P.ybound, sign, n, j, e if n % 2 else -e)
+            for k in range(2, nmax // n + 1):
+                kj = tuple(k * x for x in j)
+                if not all(map(le, kj, ybound)):
+                    break
+                bucket = owed.setdefault(k * n, {})
+                bucket[kj] = bucket.get(kj, 0) - (-n if n % 2 and not k % 2 else n) * e
     return entries
 
 

@@ -17,6 +17,9 @@ compares the quotient with a resolution's Poincare series, where
 The dense kernel oracle is the package's former linear algebra: dense rows in
 (unreduced) echelon form and a ``Fraction`` back-substitution per kernel
 vector, against which the sparse reduced-echelon ``linalg`` is compared.
+The deviation oracle is the package's former factorization: it multiplies a
+running product by one binomial series per entry, where ``series.deviations``
+reads every exponent off one logarithmic derivative.
 """
 import random
 from collections import Counter
@@ -35,8 +38,8 @@ from monpoincare.core import (
 from monpoincare.complexes import scarf_faces
 from monpoincare.resolution import (golod_denominator, koszul_homology_dims,
                                    resolve_residue_field)
-from monpoincare.series import (denominator_from_poincare, series_div, series_from_terms,
-                                variables_product)
+from monpoincare.series import (binomial_factor_power, denominator_from_poincare, series_div,
+                                series_from_terms, series_one, variables_product)
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 200
@@ -101,6 +104,26 @@ def golod_series_match(P, ideal, char=0):
     # terms above t^tmax cannot change P mod t^(tmax+1)
     Qg = golod_denominator(ideal, char=char).restrict(P.tmax, P.ybound)
     return series_div(variables_product(ideal.num_vars, P.tmax, P.ybound), Qg) == P
+
+
+def inductive_deviations(P, nmax):
+    """The {(n, multidegree): e} table of ``series.deviations``, found by
+    factoring P inductively: step n matches the t^n slice of P by
+    multiplying (odd n) or dividing (even n) a running product by one
+    (1 +/- y^j t^n)^e series per entry, which pins e_{n,j} uniquely."""
+    running = series_one(P.num_vars, P.tmax, P.ybound)
+    entries = {}
+    for n in range(1, nmax + 1):
+        diff = P - running
+        sign = 1 if n % 2 else -1
+        for (t, j), e in sorted(diff.coeffs.items()):
+            if t != n:
+                continue
+            entries[(n, j)] = e
+            # odd n: multiply by (1+y^j t^n)^e; even n: divide by (1-y^j t^n)^e
+            running = running * binomial_factor_power(
+                P.num_vars, P.tmax, P.ybound, sign, n, j, e if n % 2 else -e)
+    return entries
 
 
 def cycle_ideal(n):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from monpoincare import cli
+from monpoincare import cli, series
 from monpoincare.cli import build_parser, main
 from monpoincare.core import (SUBSET_TABLE_MAX_GENERATORS, InternalInconsistencyError,
                               minimalize)
@@ -505,6 +505,23 @@ def test_deviations_check_reports_a_series_other_than_P(closing_pair, monkeypatc
                  "deviations do not reproduce the Poincare series")
 
 
+def test_deviations_report_an_inexact_division(closing_pair, monkeypatch, capsys):
+    _, b = closing_pair
+    real = series.series_div
+
+    def off_by_one(num, den):
+        G = real(num, den)
+        if num.constant_term:  # the division that makes P, not t*dP/dt / P
+            return G
+        j = min(j for t, j in G.coeffs if t == 2)
+        return G + series_from_terms(G.num_vars, G.tmax, G.ybound, [(2, j, 1)])
+
+    monkeypatch.setattr(series, "series_div", off_by_one)
+    assert main(["deviations", b, "--nmax", "3"]) == 3
+    assert ("internal error: deviation at n=2, y^(0, 0, 2): t*dP/dt / P owes 1 there, "
+            "which is not a multiple of 2") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_verify_lcm_reports_a_term_off_the_lattice(closing_pair, monkeypatch, fmt, capsys):
     a, _ = closing_pair
@@ -532,7 +549,7 @@ def test_lattice_iso_reports_a_transported_Q_that_differs(closing_pair, monkeypa
         return T + series_from_terms(T.num_vars, T.tmax, T.ybound, [(1, (1, 0, 0), 1)])
 
     monkeypatch.setattr(cli, "transport_denominator", shifted)
-    message = "isomorphism [1] preserves GCD graphs but transported Q differs"
+    message = "isomorphism [0] preserves GCD graphs but transported Q differs"
     for fmt in ("table", "json"):
         out = _fails_check(["lattice-iso", a, a, "--transport", "-f", fmt], capsys, message)
         assert "t*y1" in out if fmt == "table" else json.loads(out)["transported"]

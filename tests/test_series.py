@@ -25,6 +25,7 @@ from helpers import (
     LINEAR,
     brute_candidate_terms,
     cycle_ideal,
+    inductive_deviations,
     random_corpus,
     resolver_denominator,
     rp2_generators,
@@ -145,6 +146,61 @@ def test_deviations_roundtrip_random():
         P = _random_unit_series(rng, tmin=1)
         table = deviations(P, 4)
         assert series_from_deviations(table, 2, 4, (3, 3)) == P
+
+
+def _poincare_in_slack_box(ideal, nmax, char):
+    """P = prod(1+t*y_i)/Q up to t^nmax in box m_I + (1,..,1), as ``deviations`` gets it."""
+    bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
+    return poincare_from_denominator(denominator(ideal, char=char), nmax, bound)
+
+
+# P = 1 + 2y1t^2 + 2y1^2y2^2t^2 - 2y1^3y2t^2 + y1t^4 + 2y1^2t^4 - 2y1^3y2^2t^4: its
+# t*dP/dt / P is 0 at (4, (2, 0)), where the exponent is -1
+OWED_WHERE_G_VANISHES = series_from_terms(2, 4, (3, 3), [
+    (0, (0, 0), 1), (2, (1, 0), 2), (2, (2, 2), 2), (2, (3, 1), -2),
+    (4, (1, 0), 1), (4, (2, 0), 2), (4, (3, 2), -2)])
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_deviations_match_the_inductive_factorization(char):
+    m4 = minimalize([(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)], 3)
+    named = [(cycle_ideal(n), 5) for n in range(4, 9)]
+    named += [(minimalize(rp2_generators(), 6), 5), (D10, 10), (m4, 5)]
+    for ideal, nmax in [(I, 4) for I in random_corpus()] + named:
+        P = _poincare_in_slack_box(ideal, nmax, char)
+        assert deviations(P, nmax) == inductive_deviations(P, nmax), (ideal, nmax)
+
+
+def test_deviations_match_the_inductive_factorization_on_random_series():
+    rng = random.Random(41)
+    for _ in range(60):
+        tmax = rng.randint(1, 6)
+        P = _random_unit_series(rng, tmax=tmax, ybound=(3, 2), nterms=rng.randint(1, 8),
+                                tmin=1)
+        for nmax in {tmax, rng.randint(0, tmax - 1)}:  # nmax < P.tmax as well
+            assert deviations(P, nmax) == inductive_deviations(P, nmax), (P, nmax)
+
+
+def test_deviations_visit_keys_where_the_logarithmic_derivative_vanishes():
+    P = OWED_WHERE_G_VANISHES
+    dP = BigradedSeries(2, 4, (3, 3), {(t, j): t * c for (t, j), c in P.coeffs.items() if t})
+    assert series_div(dP, P).coefficient(4, (2, 0)) == 0
+    table = deviations(P, 4)
+    assert table[(4, (2, 0))] == -1
+    assert table == inductive_deviations(P, 4)
+    assert series_from_deviations(table, 2, 4, (3, 3)) == P
+
+
+def test_deviations_divide_once_and_multiply_never(monkeypatch):
+    P = _poincare_in_slack_box(cycle_ideal(5), 6, 0)
+    calls = {"series_div": 0, "series_mul": 0, "binomial_factor_power": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(series, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(series, name, counted)
+    assert len(deviations(P, 6)) == 71
+    assert calls == {"series_div": 1, "series_mul": 0, "binomial_factor_power": 0}
 
 
 def test_deviations_reject_t0_terms():
