@@ -112,12 +112,7 @@ class FreeComplex:
     def d_squared_violations(self):
         """All (i, row, col) where (d_{i-1} o d_i) is nonzero over the ring."""
         bad = []
-        by_col = []  # by_col[i][c]: the (row, scalar) entries of column c of d_i
-        for diff in self.diffs:
-            cols = {}
-            for (r, c), s in diff.items():
-                cols.setdefault(c, []).append((r, s))
-            by_col.append(cols)
+        by_col = [diff_columns(diff) for diff in self.diffs]
         for i in range(2, len(self.modules)):
             lower = by_col[i - 1]
             for c, terms in by_col[i].items():
@@ -137,6 +132,14 @@ class FreeComplex:
 
     def is_complex(self) -> bool:
         return not self.d_squared_violations()
+
+
+def diff_columns(diff: dict) -> dict:
+    """{column: [(row, scalar), ...]}: the entries of a differential by column."""
+    cols = {}
+    for (r, c), s in diff.items():
+        cols.setdefault(c, []).append((r, s))
+    return cols
 
 
 def _entry(ring: Ring, diff: dict, row: int, col: int, scalar: int, mono: Multidegree):
@@ -275,31 +278,16 @@ def alive_basis(C: FreeComplex, i: int, j: Multidegree):
             if divides(deg, j) and not ring.kills(mdeg_sub(j, deg))]
 
 
-def component_matrix(C: FreeComplex, i: int, j: Multidegree, rows, cols):
-    """k-linear matrix of d_i in multidegree j over the alive bases rows, cols."""
-    diff = C.diffs[i] if 0 < i <= C.top_degree else {}
-    return [[diff.get((r, c), 0) for c in cols] for r in rows]
-
-
-def _homology_at(C: FreeComplex, j: Multidegree, alive, char: int):
-    """H_i(C)_j from the alive bases alive[i] of every module at j."""
-    ranks = [0] * (C.top_degree + 2)
-    for i in range(1, C.top_degree + 1):
-        if alive[i] and alive[i - 1]:
-            M = component_matrix(C, i, j, alive[i - 1], alive[i])
-            ranks[i] = rank_of(M, len(alive[i]), char)
-    return {i: len(alive[i]) - ranks[i] - ranks[i + 1]
-            for i in range(C.top_degree + 1)
-            if len(alive[i]) - ranks[i] - ranks[i + 1]}
-
-
 def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     """Dimensions of H_i(C) in every multidegree <= bound.
 
     Returns {i: {multidegree: dim}} with zero dimensions omitted.  The alive
     bases come from one ``alive_index`` per module, built once per call at a
     cost of (generator, standard cell) pairs, or read from ``C.alive_memo``
-    when the resolver left the indexes for this bound.
+    when the resolver left the indexes for this bound.  It ranks sparse
+    columns: each d_i is grouped by column once per call, and at each cell its
+    alive columns are ranked as rows {row generator: scalar} over the alive
+    rows, the transpose of the cell's matrix, so the rank is the same.
     """
     if char is None:
         char = C.char
@@ -308,11 +296,20 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     if indexes is None:
         standard = standard_monomials(C.ring, bound)
         indexes = [alive_index(C.ring, module, bound, standard) for module in C.modules]
-    result = {i: {} for i in range(C.top_degree + 1)}
+    by_col = [diff_columns(diff) for diff in C.diffs]
+    top = C.top_degree
+    result = {i: {} for i in range(top + 1)}
     for j in box_multidegrees(bound):
         alive = [index.get(j, ()) for index in indexes]
-        for i, d in _homology_at(C, j, alive, char).items():
-            result[i][j] = d
+        ranks = [0] * (top + 2)
+        for i in range(1, top + 1):
+            if alive[i] and alive[i - 1]:
+                rows, cols = set(alive[i - 1]), by_col[i]
+                ranks[i] = rank_of([{r: s for r, s in cols.get(c, ()) if r in rows}
+                                    for c in alive[i]], len(rows), char)
+        for i in range(top + 1):
+            if d := len(alive[i]) - ranks[i] - ranks[i + 1]:
+                result[i][j] = d
     return result
 
 

@@ -19,7 +19,7 @@ def _sparse(vec, p: int) -> dict:
     """A fresh {column: entry} copy of a dict or list row, entries mod p."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     if p:
-        return {c: x % p for c, x in items if x % p}
+        return {c: y for c, x in items if (y := x % p)}
     return {c: x for c, x in items if x}
 
 

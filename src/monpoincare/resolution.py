@@ -46,7 +46,7 @@ from .complexes import (
     alive_basis,
     alive_cells,
     alive_index,
-    component_matrix,
+    diff_columns,
     homology,
     koszul_complex,
     scarf_faces,
@@ -94,15 +94,17 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     a cell it lists the earlier generators that reach it.  The indexes are
     left in ``complex.alive_memo[bound]`` for ``homology`` over the same box.
 
-    Each cell j is rank-first.  Its matrix M is built as sparse rows and
-    z = #columns - rank(M) is the dimension of the kernel at j; z = 0 skips
-    the cell.  The earlier generators alive at j, restricted to its columns,
-    are added to a span until it reaches dimension z, which means they cover
-    the kernel and the cell is skipped.  Only otherwise is ``kernel_basis(M)``
-    computed, and its vectors that enlarge the span become new generators
-    until the span reaches z.  So every kernel basis computed yields at least
-    one generator, and the generators are those a greedy pass over the whole
-    kernel basis would choose.
+    No matrix is ranked.  rank_prev[j] is the rank of d_{k-1} at cell j (1 at
+    standard j != 0 for d_1), so z = #columns - rank_prev[j] is the kernel
+    dimension of d_{k-1} at j, and once step k covers that kernel it is the
+    rank of d_k at j: the Euler-characteristic count (Avramov, "Infinite free
+    resolutions", 1998, sections 1-2).  z = 0 skips the cell, and so does a
+    span of the earlier generators alive at j (restricted to its columns)
+    that reaches dimension z.  Only otherwise is ``kernel_basis`` of the
+    cell's matrix computed; a kernel of dimension other than z raises
+    InternalInconsistencyError naming the step and the multidegree.  Its
+    vectors that enlarge the span become new generators until the span
+    reaches z, as a greedy pass over the whole kernel basis would choose.
     """
     n = ideal.num_vars
     top = ideal.top_lcm()
@@ -126,27 +128,18 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         modules.append(gens1)
         diffs.append({(0, c): 1 for c in range(len(gens1))})
     alive = [alive_index(ring, module, bound, standard) for module in modules]
+    rank_prev = {j: 1 for j in standard if any(j)}  # the rank of d_1 at j
 
     for step in range(2, tmax + 1):
         cols_at, rows_at = alive[step - 1], alive[step - 2]
-        diff = diffs[step - 1]
-        col_entries = {}
-        for (r, c), s in diff.items():
-            col_entries.setdefault(c, []).append((r, s))
+        col_entries = diff_columns(diffs[step - 1])
         degs, vecs = [], []  # chosen generators: multidegree, {prev index: scalar}
-        index = {}
+        index, rank = {}, {}  # cell -> generators alive there, the rank of d_step there
         for j in cells:
             cols = cols_at.get(j)
             if not cols:
                 continue
-            alive_rows = set(rows_at.get(j, ()))
-            M = {}  # row generator -> {column position: scalar}
-            for ci, c in enumerate(cols):
-                for r, s in col_entries.get(c, ()):
-                    if r in alive_rows:
-                        M.setdefault(r, {})[ci] = s
-            M = list(M.values())
-            z = len(cols) - rank_of(M, len(cols), char)
+            rank[j] = z = len(cols) - rank_prev.get(j, 0)
             if not z:
                 continue
             # the earlier generators alive at j; those dividing j with a
@@ -160,8 +153,18 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                     break
             if span.dim == z:
                 continue
+            alive_rows = set(rows_at.get(j, ()))
+            M = {}  # row generator -> {column position: scalar}
+            for ci, c in enumerate(cols):
+                for r, s in col_entries.get(c, ()):
+                    if r in alive_rows:
+                        M.setdefault(r, {})[ci] = s
+            kernel = kernel_basis(list(M.values()), len(cols), char)
+            if len(kernel) != z:
+                raise InternalInconsistencyError(f"step {step} at multidegree {j}: the kernel has "
+                                                 f"dimension {len(kernel)}, exactness counts {z}")
             new = []
-            for v in kernel_basis(M, len(cols), char):
+            for v in kernel:
                 if span.add(v):
                     new.append(len(vecs))
                     degs.append(j)
@@ -172,6 +175,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                 index.setdefault(cell, []).extend(new)
         modules.append(degs)
         alive.append(index)
+        rank_prev = rank
         diffs.append({(r, ci): s for ci, vec in enumerate(vecs) for r, s in vec.items()})
 
     cpx = FreeComplex(ring, modules, diffs, None, char)
@@ -346,8 +350,9 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
     if not _assign_cycles(0, order, candidates, assigned, pair_identity_holds):
         raise InternalInconsistencyError(
             "no coherent system of Scarf cycle representatives exists")
+    by_col = [diff_columns(diff) for diff in K.diffs]
     for face, cycle in assigned.items():
-        _verify_class_rep(K, len(face), m_face[face], cycle, char)
+        _verify_class_rep(K, by_col, len(face), m_face[face], cycle, char)
     return assigned
 
 
@@ -374,30 +379,29 @@ def _assign_cycles(k, order, candidates, assigned, pair_identity_holds) -> bool:
     return False
 
 
-def _verify_class_rep(K: FreeComplex, i: int, j: Multidegree, cycle: dict, char: int):
-    """Check a proposed cycle is alive, closed, and spans the 1-dim H_i(K)_j."""
+def _verify_class_rep(K: FreeComplex, by_col, i: int, j: Multidegree, cycle: dict, char: int):
+    """Check a proposed cycle is alive, closed, and spans the 1-dim H_i(K)_j,
+    ranking the sparse columns ``by_col[i]`` of d_i as ``homology`` does."""
     cols = alive_basis(K, i, j)
-    M = component_matrix(K, i, j, alive_basis(K, i - 1, j), cols)
+    rows, alive = set(alive_basis(K, i - 1, j)), set(cols)
+    d_i = {c: {r: s for r, s in by_col[i].get(c, ()) if r in rows} for c in cols}
     span = EchelonSpace(len(cols), char)  # the boundaries
-    nxt = alive_basis(K, i + 1, j)
-    upper = K.diffs[i + 1] if nxt else {}
-    for c in nxt:
-        span.add({ci: upper[(r, c)] for ci, r in enumerate(cols) if (r, c) in upper})
-    dim = len(cols) - rank_of(M, len(cols), char) - span.dim
+    for c in alive_basis(K, i + 1, j):
+        span.add({r: s for r, s in by_col[i + 1].get(c, ()) if r in alive})
+    dim = len(cols) - rank_of(list(d_i.values()), len(rows), char) - span.dim
     if dim != 1:
         raise InternalInconsistencyError(
             f"H_{i}(K)_{j} has dimension {dim}, expected 1 for a Scarf face")
-    labels = K.labels[i]
-    pos = {labels[c]: ci for ci, c in enumerate(cols)}
-    vec = [0] * len(cols)
+    gen = {K.labels[i][c]: c for c in cols}
+    vec, image = {}, {}  # the cycle over the alive columns, and its d_i
     for wedge, coeff in cycle.items():
-        if wedge not in pos:
+        if wedge not in gen:
             raise InternalInconsistencyError(f"representative at {j} is zero over the ring")
-        vec[pos[wedge]] = coeff
-    for row in M:
-        s = sum(a * b for a, b in zip(row, vec))
-        if s % char if char else s:
-            raise InternalInconsistencyError(f"representative at {j} is not a cycle")
+        vec[gen[wedge]] = coeff
+        for r, s in d_i[gen[wedge]].items():
+            image[r] = image.get(r, 0) + coeff * s
+    if any(x % char if char else x for x in image.values()):
+        raise InternalInconsistencyError(f"representative at {j} is not a cycle")
     if span.contains(vec):
         raise InternalInconsistencyError(f"representative at {j} is a boundary")
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from monpoincare import cli, series
+from monpoincare import cli, resolution, series
 from monpoincare.cli import build_parser, main
 from monpoincare.core import (SUBSET_TABLE_MAX_GENERATORS, InternalInconsistencyError,
                               minimalize)
@@ -389,6 +389,19 @@ def test_q_check_names_the_first_term_the_resolution_contradicts(closing_pair, m
     # Q is compared mod t^(tmax+1) when the resolution stops below deg m_I
     assert main(["poincare", b, "--tmax", "2", "--check"]) == 0
     assert main(["q", b]) == 0  # without --check nothing contradicts it
+    capsys.readouterr()
+
+
+def test_q_check_reports_a_kernel_the_exactness_count_contradicts(ideal_file, monkeypatch,
+                                                                  capsys):
+    C5 = cycle_ideal(5)
+    c5 = ideal_file("c5", list(C5.var_names), [list(g) for g in C5.generators])
+    real = resolution.kernel_basis
+    monkeypatch.setattr(resolution, "kernel_basis", lambda *args: real(*args)[:-1])
+    assert main(["q", c5, "--char", "2", "--check"]) == 3
+    assert ("internal error: step 2 at multidegree (0, 0, 0, 1, 1): the kernel has "
+            "dimension 1, exactness counts 2") in capsys.readouterr().err
+    assert main(["q", c5, "--char", "2"]) == 0  # without --check nothing is resolved
     capsys.readouterr()
 
 

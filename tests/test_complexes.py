@@ -146,9 +146,15 @@ def test_homology_zero_complex():
 
 
 def test_homology_matches_oracle_small():
-    I = minimalize([(2, 0), (1, 1), (0, 2)], 2)
-    for C in (taylor_complex(I), scarf_complex(I), koszul_complex(Ring.quotient(I))):
-        bound = mdeg_add(I.top_lcm(), (1, 1))
+    # the slack-box resolution of C5 and the Koszul complex of RP^2 give the
+    # transposed sparse ranks non-square matrices over many steps
+    I, c5 = minimalize([(2, 0), (1, 1), (0, 2)], 2), cycle_ideal(5)
+    rp2 = minimalize(rp2_generators(), 6)
+    for ideal, C in ((I, taylor_complex(I)), (I, scarf_complex(I)),
+                     (I, koszul_complex(Ring.quotient(I))),
+                     (c5, resolve_residue_field(c5, 4).complex),
+                     (rp2, koszul_complex(Ring.quotient(rp2)))):
+        bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
         assert homology(C, bound) == oracle_homology(C, bound)
 
 

@@ -309,9 +309,10 @@ def test_residue_field_resolution_char2_matches_char0_small():
 
 
 def test_every_kernel_basis_the_resolver_computes_yields_a_generator(monkeypatch):
-    # rank first: a cell whose kernel is zero, or already covered by the
-    # earlier generators alive there, computes no kernel basis, so there is
-    # one call per (module, multidegree) that gains a generator
+    # the kernel dimension is counted, not ranked: a cell whose kernel is
+    # zero, or already covered by the earlier generators alive there,
+    # computes no kernel basis, so there is one call per (module,
+    # multidegree) that gains a generator, and no matrix is ranked
     calls = []
     kernel_basis = resolution.kernel_basis
 
@@ -319,9 +320,13 @@ def test_every_kernel_basis_the_resolver_computes_yields_a_generator(monkeypatch
         calls.append(args)
         return kernel_basis(*args)
 
+    def no_rank(*args):
+        raise AssertionError("the resolver ranked a matrix")
+
     monkeypatch.setattr(resolution, "kernel_basis", counted)
+    monkeypatch.setattr(resolution, "rank_of", no_rank)
     for ideal in (cycle_ideal(5), minimalize(D10_GENERATORS, 4)):
-        for char in (0, 2):
+        for char in (0, 2, 3):
             calls.clear()
             res = resolve_residue_field(ideal, total_degree(ideal.top_lcm()) + 1, char=char)
             modules = res.complex.modules
