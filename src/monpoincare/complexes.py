@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
+from operator import add
 
 from .core import (
     InternalInconsistencyError,
@@ -97,6 +98,7 @@ class FreeComplex:
         """Check homogeneity of every entry; raise on violation."""
         if len(self.diffs) != len(self.modules):
             raise InternalInconsistencyError("modules/diffs length mismatch")
+        kills = cache(self.ring.kills)  # one relation scan per distinct monomial
         for i in range(1, len(self.modules)):
             for (r, c), s in self.diffs[i].items():
                 if s == 0:
@@ -105,13 +107,14 @@ class FreeComplex:
                 if any(e < 0 for e in mono):
                     raise InternalInconsistencyError(
                         f"inhomogeneous entry at degree {i} ({r},{c}): monomial {mono}")
-                if self.ring.kills(mono):
+                if kills(mono):
                     raise InternalInconsistencyError(
                         f"entry at degree {i} ({r},{c}) should have been reduced to zero")
 
     def d_squared_violations(self):
         """All (i, row, col) where (d_{i-1} o d_i) is nonzero over the ring."""
         bad = []
+        kills = cache(self.ring.kills)  # one relation scan per distinct monomial
         by_col = [diff_columns(diff) for diff in self.diffs]
         for i in range(2, len(self.modules)):
             lower = by_col[i - 1]
@@ -126,7 +129,7 @@ class FreeComplex:
                     if total == 0:
                         continue
                     mono = mdeg_sub(self.modules[i][c], self.modules[i - 2][r])
-                    if not self.ring.kills(mono):
+                    if not kills(mono):
                         bad.append((i, r, c))
         return bad
 
@@ -140,6 +143,18 @@ def diff_columns(diff: dict) -> dict:
     for (r, c), s in diff.items():
         cols.setdefault(c, []).append((r, s))
     return cols
+
+
+def cell_rows(col_entries: dict, cols, rows: set) -> list:
+    """The matrix of a differential at one cell as sparse rows {column
+    position: scalar}: the entries of the alive columns ``cols`` (grouped by
+    ``diff_columns``) on the alive rows ``rows``, zero rows left out."""
+    M = {}  # row generator -> {column position: scalar}
+    for ci, c in enumerate(cols):
+        for r, s in col_entries.get(c, ()):
+            if r in rows:
+                M.setdefault(r, {})[ci] = s
+    return list(M.values())
 
 
 def _entry(ring: Ring, diff: dict, row: int, col: int, scalar: int, mono: Multidegree):
@@ -240,16 +255,25 @@ def alive_cells(g: Multidegree, bound: Multidegree, standard: set) -> list:
     every standard s <= bound - g.
 
     Standard monomials are closed under division, so the walk extends s one
-    coordinate at a time and drops a prefix (s_1..s_k, 0..0) that is not
-    standard; it costs about n set lookups per cell returned.
+    coordinate at a time and stops coordinate k at the first exponent e whose
+    prefix (s_1..s_{k-1}, e, 0..0) is not standard: every larger e is then
+    not standard either.  Each lookup either finds a new prefix or ends its
+    prefix's coordinate, so the walk costs at most 2n set lookups per cell
+    returned.
     """
     n = len(g)
     shifts = [()]
     for k in range(n):
         pad = (0,) * (n - k - 1)
-        shifts = [s + (e,) for s in shifts for e in range(bound[k] - g[k] + 1)
-                  if s + (e,) + pad in standard]
-    return [tuple(a + b for a, b in zip(g, s)) for s in shifts]
+        longer = []
+        for s in shifts:
+            for e in range(bound[k] - g[k] + 1):
+                t = s + (e,)
+                if t + pad not in standard:
+                    break
+                longer.append(t)
+        shifts = longer
+    return [tuple(map(add, g, s)) for s in shifts]
 
 
 def alive_index(ring: Ring, module, bound: Multidegree, standard: set | None = None) -> dict:
@@ -284,10 +308,13 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     Returns {i: {multidegree: dim}} with zero dimensions omitted.  The alive
     bases come from one ``alive_index`` per module, built once per call at a
     cost of (generator, standard cell) pairs, or read from ``C.alive_memo``
-    when the resolver left the indexes for this bound.  It ranks sparse
-    columns: each d_i is grouped by column once per call, and at each cell its
-    alive columns are ranked as rows {row generator: scalar} over the alive
-    rows, the transpose of the cell's matrix, so the rank is the same.
+    when the resolver left the indexes for this bound.  Each d_i is grouped
+    by column once per call, and at each cell the smaller side of its matrix
+    is ranked: the alive columns as sparse vectors {row generator: scalar}
+    over the alive rows (the transpose, so the rank is the same), or, where
+    there are more alive columns than alive rows, the alive rows as
+    ``cell_rows`` over the alive columns.  So ``rank_of`` never gets more
+    vectors than columns.
     """
     if char is None:
         char = C.char
@@ -303,10 +330,14 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
         alive = [index.get(j, ()) for index in indexes]
         ranks = [0] * (top + 2)
         for i in range(1, top + 1):
-            if alive[i] and alive[i - 1]:
-                rows, cols = set(alive[i - 1]), by_col[i]
-                ranks[i] = rank_of([{r: s for r, s in cols.get(c, ()) if r in rows}
-                                    for c in alive[i]], len(rows), char)
+            cols = alive[i]
+            if cols and alive[i - 1]:
+                rows, entries = set(alive[i - 1]), by_col[i]
+                if len(cols) > len(rows):
+                    ranks[i] = rank_of(cell_rows(entries, cols, rows), len(cols), char)
+                else:
+                    ranks[i] = rank_of([{r: s for r, s in entries.get(c, ()) if r in rows}
+                                        for c in cols], len(rows), char)
         for i in range(top + 1):
             if d := len(alive[i]) - ranks[i] - ranks[i + 1]:
                 result[i][j] = d

@@ -8,7 +8,7 @@ Over GF(p) entries are canonical representatives in [0, p) and every pivot is
 (content 1) with a positive pivot, and elimination cross-multiplies, so no
 fraction or float appears.  Reducing a vector eliminates each pivot in its
 support once, and ``kernel_basis`` reads every kernel vector straight off the
-reduced rows.
+reduced rows, as a sparse row itself.
 """
 from __future__ import annotations
 
@@ -118,10 +118,12 @@ def rank_of(rows, ncols: int, char: int = 0) -> int:
 def kernel_basis(rows, ncols: int, char: int = 0):
     """Basis of the right kernel {v : M v = 0} as primitive integer vectors.
 
-    Deterministic: one dense vector per non-pivot column f, in column order,
-    the one with entry 1 at f (over GF(p); over Q its primitive multiple with
-    first nonzero entry positive) and 0 at every other non-pivot column.  Its
-    entry at a pivot c is -row_c[f] / row_c[c], read off the reduced row.
+    Deterministic: one sparse vector {column: nonzero entry} per non-pivot
+    column f, in column order, the one with entry 1 at f (over GF(p); over Q
+    its primitive multiple with first nonzero entry positive) and 0 at every
+    other non-pivot column.  Its entry at a pivot c is -row_c[f] / row_c[c],
+    read off the reduced row, so building the basis costs the nonzeros of the
+    reduced rows, not ncols per vector.
     """
     space = EchelonSpace(ncols, char)
     for row in rows:
@@ -134,21 +136,17 @@ def kernel_basis(rows, ncols: int, char: int = 0):
                 reach[f].append((c, x, row[c]))
     basis = []
     for f, hits in reach.items():
-        v = [0] * ncols
         if char:
+            v = {c: -x % char for c, x, _ in hits}
             v[f] = 1
-            for c, x, _ in hits:
-                v[c] = -x % char
         else:
             scale = lcm(*(a for _, _, a in hits))
+            v = {c: -x * (scale // a) for c, x, a in hits}
             v[f] = scale
-            for c, x, a in hits:
-                v[c] = -x * (scale // a)
-            g = gcd(*v)
-            first = min([f] + [c for c, _, _ in hits])
-            if v[first] < 0:
+            g = gcd(*v.values())
+            if v[min(v)] < 0:
                 g = -g
             if g != 1:
-                v = [x // g for x in v]
+                v = {c: x // g for c, x in v.items()}
         basis.append(v)
     return basis

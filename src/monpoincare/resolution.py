@@ -46,6 +46,7 @@ from .complexes import (
     alive_basis,
     alive_cells,
     alive_index,
+    cell_rows,
     diff_columns,
     homology,
     koszul_complex,
@@ -153,13 +154,8 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                     break
             if span.dim == z:
                 continue
-            alive_rows = set(rows_at.get(j, ()))
-            M = {}  # row generator -> {column position: scalar}
-            for ci, c in enumerate(cols):
-                for r, s in col_entries.get(c, ()):
-                    if r in alive_rows:
-                        M.setdefault(r, {})[ci] = s
-            kernel = kernel_basis(list(M.values()), len(cols), char)
+            M = cell_rows(col_entries, cols, set(rows_at.get(j, ())))
+            kernel = kernel_basis(M, len(cols), char)
             if len(kernel) != z:
                 raise InternalInconsistencyError(f"step {step} at multidegree {j}: the kernel has "
                                                  f"dimension {len(kernel)}, exactness counts {z}")
@@ -168,7 +164,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                 if span.add(v):
                     new.append(len(vecs))
                     degs.append(j)
-                    vecs.append({c: x for c, x in zip(cols, v) if x})
+                    vecs.append({cols[ci]: x for ci, x in v.items()})
                     if span.dim == z:
                         break
             for cell in alive_cells(j, bound, standard):
@@ -381,7 +377,7 @@ def _assign_cycles(k, order, candidates, assigned, pair_identity_holds) -> bool:
 
 def _verify_class_rep(K: FreeComplex, by_col, i: int, j: Multidegree, cycle: dict, char: int):
     """Check a proposed cycle is alive, closed, and spans the 1-dim H_i(K)_j,
-    ranking the sparse columns ``by_col[i]`` of d_i as ``homology`` does."""
+    ranking the sparse columns ``by_col[i]`` of d_i over the alive rows."""
     cols = alive_basis(K, i, j)
     rows, alive = set(alive_basis(K, i - 1, j)), set(cols)
     d_i = {c: {r: s for r, s in by_col[i].get(c, ()) if r in rows} for c in cols}

@@ -392,6 +392,16 @@ def test_q_check_names_the_first_term_the_resolution_contradicts(closing_pair, m
     capsys.readouterr()
 
 
+def test_q_check_resolves_the_cube_of_the_maximal_ideal(ideal_file, capsys):
+    # (x1,x2,x3)^3, ten generators: a hard ring for the slack-box resolver
+    # (the 125 cells of box (4,4,4), up to t = 10), run in both characteristics
+    gens = [[a, b, 3 - a - b] for a in range(4) for b in range(4 - a)]
+    cube = ideal_file("m3", ["x1", "x2", "x3"], gens)
+    for char in ("0", "2"):
+        assert main(["q", cube, "--char", char, "--check"]) == 0, char
+    capsys.readouterr()
+
+
 def test_q_check_reports_a_kernel_the_exactness_count_contradicts(ideal_file, monkeypatch,
                                                                   capsys):
     C5 = cycle_ideal(5)

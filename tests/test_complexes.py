@@ -3,8 +3,10 @@ from dataclasses import replace
 import pytest
 
 from monpoincare import complexes
-from monpoincare.core import box_multidegrees, is_generic, mdeg_add, minimalize, total_degree
+from monpoincare.core import (InternalInconsistencyError, box_multidegrees, is_generic, mdeg_add,
+                              minimalize, total_degree)
 from monpoincare.complexes import (
+    FreeComplex,
     Ring,
     alive_basis,
     alive_index,
@@ -147,7 +149,8 @@ def test_homology_zero_complex():
 
 def test_homology_matches_oracle_small():
     # the slack-box resolution of C5 and the Koszul complex of RP^2 give the
-    # transposed sparse ranks non-square matrices over many steps
+    # smaller-side sparse ranks non-square matrices of both shapes over many
+    # steps
     I, c5 = minimalize([(2, 0), (1, 1), (0, 2)], 2), cycle_ideal(5)
     rp2 = minimalize(rp2_generators(), 6)
     for ideal, C in ((I, taylor_complex(I)), (I, scarf_complex(I)),
@@ -156,6 +159,39 @@ def test_homology_matches_oracle_small():
                      (rp2, koszul_complex(Ring.quotient(rp2)))):
         bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
         assert homology(C, bound) == oracle_homology(C, bound)
+
+
+def test_homology_ranks_the_smaller_side(monkeypatch):
+    calls = []
+    real = complexes.rank_of
+
+    def recorded(vectors, ncols, char=0):
+        calls.append((len(vectors), ncols))
+        return real(vectors, ncols, char)
+
+    monkeypatch.setattr(complexes, "rank_of", recorded)
+    c5, rp2 = cycle_ideal(5), minimalize(rp2_generators(), 6)
+    for ideal, C in ((c5, resolve_residue_field(c5, 4).complex),
+                     (rp2, koszul_complex(Ring.quotient(rp2)))):
+        calls.clear()
+        homology(C, mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars))
+        assert calls, ideal
+        assert all(k <= ncols for k, ncols in calls), ideal
+
+
+def test_validate_raises_on_each_planted_violation():
+    ring = Ring.quotient(minimalize([(2, 0)], 2, ("x", "y")))  # k[x,y]/(x^2)
+    modules = [[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (1, 1)]]
+    # x, x and y: two entries share the monomial x, and none is killed
+    good = {(0, 0): 1, (1, 1): 1, (1, 2): -1}
+    FreeComplex(ring, modules, [{}, good]).validate()
+    planted = [({(0, 2): 0}, r"stored zero entry at degree 1 \(0,2\)"),
+               ({(2, 0): 1}, r"inhomogeneous entry at degree 1 \(2,0\): monomial \(1, -1\)"),
+               ({(0, 1): 1}, r"entry at degree 1 \(0,1\) should have been reduced to zero")]
+    for extra, message in planted:
+        C = FreeComplex(ring, modules, [{}, {**good, **extra}])
+        with pytest.raises(InternalInconsistencyError, match=message):
+            C.validate()
 
 
 def test_homology_char_two_agrees_here():

@@ -6,6 +6,11 @@ from monpoincare.linalg import EchelonSpace, kernel_basis, rank_of
 from helpers import dense_kernel_basis, dense_rank_of
 
 
+def _as_dict(v):
+    """A dense vector as the sparse {column: entry} form kernel_basis returns."""
+    return {c: x for c, x in enumerate(v) if x}
+
+
 def test_echelon_membership():
     space = EchelonSpace(3)
     assert space.add([1, 2, 3])
@@ -19,14 +24,14 @@ def test_echelon_membership():
 def test_kernel_basis_simple():
     # x + y + z = 0 has a 2-dimensional kernel
     basis = kernel_basis([[1, 1, 1]], 3)
-    assert len(basis) == 2
+    assert basis == [_as_dict([1, -1, 0]), _as_dict([1, 0, -1])]  # first entry positive
     for v in basis:
-        assert sum(v) == 0
+        assert sum(v.values()) == 0
 
 
 def test_kernel_of_zero_matrix():
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
-    assert kernel_basis([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert kernel_basis([], 2) == [_as_dict([1, 0]), _as_dict([0, 1])]
+    assert kernel_basis([[0, 0]], 2) == [_as_dict([1, 0]), _as_dict([0, 1])]
 
 
 def test_rank_and_kernel_random_consistency():
@@ -38,13 +43,14 @@ def test_rank_and_kernel_random_consistency():
         ker = kernel_basis(M, n)
         assert r + len(ker) == n  # rank-nullity
         for v in ker:
-            assert all(sum(row[i] * v[i] for i in range(n)) == 0 for row in M)
+            assert all(v.values()) and all(0 <= c < n for c in v)
+            assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in M)
 
 
 def test_kernel_mod_p():
     # over GF(2) the all-ones vector kills [1, 1]
     ker = kernel_basis([[1, 1]], 2, char=2)
-    assert ker == [[1, 1]]
+    assert ker == [_as_dict([1, 1])]
     rng = random.Random(5)
     for p in (2, 3, 7):
         for _ in range(20):
@@ -53,7 +59,8 @@ def test_kernel_mod_p():
             ker = kernel_basis(M, n, char=p)
             assert rank_of(M, n, char=p) + len(ker) == n
             for v in ker:
-                assert all(sum(row[i] * v[i] for i in range(n)) % p == 0 for row in M)
+                assert all(0 < x < p for x in v.values())
+                assert all(sum(row[c] * x for c, x in v.items()) % p == 0 for row in M)
 
 
 def _random_matrix(rng, sparse):
@@ -66,18 +73,30 @@ def _random_matrix(rng, sparse):
 
 def test_kernel_and_rank_match_the_dense_oracle():
     # the reduced-echelon kernel is the canonical free-column basis, so the
-    # vectors are identical to the Fraction back-substitution's, not just
-    # the same space
+    # vectors are identical to the Fraction back-substitution's (written
+    # sparsely), not just the same space
     rng = random.Random(2024)
     for char in (0, 2, 3, 7):
         for sparse in (False, True):
             for _ in range(200):
                 M, n = _random_matrix(rng, sparse)
-                expected, rank = dense_kernel_basis(M, n, char), dense_rank_of(M, n, char)
+                expected = [_as_dict(v) for v in dense_kernel_basis(M, n, char)]
+                rank = dense_rank_of(M, n, char)
                 as_dicts = [{c: x for c, x in enumerate(row) if x} for row in M]
                 for rows in (M, as_dicts):
                     assert kernel_basis(rows, n, char) == expected, (M, char)
                     assert rank_of(rows, n, char) == rank, (M, char)
+
+
+def test_kernel_vectors_hold_only_their_nonzeros():
+    # x_0 + .. + x_1999 = 0: each of the 1999 basis vectors is a multiple of
+    # e_f - e_0, so a sparse basis holds 2 entries per vector, not 2000
+    for char in (0, 2, 3):
+        basis = kernel_basis([[1] * 2000], 2000, char)
+        assert len(basis) == 1999
+        assert all(len(v) == 2 for v in basis)
+        last = {0: 1, 1999: -1} if char == 0 else {0: char - 1, 1999: 1}
+        assert basis[-1] == last
 
 
 def test_echelon_rows_stay_reduced():
