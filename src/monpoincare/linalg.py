@@ -1,14 +1,25 @@
 """Exact sparse linear algebra used by the homology and resolution machinery.
 
-A row is a dict {column: nonzero entry}; a list is read as the same row.
-``EchelonSpace`` keeps its rows in reduced echelon form: the pivot of a row is
-its first nonzero column, and no other row has an entry in a pivot column.
-Over GF(p) entries are canonical representatives in [0, p) and every pivot is
-1.  Over the rationals (char 0) entries are integers, every row is primitive
-(content 1) with a positive pivot, and elimination cross-multiplies, so no
-fraction or float appears.  Reducing a vector eliminates each pivot in its
-support once, and ``kernel_basis`` reads every kernel vector straight off the
-reduced rows, as a sparse row itself.
+An input row is a dict {column: nonzero entry}; a list is read as the same
+row.  The pivot of a stored row is its first nonzero column.
+
+Over GF(2) ``EchelonSpace`` stores each row as an int bitmask (bit c set iff
+column c is odd), keyed by its lowest set bit, in forward echelon form: a
+vector is reduced by XOR-ing the row of its lowest set bit until that bit is
+not a pivot, and no earlier row is touched when a row is added.  Only
+``kernel_basis`` back-substitutes, once, at the end.  An XOR clears a whole
+row in one C-level operation (the packed rows of M4RI; Albrecht and Bard,
+"The M4RI library").
+
+Over every other field the rows are dicts in reduced echelon form: no other
+row has an entry in a pivot column.  Over GF(p) entries are canonical
+representatives in [0, p) and every pivot is 1.  Over the rationals (char 0)
+entries are integers, every row is primitive (content 1) with a positive
+pivot, and elimination cross-multiplies, so no fraction or float appears.
+Reducing a vector eliminates each pivot in its support once.
+
+``kernel_basis`` reads every kernel vector straight off the reduced rows, as
+a sparse row itself.
 """
 from __future__ import annotations
 
@@ -23,6 +34,15 @@ def _sparse(vec, p: int) -> dict:
     return {c: x for c, x in items if x}
 
 
+def _bits(vec) -> int:
+    """A dict or list row over GF(2) as an int whose bit c is entry c mod 2."""
+    v = 0
+    for c, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
+        if x & 1:
+            v |= 1 << c
+    return v
+
+
 def _make_primitive(row: dict) -> None:
     """Divide an integer row by its content (in place)."""
     g = gcd(*row.values())
@@ -32,12 +52,14 @@ def _make_primitive(row: dict) -> None:
 
 
 class EchelonSpace:
-    """Incrementally built row space in reduced echelon form."""
+    """Incrementally built row space: forward-echelon bitmask rows over GF(2),
+    reduced-echelon dict rows over every other field."""
 
     def __init__(self, ncols: int, char: int = 0):
         self.ncols = ncols
         self.char = char
-        self.rows = {}  # pivot column -> reduced row {column: entry}
+        # GF(2): lowest set bit -> row bitmask; else pivot column -> reduced row
+        self.rows = {}
 
     @property
     def dim(self) -> int:
@@ -69,10 +91,17 @@ class EchelonSpace:
         if v:
             _make_primitive(v)
 
-    def _reduce(self, vec) -> dict:
-        """vec minus its part along the stored rows (a fresh dict)."""
-        v = _sparse(vec, self.char)
+    def _reduce(self, vec):
+        """vec minus its part along the stored rows: a bitmask over GF(2),
+        else a fresh dict."""
         rows = self.rows
+        if self.char == 2:
+            v = _bits(vec)
+            # 0 is no key, so a zero v stops the loop too
+            while row := rows.get(v & -v):
+                v ^= row
+            return v
+        v = _sparse(vec, self.char)
         # a stored row is zero at every other pivot, so eliminating one pivot
         # leaves v's entries at the others unchanged
         for c in [c for c in v if c in rows]:
@@ -87,6 +116,9 @@ class EchelonSpace:
         v = self._reduce(vec)
         if not v:
             return False
+        if self.char == 2:
+            self.rows[v & -v] = v
+            return True
         c = min(v)
         p = self.char
         if p:
@@ -123,11 +155,14 @@ def kernel_basis(rows, ncols: int, char: int = 0):
     its primitive multiple with first nonzero entry positive) and 0 at every
     other non-pivot column.  Its entry at a pivot c is -row_c[f] / row_c[c],
     read off the reduced row, so building the basis costs the nonzeros of the
-    reduced rows, not ncols per vector.
+    reduced rows, not ncols per vector.  Over GF(2) the forward-echelon rows
+    are reduced once, here, before the vectors are read off.
     """
     space = EchelonSpace(ncols, char)
     for row in rows:
         space.add(row)
+    if char == 2:
+        return _kernel_basis_bits(space.rows, ncols)
     # non-pivot column -> (pivot, entry, pivot entry) of the rows reaching it
     reach = {f: [] for f in range(ncols) if f not in space.rows}
     for c, row in space.rows.items():
@@ -148,5 +183,39 @@ def kernel_basis(rows, ncols: int, char: int = 0):
                 g = -g
             if g != 1:
                 v = {c: x // g for c, x in v.items()}
+        basis.append(v)
+    return basis
+
+
+def _kernel_basis_bits(rows: dict, ncols: int):
+    """``kernel_basis`` over GF(2) from forward-echelon bitmask rows, which it
+    reduces in place.
+
+    Going down from the highest pivot, each row XORs in the reduced rows of
+    the higher pivots it holds (``row & pivots``); a reduced row holds no
+    pivot but its own, so the cost follows the set bits, not rank squared.
+    """
+    pivots = sum(rows)
+    for low in sorted(rows, reverse=True):
+        row = rows[low]
+        held = row & pivots ^ low
+        while held:
+            h = held & -held
+            row ^= rows[h]
+            held ^= h
+        rows[low] = row
+    # non-pivot column -> pivots of the rows reaching it, in insertion order
+    reach = {f: [] for f in range(ncols) if not pivots >> f & 1}
+    for low, row in rows.items():
+        c = low.bit_length() - 1
+        rest = row ^ low
+        while rest:
+            h = rest & -rest
+            reach[h.bit_length() - 1].append(c)
+            rest ^= h
+    basis = []
+    for f, hits in reach.items():
+        v = dict.fromkeys(hits, 1)
+        v[f] = 1
         basis.append(v)
     return basis

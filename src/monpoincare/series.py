@@ -33,7 +33,6 @@ from .core import (
     Multidegree,
     divides,
     in_lcm_lattice,
-    mdeg_add,
     monomial_str,
     staircase,
     subset_components,
@@ -176,8 +175,8 @@ def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
             t = t1 + t2
             if t > a.tmax:
                 continue
-            j = mdeg_add(j1, j2)
-            if not divides(j, ybound):
+            j = tuple(map(add, j1, j2))
+            if not all(map(le, j, ybound)):
                 continue
             key = (t, j)
             new = coeffs.get(key, 0) + c1 * c2

@@ -3,7 +3,7 @@ from math import gcd
 
 from monpoincare.linalg import EchelonSpace, kernel_basis, rank_of
 
-from helpers import dense_kernel_basis, dense_rank_of
+from helpers import DenseEchelonSpace, dense_kernel_basis, dense_rank_of
 
 
 def _as_dict(v):
@@ -107,12 +107,50 @@ def test_echelon_rows_stay_reduced():
             space = EchelonSpace(n, char)
             for row in M:
                 space.add(row if rng.random() < 0.5 else dict(enumerate(row)))
-            for c, row in space.rows.items():
-                assert min(row) == c and all(row.values())
-                assert all(c not in other for d, other in space.rows.items() if d != c)
-                if char:
-                    assert row[c] == 1 and all(0 < x < char for x in row.values())
-                else:
-                    assert row[c] > 0 and gcd(*row.values()) == 1
+            if char == 2:
+                # forward echelon bitmasks: each row keyed by its lowest set
+                # bit (so the keys are distinct pivots), inside the ncols
+                # columns, one per unit of rank; the reduced form is checked
+                # where kernel_basis reads it off
+                for low, row in space.rows.items():
+                    assert row & -row == low and row >> n == 0
+                assert space.dim == dense_rank_of(M, n, char)
+            else:
+                for c, row in space.rows.items():
+                    assert min(row) == c and all(row.values())
+                    assert all(c not in other for d, other in space.rows.items() if d != c)
+                    if char:
+                        assert row[c] == 1 and all(0 < x < char for x in row.values())
+                    else:
+                        assert row[c] > 0 and gcd(*row.values()) == 1
             for row in M:
                 assert space.contains(row) and space.contains(dict(enumerate(row)))
+
+
+def test_wide_gf2_matrices_match_the_dense_oracle():
+    # 65 to 200 columns, so a bitmask row spans more than one machine word;
+    # entries in {-1, 0, 1}, where -1 is odd
+    rng = random.Random(65)
+    for _ in range(24):
+        n = rng.randint(65, 200)
+        m = rng.randint(1, 90)
+        density = rng.choice((0.02, 0.05, 0.2))
+        M = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)]
+        expected = [_as_dict(v) for v in dense_kernel_basis(M, n, 2)]
+        rank = dense_rank_of(M, n, 2)
+        dense = DenseEchelonSpace(n, 2)
+        for row in M:
+            dense.add(row)
+        probes = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(4)]
+        probes += [[sum(col) for col in zip(*rng.sample(M, rng.randint(1, m)))] for _ in range(4)]
+        for rows in (M, [_as_dict(row) for row in M]):
+            assert kernel_basis(rows, n, 2) == expected, M
+            assert rank_of(rows, n, 2) == rank, M
+            space = EchelonSpace(n, 2)
+            for row in rows:
+                space.add(row)
+            assert all(space.contains(row) for row in rows)
+            for probe in probes:
+                assert space.contains(probe) == dense.contains(probe), (M, probe)
+                assert space.contains(_as_dict(probe)) == dense.contains(probe), (M, probe)

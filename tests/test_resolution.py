@@ -26,7 +26,9 @@ from monpoincare.series import (
 from helpers import (
     D10_GENERATORS,
     LINEAR,
+    DenseEchelonSpace,
     cycle_ideal,
+    dense_kernel_basis,
     eagon_rank_formula,
     golod_series_match,
     koszul_golod_denominator,
@@ -331,6 +333,36 @@ def test_every_kernel_basis_the_resolver_computes_yields_a_generator(monkeypatch
             res = resolve_residue_field(ideal, total_degree(ideal.top_lcm()) + 1, char=char)
             modules = res.complex.modules
             assert len(calls) == sum(len(set(module)) for module in modules[2:]) > 0
+
+
+def _dense(vec, ncols):
+    return [vec.get(c, 0) for c in range(ncols)]
+
+
+class _DenseSpace(DenseEchelonSpace):
+    """The dense oracle taking the resolver's {column: entry} rows."""
+
+    def add(self, vec):
+        return super().add(_dense(vec, self.ncols))
+
+
+def _dense_kernel(rows, ncols, char=0):
+    return [{c: x for c, x in enumerate(v) if x}
+            for v in dense_kernel_basis([_dense(row, ncols) for row in rows], ncols, char)]
+
+
+def test_char2_resolver_matches_the_dense_linear_algebra(monkeypatch):
+    # GF(2) rows are bitmasks in linalg; the same resolution must come out
+    # of the dense list-row oracle, generator for generator
+    cases = [(cycle_ideal(5), 6), (minimalize(rp2_generators(), 6), 4),
+             (minimalize(D10_GENERATORS, 4), 11)]
+    expected = [resolve_residue_field(ideal, tmax, char=2).complex for ideal, tmax in cases]
+    monkeypatch.setattr(resolution, "EchelonSpace", _DenseSpace)
+    monkeypatch.setattr(resolution, "kernel_basis", _dense_kernel)
+    for (ideal, tmax), C in zip(cases, expected):
+        oracle = resolve_residue_field(ideal, tmax, char=2).complex
+        assert oracle.modules == C.modules, ideal
+        assert oracle.diffs == C.diffs, ideal
 
 
 def test_eagon_resolution_leaves_no_reference_cycle():
