@@ -26,13 +26,15 @@ minus 0 is checked on every call, with or without --check.
 
 Exit codes: 0 success, 1 verification failure (a requested check did not
 hold), 2 input error (bad file, bad arguments, violated precondition), 3
-internal error (a theorem-guaranteed property failed, i.e. a bug).
+internal error (a theorem-guaranteed property failed, i.e. a bug), 141
+(128 + SIGPIPE) stdout closed before all output was written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .core import (
@@ -494,7 +496,12 @@ def main(argv=None) -> int:
                              f"{_PRIME_LIMIT}")
         if args.char and not _is_prime(args.char):
             raise InputError(f"characteristic must be 0 or a prime, got {args.char}")
-        return _COMMANDS[args.subcommand][0](args, *map(load_ideal, args.paths))
+        code = _COMMANDS[args.subcommand][0](args, *map(load_ideal, args.paths))
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the flush at exit then writes to devnull, and cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

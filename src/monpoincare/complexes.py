@@ -25,8 +25,6 @@ from .core import (
     mdeg_join,
     mdeg_sub,
     monomial_str,
-    staircase,
-    subset_table,
     zero_mdeg,
 )
 from .linalg import rank_of
@@ -133,9 +131,6 @@ class FreeComplex:
                         bad.append((i, r, c))
         return bad
 
-    def is_complex(self) -> bool:
-        return not self.d_squared_violations()
-
 
 def diff_columns(diff: dict) -> dict:
     """{column: [(row, scalar), ...]}: the entries of a differential by column."""
@@ -210,11 +205,10 @@ def taylor_complex(ideal: MonomialIdeal) -> FreeComplex:
 def scarf_faces(ideal: MonomialIdeal):
     """Subsets of the generators whose lcm differs from every other subset's.
 
-    Counts the staircase masks of the subset lcms; nothing is decoded.
+    Counts the masks in the ideal's ``subset_lcms``; nothing is decoded.
     """
-    lcms = subset_table(staircase(ideal.generators, ideal.num_vars).atoms)
-    count = Counter(lcms)
-    faces = [mask_subset(mask) for mask, m in enumerate(lcms) if count[m] == 1]
+    count = Counter(ideal.subset_lcms)
+    faces = [mask_subset(mask) for mask, m in enumerate(ideal.subset_lcms) if count[m] == 1]
     faces.sort(key=lambda f: (len(f), f))
     return faces
 
@@ -229,8 +223,7 @@ def scarf_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     """True iff all subset lcms are distinct, i.e. the Taylor resolution is minimal."""
-    lcms = subset_table(staircase(ideal.generators, ideal.num_vars).atoms)
-    return len(set(lcms)) == len(lcms)
+    return len(set(ideal.subset_lcms)) == len(ideal.subset_lcms)
 
 
 def koszul_complex(ring: Ring) -> FreeComplex:

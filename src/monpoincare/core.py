@@ -10,16 +10,19 @@ for x_i is as wide as the largest exponent of x_i among the generators (0
 bits for an unused variable), and x_i^e sets the lowest e bits of its block.
 This is the polarization read as one integer.  On monomials dividing m_I the
 lcm is ``a | b``, a divides c exactly when ``a & ~c == 0``, and a and b are
-coprime exactly when ``a & b == 0``.  :func:`subset_table` builds the 2^r
-table of subset lcms on these ints, and :func:`subset_components` the table
-of l_J; both refuse more than ``SUBSET_TABLE_MAX_GENERATORS`` generators
-before allocating anything.
+coprime exactly when ``a & b == 0``.  A :class:`MonomialIdeal` owns its
+``codec``, its 2^r :func:`subset_table` of subset lcms (``subset_lcms``) and
+its table of l_J (``subset_components``), each built on first use and kept,
+outside the fields, for the life of the object; both tables refuse more than
+``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.  Only the
+lattice isomorphism search builds another table, over permuted target atoms.
 """
 from __future__ import annotations
 
 import json
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 Multidegree = tuple  # tuple[int, ...], length = number of variables
@@ -123,8 +126,17 @@ class MonomialIdeal:
         """m_I, the lcm of all minimal generators (zero for the zero ideal)."""
         return lcm_of_subset(self, range(self.num_generators))
 
-    def contains_monomial(self, m: Multidegree) -> bool:
-        return any(divides(g, m) for g in self.generators)
+    @cached_property
+    def codec(self) -> Staircase:
+        return staircase(self.generators, self.num_vars)
+
+    @cached_property
+    def subset_lcms(self) -> list:  # indexed by subset bitmask; do not mutate
+        return subset_table(self.codec.atoms)
+
+    @cached_property
+    def subset_components(self) -> list:  # indexed by subset bitmask; do not mutate
+        return subset_components(self.codec.atoms)
 
     def generator_str(self, g: Multidegree) -> str:
         return monomial_str(g, self.var_names)
@@ -178,8 +190,7 @@ def load_ideal(path) -> MonomialIdeal:
 def lcm_of_subset(ideal: MonomialIdeal, subset) -> Multidegree:
     """m_J: componentwise max of the selected generators; empty subset gives 0.
 
-    One subset at a time; the :func:`subset_table` of the generators'
-    staircase masks holds every m_J at once, encoded.
+    One subset at a time; ``ideal.subset_lcms`` holds every m_J at once, encoded.
     """
     m = zero_mdeg(ideal.num_vars)
     for idx in subset:
@@ -287,7 +298,7 @@ def mask_subset(mask: int) -> tuple:
 def connected_components_lJ(ideal: MonomialIdeal, subset) -> int:
     """l_J: components of the graph on J joining generators that share a variable.
 
-    One subset at a time; :func:`subset_components` gives every l_J at once.
+    One subset at a time; ``ideal.subset_components`` holds every l_J at once.
     """
     subset = sorted(set(subset))
     if not subset:

@@ -1,7 +1,7 @@
 """LCM lattices, isomorphism search and denominator transport."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (
@@ -10,7 +10,6 @@ from .core import (
     Multidegree,
     Polarization,
     Staircase,
-    staircase,
     subset_table,
     total_degree,
 )
@@ -25,9 +24,9 @@ class LcmLattice:
     the top m_I last.  Internally an element is its staircase bitmask under
     ``codec`` (see :mod:`monpoincare.core`): ``masks[k]`` encodes
     ``elements[k]``, joins are ``|``, divisibility is ``a & ~b == 0`` and
-    coprimality ``a & b == 0``.  ``lcms`` is the 2^r :func:`subset_table` of
-    the atoms' masks: the mask of m_J for every generator subset J, indexed by
-    bitmask.
+    coprimality ``a & b == 0``.  ``codec`` and ``lcms`` are the ideal's own
+    ``codec`` and ``subset_lcms`` (the mask of m_J for every generator subset
+    J, indexed by bitmask), shared and not copied.
     """
 
     num_vars: int
@@ -35,7 +34,7 @@ class LcmLattice:
     elements: tuple
     codec: Staircase
     masks: tuple  # masks[k] encodes elements[k]
-    lcms: tuple
+    lcms: list = field(compare=False)  # the ideal's subset_lcms; do not mutate
 
     @property
     def bottom(self) -> Multidegree:
@@ -47,8 +46,7 @@ class LcmLattice:
 
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    codec = staircase(ideal.generators, ideal.num_vars)
-    lcms = tuple(subset_table(codec.atoms))
+    codec, lcms = ideal.codec, ideal.subset_lcms
     decoded = sorted(((codec.decode(m), m) for m in set(lcms)),
                      key=lambda em: (total_degree(em[0]), em[0]))
     return LcmLattice(ideal.num_vars, ideal.generators, tuple(e for e, _ in decoded), codec,
@@ -141,8 +139,7 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
                 used.remove(k)
 
     backtrack(0, set(), [])
-    # the recursive closure refers to itself; dropping it frees the two
-    # lattices' 2^r tables now instead of at the next cyclic collection
+    # the closure refers to itself; dropping it frees the lattices now, not at the next gc
     del backtrack
     return found
 

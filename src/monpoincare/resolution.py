@@ -253,21 +253,19 @@ def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
 
 def is_golod_generic(ideal: MonomialIdeal) -> bool:
     """Golod test for generic ideals inside m^2: no Scarf face may split into
-    two parts with coprime lcms (equivalently m_A * m_B = m_{A u B})."""
+    two parts with coprime lcms (equivalently m_A * m_B = m_{A u B}), i.e.
+    whose masks in ``ideal.subset_lcms`` do not meet."""
     _require_in_m_squared(ideal)
     if not is_generic(ideal):
         raise InputError("criterion only applies to generic ideals")
+    lcms = ideal.subset_lcms
     for face in scarf_faces(ideal):
-        if len(face) < 2:
-            continue
-        first, rest = face[0], face[1:]
-        for size in range(len(face)):
-            for part in combinations(rest, size):
-                A = (first,) + part
-                B = tuple(x for x in face if x not in A)
-                if B and all(min(u, v) == 0 for u, v in
-                             zip(lcm_of_subset(ideal, A), lcm_of_subset(ideal, B))):
-                    return False
+        F = sum(1 << i for i in face)
+        rest = B = F & (F - 1)  # B runs over the nonempty parts without F's lowest member
+        while B:
+            if not lcms[F ^ B] & lcms[B]:
+                return False
+            B = (B - 1) & rest
     return True
 
 

@@ -34,9 +34,6 @@ from .core import (
     divides,
     in_lcm_lattice,
     monomial_str,
-    staircase,
-    subset_components,
-    subset_table,
     total_degree,
     zero_mdeg,
 )
@@ -329,16 +326,13 @@ def series_from_deviations(table: dict, num_vars: int, tmax: int,
 def candidate_terms(ideal: MonomialIdeal):
     """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J.
 
-    m_J and l_J come from the two 2^r tables on the generators' staircase
-    masks (:func:`subset_table`, :func:`subset_components`); only the distinct
-    terms are decoded back to multidegrees.
+    m_J and l_J come from the ideal's two 2^r tables on the generators'
+    staircase masks (``subset_lcms``, ``subset_components``); only the
+    distinct terms are decoded back to multidegrees.
     """
-    codec = staircase(ideal.generators, ideal.num_vars)
-    lcms = subset_table(codec.atoms)
-    components = subset_components(codec.atoms)
     terms = {(-1 if l & 1 else 1, J.bit_count() + l, m)
-             for J, (m, l) in enumerate(zip(lcms, components)) if J}
-    return {(sign, t, codec.decode(m)) for sign, t, m in terms}
+             for J, (m, l) in enumerate(zip(ideal.subset_lcms, ideal.subset_components)) if J}
+    return {(sign, t, ideal.codec.decode(m)) for sign, t, m in terms}
 
 
 def _off_lattice_terms(Q: BigradedSeries, ideal: MonomialIdeal) -> list:
@@ -421,15 +415,14 @@ def _strand_polynomial(cells, char: int) -> dict:
 
 
 def _lcm_strands(ideal: MonomialIdeal, connected: bool):
-    """The staircase codec and the Taylor strands {m_J: [J, ...]} of every subset
-    mask J, or, when ``connected``, only of those with l_J = 1."""
-    codec = staircase(ideal.generators, ideal.num_vars)
-    components = subset_components(codec.atoms) if connected else None
+    """The Taylor strands {m_J: [J, ...]} of every subset mask J, read off the
+    ideal's tables, or, when ``connected``, only of those with l_J = 1."""
+    components = ideal.subset_components if connected else None
     strands = {}
-    for J, m in enumerate(subset_table(codec.atoms)):
+    for J, m in enumerate(ideal.subset_lcms):
         if not connected or components[J] == 1:
             strands.setdefault(m, []).append(J)
-    return codec, strands
+    return strands
 
 
 def betti_numbers(ideal: MonomialIdeal, char: int = 0) -> dict:
@@ -437,8 +430,8 @@ def betti_numbers(ideal: MonomialIdeal, char: int = 0) -> dict:
     is the homology in size i of the full Taylor strand {J : m_J = alpha}
     (Gasharov-Peeva-Welker), from ``_strand_polynomial``; the empty set gives
     (0, 0) -> 1.  ``resolution.koszul_homology_dims`` is the oracle."""
-    codec, strands = _lcm_strands(ideal, connected=False)
-    return {(t - 1, codec.decode(alpha)): -c for alpha, cells in strands.items()
+    strands = _lcm_strands(ideal, connected=False)
+    return {(t - 1, ideal.codec.decode(alpha)): -c for alpha, cells in strands.items()
             for t, c in _strand_polynomial(cells, char).items()}
 
 
@@ -463,7 +456,7 @@ def denominator(ideal: MonomialIdeal, char: int = 0) -> BigradedSeries:
     """
     top = ideal.top_lcm()
     degree_bound = total_degree(top)
-    codec, strands = _lcm_strands(ideal, connected=True)
+    codec, strands = ideal.codec, _lcm_strands(ideal, connected=True)
     terms = {0: {0: 1}}  # mask -> {t: coefficient}
     for alpha in sorted(strands, key=lambda m: (m.bit_count(), codec.decode(m))):
         c = {1: 1} if alpha.bit_count() == 1 else _strand_polynomial(strands[alpha], char)

@@ -31,6 +31,7 @@ from monpoincare.core import (
     box_multidegrees,
     connected_components_lJ,
     coprime,
+    divides,
     lcm_of_subset,
     minimalize,
     total_degree,
@@ -217,7 +218,7 @@ def oracle_d_squared_violations(C):
 def standard_monomial_table(ideal, bound):
     """Multidegrees <= bound of monomials outside the ideal (basis of S/I)."""
     return {j: 1 for j in box_multidegrees(bound)
-            if not ideal.contains_monomial(j)}
+            if not any(divides(g, j) for g in ideal.generators)}
 
 
 def eagon_rank_formula(ideal, imax):

@@ -1,7 +1,12 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +370,85 @@ def test_oversized_subset_table_refused_before_allocating(ideal_file, command, n
     assert peak < 2 ** r
     err = capsys.readouterr().err
     assert f"{r} generators" in err and f"limit is {SUBSET_TABLE_MAX_GENERATORS}" in err
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Calls of core.staircase and core.subset_table (the subset_components
+    neighbour table included), whichever module's binding is used."""
+    from monpoincare import complexes, core, lattice
+
+    calls = Counter()
+    for name in ("staircase", "subset_table"):
+        def counted(*args, name=name, real=getattr(core, name)):
+            calls[name] += 1
+            return real(*args)
+
+        for mod in (core, series, complexes, lattice):
+            monkeypatch.setattr(mod, name, counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_each_command_builds_one_codec_per_ideal(closing_pair, ideal_file, table_builds, check,
+                                                 capsys):
+    a, b = closing_pair
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    for command in cli._COMMANDS:
+        argv = ([a, b, "--transport"] if command == "lattice-iso" else
+                [gen if command in ("scarf", "eagon", "golod-generic") else b])
+        table_builds.clear()
+        assert main([command, *argv, *(["--check"] if check else [])]) == 0, command
+        # polarize --check also builds the lattice of the polarized ideal
+        ideals = 2 if command == "lattice-iso" or command == "polarize" and check else 1
+        assert table_builds["staircase"] <= ideals, command
+        # an lcm table and a neighbour table per ideal; lattice-iso adds one
+        # table per candidate atom bijection
+        if command != "lattice-iso":
+            assert table_builds["subset_table"] <= 2 * ideals, command
+    capsys.readouterr()
+
+
+def test_q_and_golod_build_the_lcm_table_once(closing_pair, ideal_file, table_builds, capsys):
+    _, b = closing_pair
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    # one codec, one lcm table and the neighbour table inside
+    # subset_components, shared by every consumer of the call
+    for argv in (["q", b, "--check"], ["golod", b], ["golod", b, "--check"],
+                 ["golod-generic", gen, "--check"]):
+        table_builds.clear()
+        assert main(argv) == 0, argv
+        assert table_builds == {"staircase": 1, "subset_table": 2}, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("lines_read", [1, 0])
+def test_a_closed_stdout_exits_141_without_a_traceback(ideal_file, rp2, lines_read):
+    # after one line: the candidate table of C14 (about 0.4 MB) is far larger
+    # than a pipe buffer, so the command is still printing when the reader
+    # closes; before any: Q of RP^2 (2 kB) waits in the stdout buffer and
+    # meets the closed pipe only when flushed
+    if lines_read:
+        ideal = cycle_ideal(14)
+        argv = ["candidates", ideal_file("C14", list(ideal.var_names),
+                                         [list(g) for g in ideal.generators])]
+    else:
+        argv = ["q", rp2]
+    # stdout buffered, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "monpoincare.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        if lines_read:
+            assert proc.stdout.readline().startswith(b"candidate denominator terms")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_q_check_names_the_first_term_the_resolution_contradicts(closing_pair, monkeypatch,

@@ -42,7 +42,7 @@ def test_taylor_two_variables():
     assert T.diffs[2] == {(0, 0): -1, (1, 0): 1}
     assert T.entry_monomial(2, 0, 0) == (1, 0)
     assert T.entry_monomial(2, 1, 0) == (0, 1)
-    assert T.is_complex()
+    assert not T.d_squared_violations()
 
 
 def test_taylor_single_generator():
@@ -60,7 +60,7 @@ def test_taylor_d_squared_random():
     for ideal in random_corpus(15, seed=31):
         T = taylor_complex(ideal)
         T.validate()
-        assert T.is_complex()
+        assert not T.d_squared_violations()
 
 
 def test_scarf_faces_and_ranks():
@@ -82,7 +82,7 @@ def test_scarf_faces_subset_of_taylor():
         faces = set(scarf_faces(ideal))
         S = scarf_complex(ideal)
         S.validate()
-        assert S.is_complex()
+        assert not S.d_squared_violations()
         assert all(f in faces for lab in S.labels for f in lab)
 
 
@@ -105,7 +105,7 @@ def test_koszul_conventions():
     assert K.ranks() == [1, 2, 1]
     # d(e1 ^ e2) = x1 e2 - x2 e1
     assert K.diffs[2] == {(1, 0): 1, (0, 0): -1}
-    assert K.is_complex()
+    assert not K.d_squared_violations()
 
 
 def test_koszul_over_quotient_kills_entries():
@@ -120,7 +120,7 @@ def test_koszul_d_squared_four_variables():
     I = minimalize([(2, 1, 0, 0), (0, 1, 1, 1)], 4)
     K = koszul_complex(Ring.quotient(I))
     K.validate()
-    assert K.is_complex()
+    assert not K.d_squared_violations()
 
 
 def test_homology_koszul_hypersurface():
@@ -211,7 +211,7 @@ def test_minimize_triangle():
     E = minimize(taylor_complex(I))
     assert E.ranks() == [1, 3, 2]
     E.validate()
-    assert E.is_complex()
+    assert not E.d_squared_violations()
     bound = (2, 2, 2)
     HE, HT = homology(E, bound), homology(taylor_complex(I), bound)
     assert all(HE.get(i, {}) == HT.get(i, {}) for i in range(4))

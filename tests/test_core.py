@@ -24,6 +24,8 @@ from monpoincare.core import (
     subset_table,
 )
 
+from monpoincare import core
+
 from helpers import cycle_ideal, random_antichain, random_corpus, rp2_generators
 
 
@@ -124,6 +126,33 @@ def test_subset_components_match_connected_components_lJ():
         for mask in range(1, len(counts)):
             assert counts[mask] == connected_components_lJ(ideal, mask_subset(mask)), \
                 (ideal, mask)
+
+
+def test_the_codec_and_the_tables_are_cached_on_the_ideal_object(monkeypatch):
+    calls = []
+    real = core.staircase
+
+    def counted(gens, num_vars):
+        calls.append(gens)
+        return real(gens, num_vars)
+
+    monkeypatch.setattr(core, "staircase", counted)
+    gens = [(2, 0, 0), (0, 2, 1), (1, 1, 1)]
+    built, fresh = minimalize(gens, 3), minimalize(gens, 3)
+    assert built.subset_lcms is built.subset_lcms
+    assert built.subset_components is built.subset_components
+    assert built.subset_lcms == subset_table(real(built.generators, 3).atoms)
+    assert built.subset_components == subset_components(built.codec.atoms)
+    assert len(calls) == 1
+    # an equal but distinct ideal builds its own
+    assert fresh.subset_lcms == built.subset_lcms and fresh.subset_lcms is not built.subset_lcms
+    assert len(calls) == 2
+    # the cache is not part of the value
+    other = minimalize(gens, 3)
+    assert built == other and hash(built) == hash(other) and repr(built) == repr(other)
+    assert built.to_dict() == other.to_dict() == {"vars": ["x1", "x2", "x3"],
+                                                  "gens": [list(g) for g in other.generators]}
+    assert len(calls) == 2
 
 
 def test_subset_table_refuses_oversized_generator_sets():

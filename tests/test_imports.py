@@ -1,6 +1,7 @@
 """Import lint: every name a package module or a test file imports is used
-in that file; and dead-code lint: every private function, class or method
-of the package is named somewhere in the package outside its own body.
+in that file; dead-code lint: every private function, class or method of the
+package is named somewhere in the package outside its own body; and
+table lint: only ``core`` builds an ideal's staircase codec and subset tables.
 
 ``__init__.py`` is exempt from the import lint, since its imports are the
 package's public names.  A name counts as used when it appears as a bare name
@@ -92,3 +93,40 @@ def test_package_private_names_are_all_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) >= 8
     assert dead_private_names(sources) == []
+
+
+TABLE_BUILDERS = ("staircase", "subset_table", "subset_components")
+
+
+def table_builder_calls(source: str) -> list:
+    """(owner, callee) for each call in ``source`` of a TABLE_BUILDERS name,
+    bare or as an attribute; owner is the top-level function or class holding
+    the call, or None at module level.  Reading ``ideal.subset_components`` is
+    no call."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee in TABLE_BUILDERS:
+                    found.append((getattr(top, "name", None), callee))
+    return found
+
+
+def test_the_lint_sees_a_table_builder():
+    source = ("from .core import staircase, subset_table\n\n\ndef f(I):\n"
+              "    return subset_table(staircase(I.generators, 2).atoms)\n\n\n"
+              "class A:\n    def g(self, I):\n        return core.subset_components(I.m)\n\n\n"
+              "x = I.subset_components\ny = subset_table([1])\n")
+    assert table_builder_calls(source) == [("f", "subset_table"), ("f", "staircase"),
+                                           ("A", "subset_components"), (None, "subset_table")]
+
+
+def test_only_core_builds_the_codec_and_the_subset_tables():
+    """Every other module reads an ideal's ``codec``, ``subset_lcms`` and
+    ``subset_components``; the one outside table is the per-candidate table
+    of the isomorphism search, over permuted target atoms."""
+    found = {p.name: calls for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"
+             and (calls := table_builder_calls(p.read_text(encoding="utf-8")))}
+    assert found == {"lattice.py": [("_induced_element_map", "subset_table")]}

@@ -29,6 +29,15 @@ def test_build_lattice_closing_examples():
     assert set(Lp.elements) == {(0, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)}
 
 
+def test_the_lattice_shares_the_ideals_codec_and_table():
+    ideal = minimalize(CLOSING_I, 3)
+    L = build_lcm_lattice(ideal)
+    assert L.codec is ideal.codec and L.lcms is ideal.subset_lcms
+    # the shared list is left out of equality and hashing
+    again = build_lcm_lattice(minimalize(CLOSING_I, 3))
+    assert L == again and hash(L) == hash(again)
+
+
 def test_lattice_empty_ideal():
     L = build_lcm_lattice(minimalize([], 2))
     assert L.elements == ((0, 0),)

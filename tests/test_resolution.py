@@ -3,7 +3,7 @@ import gc
 import pytest
 
 from monpoincare import resolution
-from monpoincare.core import InputError, mdeg_add, minimalize, total_degree
+from monpoincare.core import InputError, is_generic, mdeg_add, minimalize, total_degree
 from monpoincare.complexes import homology
 from monpoincare.resolution import (
     eagon_resolution,
@@ -52,7 +52,7 @@ def test_resolve_hypersurface_periodic():
     res = resolve_residue_field(I, 5, (5,))
     assert res.betti() == {(i, (i,)): 1 for i in range(6)}
     res.complex.validate()
-    assert res.complex.is_complex()
+    assert not res.complex.d_squared_violations()
 
 
 def test_resolve_is_minimal_and_exact():
@@ -60,7 +60,7 @@ def test_resolve_is_minimal_and_exact():
         res = resolve_residue_field(ideal, 4)
         C = res.complex
         C.validate()
-        assert C.is_complex()
+        assert not C.d_squared_violations()
         # minimal: no entry between equal multidegrees
         for i in range(1, len(C.modules)):
             for (r, c) in C.diffs[i]:
@@ -209,6 +209,11 @@ def test_is_golod_generic():
         is_golod_generic(minimalize([(1, 2, 0), (1, 0, 2)], 3))  # not generic
     with pytest.raises(InputError, match="x1 is linear"):
         is_golod_generic(minimalize([(1, 0), (0, 2)], 2))
+    # the Scarf criterion against the exact certificate, Q = the Golod denominator
+    verdicts = [(is_golod_generic(I), is_golod_truncated(I, total_degree(I.top_lcm())))
+                for I in random_corpus() if is_generic(I)]
+    assert len(verdicts) >= 100 and 0 < sum(v for v, _ in verdicts) < len(verdicts)
+    assert all(v == exact for v, exact in verdicts)
 
 
 def test_golod_q_equals_denominator_for_golod_ring():
@@ -249,7 +254,7 @@ def test_eagon_principal_is_periodic():
     Y = eagon_resolution(minimalize([(2,)], 1), 6)
     assert Y.ranks() == [1] * 7
     Y.validate()
-    assert Y.is_complex()
+    assert not Y.d_squared_violations()
     H = homology(Y, (7,))
     assert H[0] == {(0,): 1}
     assert all(not H[i] for i in range(1, 6))
@@ -262,7 +267,7 @@ def test_eagon_d_squared_and_acyclicity():
         assert is_generic_or_skip(I)
         Y = eagon_resolution(I, 5)
         Y.validate()
-        assert Y.is_complex()
+        assert not Y.d_squared_violations()
         bound = mdeg_add(I.top_lcm(), (1,) * I.num_vars)
         H = homology(Y, bound)
         assert H[0] == {(0,) * I.num_vars: 1}
@@ -288,7 +293,7 @@ def test_eagon_on_random_generic_ideals():
         checked += 1
         Y = eagon_resolution(ideal, 4)
         Y.validate()
-        assert Y.is_complex(), ideal
+        assert not Y.d_squared_violations(), ideal
         bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
         H = homology(Y, bound)
         assert all(not H.get(i) for i in range(1, 4)), ideal
@@ -298,7 +303,7 @@ def test_eagon_on_random_generic_ideals():
 def test_eagon_regression_pair_with_shifted_attainment():
     I = minimalize([(0, 1, 1), (1, 2, 0)], 3)
     Y = eagon_resolution(I, 5)
-    assert Y.is_complex()
+    assert not Y.d_squared_violations()
     H = homology(Y, mdeg_add(I.top_lcm(), (1, 1, 1)))
     assert all(not H.get(i) for i in range(1, 5))
 

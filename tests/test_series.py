@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from monpoincare.core import InputError, InternalInconsistencyError, mdeg_add, minimalize
+from monpoincare.core import (InputError, InternalInconsistencyError, mdeg_add, minimalize,
+                              total_degree, unit_mdeg)
 from monpoincare.series import (
     BigradedSeries,
     candidate_terms,
@@ -169,6 +170,24 @@ def test_deviations_match_the_inductive_factorization(char):
     for ideal, nmax in [(I, 4) for I in random_corpus()] + named:
         P = _poincare_in_slack_box(ideal, nmax, char)
         assert deviations(P, nmax) == inductive_deviations(P, nmax), (ideal, nmax)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_low_deviations_have_their_closed_form(char):
+    """For I inside m^2, e_1 is 1 at each variable and e_2 is 1 at each minimal
+    generator, 0 elsewhere (Avramov, "Infinite free resolutions", 1998,
+    section 7), and no deviation is negative."""
+    ideals = [I for I in random_corpus() if all(total_degree(g) > 1 for g in I.generators)]
+    assert len(ideals) >= 100
+    ideals += [cycle_ideal(n) for n in range(5, 10)] + [minimalize(rp2_generators(), 6)]
+    for ideal in ideals:
+        table = deviations(_poincare_in_slack_box(ideal, 4, char), 4)
+        n = ideal.num_vars
+        assert {j: e for (k, j), e in table.items() if k == 1} == {
+            unit_mdeg(n, i): 1 for i in range(n)}, ideal
+        assert {j: e for (k, j), e in table.items() if k == 2} == dict.fromkeys(
+            ideal.generators, 1), ideal
+        assert min(table.values()) >= 0, ideal
 
 
 def test_deviations_match_the_inductive_factorization_on_random_series():
