@@ -1,9 +1,12 @@
 """Command-line interface: one binary, subcommand per operation.
 
 Each subcommand is declared once, in ``_COMMANDS`` (handler, help, number of
-ideal files, options), from which ``build_parser`` builds the parser.  ``main``
-parses, refuses a --char that is not 0 or a prime below 3.3e24 (Miller-Rabin),
-loads the ideal files and calls ``handler(args, *ideals)``.
+ideal files, options), from which ``build_parser`` builds the parser.  Every
+subcommand takes --format; all but candidates take --check; --char (default
+0) is taken by all but candidates, taylor, scarf, koszul and polarize, which
+compute nothing over a field.  An option a subcommand does not take exits 2.
+``main`` parses, refuses a --char that is not 0 or a prime below 3.3e24
+(Miller-Rabin), loads the ideal files and calls ``handler(args, *ideals)``.
 
 The denominator Q comes from the lcm lattice alone (``series.denominator``,
 no resolution of k over R), and the Poincare series, deviations and Golod
@@ -370,11 +373,16 @@ def cmd_lattice_iso(args, A, B):
     if args.transport and isos:
         QA = _exact_denominator(A, args)
         QB = _exact_denominator(B, args)
+        linear_A, linear_B = ({k for k, g in enumerate(I.generators) if total_degree(g) == 1}
+                              for I in (A, B))
         for idx, m in enumerate(isos):
             T = transport_denominator(QA, m)
             transported_out.append(T)
-            # deg m_I, Q's t-truncation, may differ between the two ideals
-            if mismatch is None and m.gcd_preserving and T.coeffs != QB.coeffs:
+            # Q is transported only where the linear generators, which split
+            # off the factors 1 + t*y_i, correspond; deg m_I, Q's
+            # t-truncation, may differ between the two ideals
+            if (mismatch is None and m.gcd_preserving and T.coeffs != QB.coeffs
+                    and {m.atom_map[i] for i in linear_A} == linear_B):
                 mismatch = idx
     if args.format == "json":
         doc = {"count": len(isos), "isomorphisms": payload}
@@ -436,31 +444,40 @@ def _is_prime(p: int) -> bool:
 _EXACT_TMAX = {"--tmax": {"type": int, "help": "t-degree bound, at least deg m_I (default: "
                           "deg m_I; --check resolves to deg m_I + 1, or to a larger tmax)"}}
 _TMAX = {"--tmax": {"type": int, "help": "t-degree bound (default: deg m_I + 2)"}}
+_CHECK = {"--check": {"action": "store_true",
+                      "help": "also run the invariant suite for this operation"}}
+_CHAR_CHECK = {"--char": {"type": int, "help": "coefficient field characteristic (0 or a prime)"},
+               **_CHECK}
 # name -> (handler, help, number of ideal files, {option flag: add_argument
 # keywords}); main calls handler(args, *ideals) with the loaded files
 _COMMANDS = {
-    "q": (cmd_q, "denominator Q_R(y,t) of the Poincare series", 1, _EXACT_TMAX),
-    "poincare": (cmd_poincare, "multigraded Betti numbers of k over R", 1, _TMAX),
+    "q": (cmd_q, "denominator Q_R(y,t) of the Poincare series", 1,
+          _EXACT_TMAX | _CHAR_CHECK),
+    "poincare": (cmd_poincare, "multigraded Betti numbers of k over R", 1, _TMAX | _CHAR_CHECK),
     "deviations": (cmd_deviations, "multigraded deviations from the Poincare series", 1,
                    {"--nmax": {"type": int, "default": 6,
-                               "help": "largest n of e_{n,j} (default: %(default)s)"}}),
+                               "help": "largest n of e_{n,j} (default: %(default)s)"},
+                    **_CHAR_CHECK}),
     "candidates": (cmd_candidates, "signed subset-lcm candidate terms for Q", 1, {}),
-    "verify-lcm": (cmd_verify_lcm, "check every Q multidegree is a subset lcm", 1, _EXACT_TMAX),
-    "taylor": (cmd_taylor, "Taylor complex of S/I over S", 1, {}),
-    "scarf": (cmd_scarf, "Scarf complex of I over S", 1, {}),
-    "koszul": (cmd_koszul, "Koszul complex over R = S/I", 1, {}),
-    "betti": (cmd_betti, "multigraded Betti numbers of S/I over S", 1, {}),
+    "verify-lcm": (cmd_verify_lcm, "check every Q multidegree is a subset lcm", 1,
+                   _EXACT_TMAX | _CHAR_CHECK),
+    "taylor": (cmd_taylor, "Taylor complex of S/I over S", 1, _CHECK),
+    "scarf": (cmd_scarf, "Scarf complex of I over S", 1, _CHECK),
+    "koszul": (cmd_koszul, "Koszul complex over R = S/I", 1, _CHECK),
+    "betti": (cmd_betti, "multigraded Betti numbers of S/I over S", 1, _CHAR_CHECK),
     "golod": (cmd_golod, "Golod certificate: Q against the Golod denominator to t-degree tmax",
-              1, _TMAX),
+              1, _TMAX | _CHAR_CHECK),
     "golod-generic": (cmd_golod_generic,
-                      "Golod criterion for generic ideals (Scarf splittings)", 1, {}),
+                      "Golod criterion for generic ideals (Scarf splittings)", 1, _CHAR_CHECK),
     "eagon": (cmd_eagon, "Eagon-style resolution of k over R for generic I", 1,
               {"--imax": {"type": int, "default": 6,
-                          "help": "homological degree bound (default: %(default)s)"}}),
+                          "help": "homological degree bound (default: %(default)s)"},
+               **_CHAR_CHECK}),
     "lattice-iso": (cmd_lattice_iso, "lattice isomorphisms between two ideals' LCM lattices", 2,
                     {"--transport": {"action": "store_true", "help": "also transport the "
-                                     "denominator along each isomorphism"}}),
-    "polarize": (cmd_polarize, "polarization to a squarefree ideal", 1, {}),
+                                     "denominator along each isomorphism"},
+                     **_CHAR_CHECK}),
+    "polarize": (cmd_polarize, "polarization to a squarefree ideal", 1, _CHECK),
 }
 
 
@@ -474,15 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, helptext, nfiles, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(char=0, check=False)  # main and the handlers read both
         p.add_argument("paths", nargs=nfiles, metavar="IDEAL.json",
                        help='ideal file: {"vars": [...], "gens": [[...], ...]}')
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", "-f", choices=("table", "json"), default="table")
-        p.add_argument("--char", type=int, default=0,
-                       help="coefficient field characteristic (0 or a prime)")
-        p.add_argument("--check", action="store_true",
-                       help="also run the invariant suite for this operation")
     return parser
 
 

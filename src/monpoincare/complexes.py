@@ -24,7 +24,6 @@ from .core import (
     mask_subset,
     mdeg_join,
     mdeg_sub,
-    monomial_str,
     zero_mdeg,
 )
 from .linalg import rank_of
@@ -47,18 +46,8 @@ class Ring:
     def quotient(cls, ideal: MonomialIdeal) -> "Ring":
         return cls(ideal.num_vars, ideal.var_names, ideal.generators)
 
-    @property
-    def is_free(self) -> bool:
-        return not self.relations
-
     def kills(self, m: Multidegree) -> bool:
         return any(divides(r, m) for r in self.relations)
-
-    def __str__(self):
-        base = "k[" + ",".join(self.var_names) + "]"
-        if self.is_free:
-            return base
-        return base + "/(" + ", ".join(monomial_str(r, self.var_names) for r in self.relations) + ")"
 
 
 @dataclass
@@ -66,9 +55,10 @@ class FreeComplex:
     """Chain complex of multigraded free modules.
 
     ``modules[i]`` lists the generator multidegrees in homological degree i;
-    ``diffs[i]`` maps (row, col) -> scalar for the differential
-    modules[i] -> modules[i-1], with diffs[0] always empty.  ``labels`` may
-    carry a parallel structure naming the generators (subsets, wedge sets...).
+    ``diffs[i]`` holds the differential modules[i] -> modules[i-1] by column:
+    one {row: nonzero scalar} dict per generator of modules[i], so diffs[0]
+    holds empty columns.  ``labels`` may carry a parallel structure naming
+    the generators (subsets, wedge sets...).
     ``alive_memo`` maps a bound to one ``alive_index`` per module; only
     ``resolve_residue_field`` fills it, for its own box, so that ``homology``
     over that box reads the resolver's indexes instead of rebuilding them.
@@ -93,33 +83,39 @@ class FreeComplex:
         return mdeg_sub(self.modules[i][col], self.modules[i - 1][row])
 
     def validate(self):
-        """Check homogeneity of every entry; raise on violation."""
+        """Check one column per generator and homogeneity of every entry;
+        raise on violation."""
         if len(self.diffs) != len(self.modules):
             raise InternalInconsistencyError("modules/diffs length mismatch")
+        for i, (diff, module) in enumerate(zip(self.diffs, self.modules)):
+            if len(diff) != len(module):
+                raise InternalInconsistencyError(
+                    f"degree {i} has {len(module)} generators and {len(diff)} columns")
         kills = cache(self.ring.kills)  # one relation scan per distinct monomial
         for i in range(1, len(self.modules)):
-            for (r, c), s in self.diffs[i].items():
-                if s == 0:
-                    raise InternalInconsistencyError(f"stored zero entry at degree {i} ({r},{c})")
-                mono = self.entry_monomial(i, r, c)
-                if any(e < 0 for e in mono):
-                    raise InternalInconsistencyError(
-                        f"inhomogeneous entry at degree {i} ({r},{c}): monomial {mono}")
-                if kills(mono):
-                    raise InternalInconsistencyError(
-                        f"entry at degree {i} ({r},{c}) should have been reduced to zero")
+            for c, column in enumerate(self.diffs[i]):
+                for r, s in column.items():
+                    if s == 0:
+                        raise InternalInconsistencyError(
+                            f"stored zero entry at degree {i} ({r},{c})")
+                    mono = self.entry_monomial(i, r, c)
+                    if any(e < 0 for e in mono):
+                        raise InternalInconsistencyError(
+                            f"inhomogeneous entry at degree {i} ({r},{c}): monomial {mono}")
+                    if kills(mono):
+                        raise InternalInconsistencyError(
+                            f"entry at degree {i} ({r},{c}) should have been reduced to zero")
 
     def d_squared_violations(self):
         """All (i, row, col) where (d_{i-1} o d_i) is nonzero over the ring."""
         bad = []
         kills = cache(self.ring.kills)  # one relation scan per distinct monomial
-        by_col = [diff_columns(diff) for diff in self.diffs]
         for i in range(2, len(self.modules)):
-            lower = by_col[i - 1]
-            for c, terms in by_col[i].items():
+            lower = self.diffs[i - 1]
+            for c, column in enumerate(self.diffs[i]):
                 acc = {}
-                for mid, s in terms:
-                    for r, t in lower.get(mid, ()):
+                for mid, s in column.items():
+                    for r, t in lower[mid].items():
                         acc[r] = acc.get(r, 0) + s * t
                 for r, total in acc.items():
                     if self.char:
@@ -132,34 +128,28 @@ class FreeComplex:
         return bad
 
 
-def diff_columns(diff: dict) -> dict:
-    """{column: [(row, scalar), ...]}: the entries of a differential by column."""
-    cols = {}
-    for (r, c), s in diff.items():
-        cols.setdefault(c, []).append((r, s))
-    return cols
-
-
-def cell_rows(col_entries: dict, cols, rows: set) -> list:
+def cell_rows(diff: list, cols, rows: set) -> list:
     """The matrix of a differential at one cell as sparse rows {column
-    position: scalar}: the entries of the alive columns ``cols`` (grouped by
-    ``diff_columns``) on the alive rows ``rows``, zero rows left out."""
+    position: scalar}: the entries of the alive columns ``cols`` of ``diff``
+    on the alive rows ``rows``, zero rows left out."""
     M = {}  # row generator -> {column position: scalar}
     for ci, c in enumerate(cols):
-        for r, s in col_entries.get(c, ()):
+        for r, s in diff[c].items():
             if r in rows:
                 M.setdefault(r, {})[ci] = s
     return list(M.values())
 
 
-def _entry(ring: Ring, diff: dict, row: int, col: int, scalar: int, mono: Multidegree):
+def _entry(ring: Ring, column: dict, row: int, scalar: int, mono: Multidegree):
+    """Add ``scalar`` at ``row`` of one column of a differential, unless the
+    ring kills the entry's monomial ``mono``; an entry that sums to zero is
+    removed."""
     if scalar and not ring.kills(mono):
-        key = (row, col)
-        new = diff.get(key, 0) + scalar
+        new = column.get(row, 0) + scalar
         if new:
-            diff[key] = new
+            column[row] = new
         else:
-            diff.pop(key, None)
+            column.pop(row, None)
 
 
 def _subset_complex(ring: Ring, atoms, faces_by_size) -> FreeComplex:
@@ -169,16 +159,14 @@ def _subset_complex(ring: Ring, atoms, faces_by_size) -> FreeComplex:
 
     d(T_J) = sum over j in J at 1-based position a of (-1)^(a+1) (m_J/m_{J\\j}) T_{J\\j}.
     """
-    modules, labels, diffs = [], [], [{}]
+    modules, labels, diffs = [], [], []
     index = []
     for size, faces in enumerate(faces_by_size):
         modules.append([reduce(mdeg_join, (atoms[i] for i in f), zero_mdeg(ring.num_vars))
                         for f in faces])
         labels.append(list(faces))
         index.append({f: k for k, f in enumerate(faces)})
-        if size == 0:
-            continue
-        diff = {}
+        diff = [{} for _ in faces]  # the empty face has no entries
         for col, face in enumerate(faces):
             for a, j in enumerate(face, start=1):
                 sub = tuple(x for x in face if x != j)
@@ -187,7 +175,7 @@ def _subset_complex(ring: Ring, atoms, faces_by_size) -> FreeComplex:
                     raise InternalInconsistencyError(
                         f"face {sub} missing below {face}; subset complex not closed")
                 mono = mdeg_sub(modules[size][col], modules[size - 1][row])
-                _entry(ring, diff, row, col, (-1) ** (a + 1), mono)
+                _entry(ring, diff[col], row, (-1) ** (a + 1), mono)
         diffs.append(diff)
     return FreeComplex(ring, modules, diffs, labels)
 
@@ -301,10 +289,10 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     Returns {i: {multidegree: dim}} with zero dimensions omitted.  The alive
     bases come from one ``alive_index`` per module, built once per call at a
     cost of (generator, standard cell) pairs, or read from ``C.alive_memo``
-    when the resolver left the indexes for this bound.  Each d_i is grouped
-    by column once per call, and at each cell the smaller side of its matrix
-    is ranked: the alive columns as sparse vectors {row generator: scalar}
-    over the alive rows (the transpose, so the rank is the same), or, where
+    when the resolver left the indexes for this bound.  At each cell the
+    smaller side of the matrix of d_i is ranked: the alive columns of
+    ``C.diffs[i]``, each a sparse vector {row generator: scalar}, over the
+    alive rows (the transpose, so the rank is the same), or, where
     there are more alive columns than alive rows, the alive rows as
     ``cell_rows`` over the alive columns.  So ``rank_of`` never gets more
     vectors than columns.
@@ -316,7 +304,6 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     if indexes is None:
         standard = standard_monomials(C.ring, bound)
         indexes = [alive_index(C.ring, module, bound, standard) for module in C.modules]
-    by_col = [diff_columns(diff) for diff in C.diffs]
     top = C.top_degree
     result = {i: {} for i in range(top + 1)}
     for j in box_multidegrees(bound):
@@ -325,11 +312,11 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
         for i in range(1, top + 1):
             cols = alive[i]
             if cols and alive[i - 1]:
-                rows, entries = set(alive[i - 1]), by_col[i]
+                rows, diff = set(alive[i - 1]), C.diffs[i]
                 if len(cols) > len(rows):
-                    ranks[i] = rank_of(cell_rows(entries, cols, rows), len(cols), char)
+                    ranks[i] = rank_of(cell_rows(diff, cols, rows), len(cols), char)
                 else:
-                    ranks[i] = rank_of([{r: s for r, s in entries.get(c, ()) if r in rows}
+                    ranks[i] = rank_of([{r: s for r, s in diff[c].items() if r in rows}
                                         for c in cols], len(rows), char)
         for i in range(top + 1):
             if d := len(alive[i]) - ranks[i] - ranks[i + 1]:
@@ -339,7 +326,8 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
 
 def _unit_entries(C: FreeComplex):
     for i in range(1, len(C.modules)):
-        for (r, c), s in sorted(C.diffs[i].items()):
+        for r, c, s in sorted((r, c, s) for c, column in enumerate(C.diffs[i])
+                              for r, s in column.items()):
             if s and C.modules[i][c] == C.modules[i - 1][r]:
                 yield i, r, c, s
 
@@ -348,7 +336,7 @@ def minimize(C: FreeComplex) -> FreeComplex:
     """Cancel unit entries (scalar entries between equal multidegrees) until none
     remain; the result is homotopy equivalent with ranks the graded Betti numbers."""
     modules = [list(m) for m in C.modules]
-    diffs = [dict(d) for d in C.diffs]
+    diffs = [[dict(column) for column in d] for d in C.diffs]
     char = C.char
     while True:
         hit = next(_unit_entries(FreeComplex(C.ring, modules, diffs, None, char)), None)
@@ -356,40 +344,29 @@ def minimize(C: FreeComplex) -> FreeComplex:
             break
         i, r, c, u = hit
         d = diffs[i]
-        col_of = {rr: s for (rr, cc), s in d.items() if cc == c and rr != r}
-        row_of = {cc: s for (rr, cc), s in d.items() if rr == r and cc != c}
-        for (rr, cc) in [k for k in d]:
-            if rr == r or cc == c:
-                del d[(rr, cc)]
-        for rr, a in col_of.items():
-            for cc, b in row_of.items():
+        col_of = {rr: s for rr, s in d[c].items() if rr != r}
+        row_of = {cc: column.pop(r) for cc, column in enumerate(d) if cc != c and r in column}
+        for cc, b in row_of.items():
+            column = d[cc]
+            for rr, a in col_of.items():
                 if char:
-                    val = (d.get((rr, cc), 0) - a * b * pow(u, -1, char)) % char
+                    val = (column.get(rr, 0) - a * b * pow(u, -1, char)) % char
                 else:
-                    val = d.get((rr, cc), 0) - Fraction(a * b, u)
+                    val = column.get(rr, 0) - Fraction(a * b, u)
                     if val.denominator == 1:
                         val = int(val)
                 if val:
-                    d[(rr, cc)] = val
+                    column[rr] = val
                 else:
-                    d.pop((rr, cc), None)
-        # drop generator c in degree i and r in degree i-1, reindexing neighbours
-        def dropped(mapping, dead_row, dead_col):
-            out = {}
-            for (rr, cc), s in mapping.items():
-                if rr == dead_row or cc == dead_col:
-                    continue
-                out[(rr - (dead_row is not None and rr > dead_row),
-                     cc - (dead_col is not None and cc > dead_col))] = s
-            return out
-
-        diffs[i] = dropped(d, r, c)
-        if i + 1 < len(diffs):
-            diffs[i + 1] = dropped(diffs[i + 1], c, None)
-        if i >= 2:
-            diffs[i - 1] = dropped(diffs[i - 1], None, r)
-        del modules[i][c]
-        del modules[i - 1][r]
+                    column.pop(rr, None)
+        # drop generator c in degree i and r in degree i-1 with their columns,
+        # and renumber the rows of d_i past r and of d_{i+1} past c
+        del modules[i][c], d[c]
+        del modules[i - 1][r], diffs[i - 1][r]
+        for k, dead in ((i, r), (i + 1, c)):
+            if k < len(diffs):
+                diffs[k] = [{rr - (rr > dead): s for rr, s in column.items() if rr != dead}
+                            for column in diffs[k]]
     while len(modules) > 1 and not modules[-1]:
         modules.pop()
         diffs.pop()

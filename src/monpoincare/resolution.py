@@ -47,7 +47,6 @@ from .complexes import (
     alive_cells,
     alive_index,
     cell_rows,
-    diff_columns,
     homology,
     koszul_complex,
     scarf_faces,
@@ -121,20 +120,19 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     standard = standard_monomials(ring, bound)
 
     modules = [[zero_mdeg(n)]]
-    diffs = [{}]
+    diffs = [[{}]]
     if tmax >= 1:
         # units outside the box belong to variables no generator uses; their
         # (split-off polynomial) contribution cancels against the numerator
         gens1 = [u for u in (unit_mdeg(n, i) for i in range(n)) if u in standard]
         modules.append(gens1)
-        diffs.append({(0, c): 1 for c in range(len(gens1))})
+        diffs.append([{0: 1} for _ in gens1])
     alive = [alive_index(ring, module, bound, standard) for module in modules]
     rank_prev = {j: 1 for j in standard if any(j)}  # the rank of d_1 at j
 
     for step in range(2, tmax + 1):
         cols_at, rows_at = alive[step - 1], alive[step - 2]
-        col_entries = diff_columns(diffs[step - 1])
-        degs, vecs = [], []  # chosen generators: multidegree, {prev index: scalar}
+        degs, vecs = [], []  # chosen generators: multidegree, column {prev index: scalar}
         index, rank = {}, {}  # cell -> generators alive there, the rank of d_step there
         for j in cells:
             cols = cols_at.get(j)
@@ -154,7 +152,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                     break
             if span.dim == z:
                 continue
-            M = cell_rows(col_entries, cols, set(rows_at.get(j, ())))
+            M = cell_rows(diffs[step - 1], cols, set(rows_at.get(j, ())))
             kernel = kernel_basis(M, len(cols), char)
             if len(kernel) != z:
                 raise InternalInconsistencyError(f"step {step} at multidegree {j}: the kernel has "
@@ -172,7 +170,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         modules.append(degs)
         alive.append(index)
         rank_prev = rank
-        diffs.append({(r, ci): s for ci, vec in enumerate(vecs) for r, s in vec.items()})
+        diffs.append(vecs)
 
     cpx = FreeComplex(ring, modules, diffs, None, char)
     cpx.alive_memo[bound] = alive
@@ -277,9 +275,10 @@ def _perm_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) -> dict:
+def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, m_face: dict,
+                      char: int) -> dict:
     """One representative cycle per nonempty Scarf face J, spanning the
-    one-dimensional H_{|J|}(K)_{m_J}.
+    one-dimensional H_{|J|}(K)_{m_J}; ``m_face`` maps each face to m_J.
 
     Each generator of a Scarf face strictly attains the face lcm in at least
     one variable (otherwise dropping it would leave the lcm unchanged), and a
@@ -297,7 +296,6 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
     gens = ideal.generators
     ring = K.ring
     n = ideal.num_vars
-    m_face = {f: lcm_of_subset(ideal, f) for f in faces}
     face_set = set(faces)
 
     candidates = {}
@@ -344,9 +342,8 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, char: int) ->
     if not _assign_cycles(0, order, candidates, assigned, pair_identity_holds):
         raise InternalInconsistencyError(
             "no coherent system of Scarf cycle representatives exists")
-    by_col = [diff_columns(diff) for diff in K.diffs]
     for face, cycle in assigned.items():
-        _verify_class_rep(K, by_col, len(face), m_face[face], cycle, char)
+        _verify_class_rep(K, len(face), m_face[face], cycle, char)
     return assigned
 
 
@@ -373,15 +370,15 @@ def _assign_cycles(k, order, candidates, assigned, pair_identity_holds) -> bool:
     return False
 
 
-def _verify_class_rep(K: FreeComplex, by_col, i: int, j: Multidegree, cycle: dict, char: int):
+def _verify_class_rep(K: FreeComplex, i: int, j: Multidegree, cycle: dict, char: int):
     """Check a proposed cycle is alive, closed, and spans the 1-dim H_i(K)_j,
-    ranking the sparse columns ``by_col[i]`` of d_i over the alive rows."""
+    ranking the sparse columns ``K.diffs[i]`` of d_i over the alive rows."""
     cols = alive_basis(K, i, j)
     rows, alive = set(alive_basis(K, i - 1, j)), set(cols)
-    d_i = {c: {r: s for r, s in by_col[i].get(c, ()) if r in rows} for c in cols}
+    d_i = {c: {r: s for r, s in K.diffs[i][c].items() if r in rows} for c in cols}
     span = EchelonSpace(len(cols), char)  # the boundaries
     for c in alive_basis(K, i + 1, j):
-        span.add({r: s for r, s in by_col[i + 1].get(c, ()) if r in alive})
+        span.add({r: s for r, s in K.diffs[i + 1][c].items() if r in alive})
     dim = len(cols) - rank_of(list(d_i.values()), len(rows), char) - span.dim
     if dim != 1:
         raise InternalInconsistencyError(
@@ -421,7 +418,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
     faces = [f for f in scarf_faces(ideal) if f]
     face_set = set(faces)
     m_face = {f: lcm_of_subset(ideal, f) for f in faces}
-    z = _scarf_cycle_reps(ideal, K, faces, char)
+    z = _scarf_cycle_reps(ideal, K, faces, m_face, char)
 
     chains_by_weight = {0: [()]}
     for w in range(1, imax + 1):
@@ -451,16 +448,15 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
         labels.append(gens)
         index.append({g: k for k, g in enumerate(gens)})
 
-    diffs = [{}]
+    diffs = [[{} for _ in module] for module in modules]
     for i in range(1, imax + 1):
-        diff = {}
         for col, (S, chain) in enumerate(labels[i]):
-            col_mdeg = modules[i][col]
+            column, col_mdeg = diffs[i][col], modules[i][col]
             # Koszul differential on the wedge factor
             for a, v in enumerate(S, start=1):
                 target = (tuple(x for x in S if x != v), chain)
                 row = index[i - 1][target]
-                _entry(ring, diff, row, col, (-1) ** (a + 1),
+                _entry(ring, column, row, (-1) ** (a + 1),
                        mdeg_sub(col_mdeg, modules[i - 1][row]))
             if not chain:
                 continue
@@ -472,7 +468,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
                     continue
                 target = (tuple(sorted(S + T)), chain[1:])
                 row = index[i - 1][target]
-                _entry(ring, diff, row, col, sgn_S * _perm_sign(S + T) * coeff,
+                _entry(ring, column, row, sgn_S * _perm_sign(S + T) * coeff,
                        mdeg_sub(col_mdeg, modules[i - 1][row]))
             # merges of adjacent faces; the sign exponent is the summed
             # homological weight of the factors up to and including the first
@@ -485,9 +481,8 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
                     if union in face_set:
                         target = (S, chain[:q - 1] + (union,) + chain[q + 1:])
                         row = index[i - 1][target]
-                        _entry(ring, diff, row, col,
+                        _entry(ring, column, row,
                                sgn_S * ((-1) ** weight) * _perm_sign(A + B),
                                mdeg_sub(col_mdeg, modules[i - 1][row]))
                 weight += len(B) + 1
-        diffs.append(diff)
     return FreeComplex(ring, modules, diffs, labels, char)

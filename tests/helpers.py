@@ -186,7 +186,7 @@ def oracle_homology(C, bound):
         for i in range(1, top + 1):
             rows, cols = alive[i - 1], alive[i]
             if rows and cols:
-                M = Matrix([[C.diffs[i].get((r, c), 0) for c in cols] for r in rows])
+                M = Matrix([[C.diffs[i][c].get(r, 0) for c in cols] for r in rows])
                 ranks[i] = M.rank()
         for i in range(top + 1):
             h = len(alive[i]) - ranks[i] - ranks[i + 1]
@@ -202,8 +202,8 @@ def oracle_d_squared_violations(C):
     out = []
     for i in range(2, len(C.modules)):
         top, mid, low = C.modules[i], C.modules[i - 1], C.modules[i - 2]
-        upper = [[C.diffs[i].get((m, c), 0) for c in range(len(top))] for m in range(len(mid))]
-        lower = [[C.diffs[i - 1].get((r, m), 0) for m in range(len(mid))] for r in range(len(low))]
+        upper = [[C.diffs[i][c].get(m, 0) for c in range(len(top))] for m in range(len(mid))]
+        lower = [[C.diffs[i - 1][m].get(r, 0) for m in range(len(mid))] for r in range(len(low))]
         for r in range(len(low)):
             for c in range(len(top)):
                 total = sum(lower[r][m] * upper[m][c] for m in range(len(mid)))

@@ -235,6 +235,11 @@ def test_each_command_resolves_at_most_once(closing_pair, ideal_file, resolve_ca
     capsys.readouterr()
 
 
+def _check_flag(command, check):
+    """["--check"] where asked for and the subcommand declares it."""
+    return ["--check"] if check and "--check" in cli._COMMANDS[command][3] else []
+
+
 @pytest.mark.parametrize("check", [False, True])
 def test_only_koszul_eagon_and_betti_check_build_the_koszul_complex(closing_pair, ideal_file,
                                                                     monkeypatch, check, capsys):
@@ -256,7 +261,7 @@ def test_only_koszul_eagon_and_betti_check_build_the_koszul_complex(closing_pair
         paths = [a, b] if command == "lattice-iso" else [gen if "golod" in command
                                                          or command == "eagon" else b]
         calls.clear()
-        assert main([command, *paths, *(["--check"] if check else [])]) == 0, command
+        assert main([command, *paths, *_check_flag(command, check)]) == 0, command
         assert bool(calls) == (command in builders), command
     capsys.readouterr()
 
@@ -398,7 +403,7 @@ def test_each_command_builds_one_codec_per_ideal(closing_pair, ideal_file, table
         argv = ([a, b, "--transport"] if command == "lattice-iso" else
                 [gen if command in ("scarf", "eagon", "golod-generic") else b])
         table_builds.clear()
-        assert main([command, *argv, *(["--check"] if check else [])]) == 0, command
+        assert main([command, *argv, *_check_flag(command, check)]) == 0, command
         # polarize --check also builds the lattice of the polarized ideal
         ideals = 2 if command == "lattice-iso" or command == "polarize" and check else 1
         assert table_builds["staircase"] <= ideals, command
@@ -580,8 +585,9 @@ def test_complex_check_reports_a_nonzero_d_squared(closing_pair, monkeypatch, ca
 
     def one_sign_flipped(ideal):
         T = real(ideal)
-        key = min(T.diffs[2])
-        T.diffs[2][key] = -T.diffs[2][key]
+        column = T.diffs[2][0]
+        row = min(column)
+        column[row] = -column[row]
         return T
 
     monkeypatch.setattr(cli, "taylor_complex", one_sign_flipped)
@@ -661,6 +667,47 @@ def test_lattice_iso_reports_a_transported_Q_that_differs(closing_pair, monkeypa
         out = _fails_check(["lattice-iso", a, a, "--transport", "-f", fmt], capsys, message)
         assert "t*y1" in out if fmt == "table" else json.loads(out)["transported"]
     assert main(["lattice-iso", a, a]) == 0  # nothing is transported without --transport
+    capsys.readouterr()
+
+
+def test_lattice_iso_transport_pairs_linear_generators_with_linear_ones(ideal_file, monkeypatch,
+                                                                        capsys):
+    # swapping x and y^3 preserves the GCD graph, but Q gives x the factor
+    # 1 + t*y1 and y^3 the term -t^2*y2^3: Q is compared only along the maps
+    # that send the linear generators onto the linear generators
+    lin = ideal_file("lin", ["x", "y"], [[1, 0], [0, 3]])
+    assert main(["lattice-iso", lin, lin, "--transport"]) == 0
+    assert "[1] x -> y^3, y^3 -> x   gcd_preserving=True" in capsys.readouterr().out
+    # x -> x, y^3 -> y sends the one linear generator to a linear one, but
+    # the target has two
+    assert main(["lattice-iso", lin, ideal_file("xy", ["x", "y"], [[1, 0], [0, 1]]),
+                 "--transport"]) == 0
+    for path in _linear_ideal_files(ideal_file):
+        doc = json.loads(Path(path).read_text())
+        flipped = ideal_file(Path(path).stem + "_flipped", doc["vars"],
+                             [g[::-1] for g in doc["gens"]])
+        assert main(["lattice-iso", path, flipped, "--transport"]) == 0, path
+    real = cli.transport_denominator
+
+    def shifted(Q, m):
+        T = real(Q, m)
+        return T + series_from_terms(T.num_vars, T.tmax, T.ybound, [(1, (0, 1), 1)])
+
+    monkeypatch.setattr(cli, "transport_denominator", shifted)
+    _fails_check(["lattice-iso", lin, lin, "--transport"], capsys,
+                 "isomorphism [0] preserves GCD graphs but transported Q differs")
+
+
+def test_options_that_no_handler_reads_are_refused(closing_pair, capsys):
+    a, _ = closing_pair
+    for command, *option in (["candidates", "--char", "2"], ["candidates", "--check"],
+                             ["taylor", "--char", "2"], ["scarf", "--char", "2"],
+                             ["koszul", "--char", "2"], ["polarize", "--char", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, a, *option])
+        assert exc.value.code == 2, command
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert main([command, a]) == 0, command
     capsys.readouterr()
 
 

@@ -39,7 +39,7 @@ def test_taylor_two_variables():
     # generators sort as (y, x); with the Koszul sign (-1)^(a+1),
     # d(T_{yx}) = y T_x - x T_y
     assert I.generators == ((0, 1), (1, 0))
-    assert T.diffs[2] == {(0, 0): -1, (1, 0): 1}
+    assert T.diffs[2] == [{0: -1, 1: 1}]
     assert T.entry_monomial(2, 0, 0) == (1, 0)
     assert T.entry_monomial(2, 1, 0) == (0, 1)
     assert not T.d_squared_violations()
@@ -104,7 +104,7 @@ def test_koszul_conventions():
     K = koszul_complex(ring)
     assert K.ranks() == [1, 2, 1]
     # d(e1 ^ e2) = x1 e2 - x2 e1
-    assert K.diffs[2] == {(1, 0): 1, (0, 0): -1}
+    assert K.diffs[2] == [{1: 1, 0: -1}]
     assert not K.d_squared_violations()
 
 
@@ -112,7 +112,7 @@ def test_koszul_over_quotient_kills_entries():
     I = minimalize([(1, 0)], 2)  # x itself in the ideal
     K = koszul_complex(Ring.quotient(I))
     # d(e_x) = x = 0 in R, so no entry in column of e_x
-    assert (0, 0) not in K.diffs[1]
+    assert 0 not in K.diffs[1][0]
     K.validate()
 
 
@@ -183,15 +183,43 @@ def test_validate_raises_on_each_planted_violation():
     ring = Ring.quotient(minimalize([(2, 0)], 2, ("x", "y")))  # k[x,y]/(x^2)
     modules = [[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (1, 1)]]
     # x, x and y: two entries share the monomial x, and none is killed
-    good = {(0, 0): 1, (1, 1): 1, (1, 2): -1}
-    FreeComplex(ring, modules, [{}, good]).validate()
-    planted = [({(0, 2): 0}, r"stored zero entry at degree 1 \(0,2\)"),
-               ({(2, 0): 1}, r"inhomogeneous entry at degree 1 \(2,0\): monomial \(1, -1\)"),
-               ({(0, 1): 1}, r"entry at degree 1 \(0,1\) should have been reduced to zero")]
-    for extra, message in planted:
-        C = FreeComplex(ring, modules, [{}, {**good, **extra}])
+    good = [{0: 1}, {1: 1}, {1: -1}]
+    empty = [{}, {}, {}]
+    FreeComplex(ring, modules, [empty, good]).validate()
+    planted = [((0, 2, 0), r"stored zero entry at degree 1 \(0,2\)"),
+               ((2, 0, 1), r"inhomogeneous entry at degree 1 \(2,0\): monomial \(1, -1\)"),
+               ((0, 1, 1), r"entry at degree 1 \(0,1\) should have been reduced to zero")]
+    for (r, c, s), message in planted:
+        diff = [dict(column) for column in good]
+        diff[c][r] = s
+        C = FreeComplex(ring, modules, [empty, diff])
         with pytest.raises(InternalInconsistencyError, match=message):
             C.validate()
+    for diffs, message in (([empty, good[:2]], "degree 1 has 3 generators and 2 columns"),
+                           ([[{}, {}], good], "degree 0 has 3 generators and 2 columns")):
+        with pytest.raises(InternalInconsistencyError, match=message):
+            FreeComplex(ring, modules, diffs).validate()
+
+
+def test_every_builder_stores_one_column_per_generator():
+    corpus = random_corpus(25, seed=89)
+    assert sum(is_generic(ideal) for ideal in corpus) >= 5
+    # on this corpus minimize cancels nothing below a degree that survives; on
+    # these five generators it does (ranks 1, 5, 6, 2), and renumbers the rows
+    # of the differential above
+    renumbered = minimalize([(0, 1, 0, 2), (0, 2, 0, 1), (2, 1, 1, 0), (2, 2, 0, 0),
+                             (1, 2, 2, 0)], 4)
+    for ideal in [*corpus, renumbered]:
+        taylor = taylor_complex(ideal)
+        built = [taylor, scarf_complex(ideal), koszul_complex(Ring.quotient(ideal)),
+                 minimize(taylor), minimize(replace(taylor, char=2)),
+                 *(resolve_residue_field(ideal, 4, char=char).complex for char in (0, 2))]
+        if is_generic(ideal):
+            built.append(eagon_resolution(ideal, 4))
+        for C in built:
+            C.validate()
+            assert [len(diff) for diff in C.diffs] == C.ranks(), ideal
+            assert not any(C.diffs[0]) and not C.d_squared_violations(), ideal
 
 
 def test_homology_char_two_agrees_here():
@@ -292,15 +320,17 @@ def test_homology_reads_the_resolver_index(monkeypatch):
 
 
 def _perturbed(C, i, key):
-    """C with the scalar of diffs[i][key] moved by one (dropped if it becomes 0)."""
-    diffs = [dict(d) for d in C.diffs]
-    new = C.diffs[i].get(key, 0) + 1
+    """C with the scalar of d_i at key = (row, col) moved by one (dropped if
+    it becomes 0)."""
+    r, c = key
+    diffs = [[dict(column) for column in d] for d in C.diffs]
+    new = C.diffs[i][c].get(r, 0) + 1
     if C.char:
         new %= C.char
     if new:
-        diffs[i][key] = new
+        diffs[i][c][r] = new
     else:
-        del diffs[i][key]
+        del diffs[i][c][r]
     return replace(C, diffs=diffs)
 
 
@@ -315,7 +345,8 @@ def test_d_squared_violations_match_dense_oracle():
         for C in (taylor, *resolutions):
             assert C.d_squared_violations() == [] == oracle_d_squared_violations(C)
             for i in range(2, len(C.modules)):
-                for key in sorted(C.diffs[i]):
+                for key in sorted((r, c) for c, column in enumerate(C.diffs[i])
+                                  for r in column):
                     broken = _perturbed(C, i, key)
                     bad = broken.d_squared_violations()
                     assert sorted(bad) == sorted(oracle_d_squared_violations(broken)), (

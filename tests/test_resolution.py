@@ -63,8 +63,9 @@ def test_resolve_is_minimal_and_exact():
         assert not C.d_squared_violations()
         # minimal: no entry between equal multidegrees
         for i in range(1, len(C.modules)):
-            for (r, c) in C.diffs[i]:
-                assert C.modules[i][c] != C.modules[i - 1][r]
+            for c, column in enumerate(C.diffs[i]):
+                for r in column:
+                    assert C.modules[i][c] != C.modules[i - 1][r]
         H = homology(C, res.bound)
         assert H[0] == {(0,) * ideal.num_vars: 1}
         for i in range(1, res.tmax):
