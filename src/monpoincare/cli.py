@@ -375,14 +375,15 @@ def cmd_lattice_iso(args, A, B):
         QB = _exact_denominator(B, args)
         linear_A, linear_B = ({k for k, g in enumerate(I.generators) if total_degree(g) == 1}
                               for I in (A, B))
-        for idx, m in enumerate(isos):
+        for idx, (m, item) in enumerate(zip(isos, payload)):
             T = transport_denominator(QA, m)
             transported_out.append(T)
             # Q is transported only where the linear generators, which split
             # off the factors 1 + t*y_i, correspond; deg m_I, Q's
             # t-truncation, may differ between the two ideals
-            if (mismatch is None and m.gcd_preserving and T.coeffs != QB.coeffs
-                    and {m.atom_map[i] for i in linear_A} == linear_B):
+            item["transport_compared"] = compared = (
+                m.gcd_preserving and {m.atom_map[i] for i in linear_A} == linear_B)
+            if mismatch is None and compared and T.coeffs != QB.coeffs:
                 mismatch = idx
     if args.format == "json":
         doc = {"count": len(isos), "isomorphisms": payload}
@@ -393,8 +394,9 @@ def cmd_lattice_iso(args, A, B):
         print(f"{len(isos)} lattice isomorphism(s) from L_{A} to L_{B}")
         for k, item in enumerate(payload):
             arrows = ", ".join(f"{a} -> {b}" for a, b in item["atoms"])
-            print(f"  [{k}] {arrows}   gcd_preserving={item['gcd_preserving']}")
-            if args.transport and transported_out:
+            skipped = "" if item.get("transport_compared", True) else " (not compared)"
+            print(f"  [{k}] {arrows}   gcd_preserving={item['gcd_preserving']}{skipped}")
+            if args.transport:
                 names = tuple(f"y{i+1}" for i in range(B.num_vars))
                 print(f"      transported Q = {transported_out[k].render(names)}")
     if mismatch is not None:

@@ -14,8 +14,7 @@ coprime exactly when ``a & b == 0``.  A :class:`MonomialIdeal` owns its
 ``codec``, its 2^r :func:`subset_table` of subset lcms (``subset_lcms``) and
 its table of l_J (``subset_components``), each built on first use and kept,
 outside the fields, for the life of the object; both tables refuse more than
-``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.  Only the
-lattice isomorphism search builds another table, over permuted target atoms.
+``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.
 """
 from __future__ import annotations
 
@@ -92,10 +91,12 @@ def monomial_str(m: Multidegree, names) -> str:
 
 
 def _check_mdeg(m, num_vars) -> Multidegree:
+    if not isinstance(m, (list, tuple)):
+        raise InputError(f"multidegree {m!r} must be a list of exponents")
     m = tuple(m)
     if len(m) != num_vars:
         raise InputError(f"multidegree {m} has length {len(m)}, expected {num_vars}")
-    if not all(isinstance(x, int) and x >= 0 for x in m):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in m):
         raise InputError(f"multidegree {m} must consist of non-negative integers")
     return m
 
@@ -150,7 +151,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data) -> "MonomialIdeal":
-        if not isinstance(data, dict) or "vars" not in data or "gens" not in data:
+        if not (isinstance(data, dict) and isinstance(data.get("vars"), list)
+                and isinstance(data.get("gens"), list)):
             raise InputError('ideal file must be {"vars": [...], "gens": [[...], ...]}')
         names = tuple(str(v) for v in data["vars"])
         if not names:

@@ -1,7 +1,7 @@
 """LCM lattices, isomorphism search and denominator transport."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -9,8 +9,7 @@ from .core import (
     MonomialIdeal,
     Multidegree,
     Polarization,
-    Staircase,
-    subset_table,
+    coprime,
     total_degree,
 )
 from .series import BigradedSeries
@@ -21,20 +20,17 @@ class LcmLattice:
     """All subset lcms of an ideal's generators, ordered by divisibility.
 
     ``elements`` is sorted by (total degree, lex); the bottom 0 comes first and
-    the top m_I last.  Internally an element is its staircase bitmask under
-    ``codec`` (see :mod:`monpoincare.core`): ``masks[k]`` encodes
-    ``elements[k]``, joins are ``|``, divisibility is ``a & ~b == 0`` and
-    coprimality ``a & b == 0``.  ``codec`` and ``lcms`` are the ideal's own
-    ``codec`` and ``subset_lcms`` (the mask of m_J for every generator subset
-    J, indexed by bitmask), shared and not copied.
+    the top m_I last.  The lattice is atomic, its atoms being the generators,
+    so an element is fixed by the atoms below it: ``closed[k]`` is the bitmask
+    (bit i for ``atoms[i]``) of the atoms dividing ``elements[k]``, and
+    ``elements[j]`` divides ``elements[k]`` exactly when ``closed[j]`` is a
+    subset of ``closed[k]``.
     """
 
     num_vars: int
     atoms: tuple  # generator multidegrees, in the ideal's order
     elements: tuple
-    codec: Staircase
-    masks: tuple  # masks[k] encodes elements[k]
-    lcms: list = field(compare=False)  # the ideal's subset_lcms; do not mutate
+    closed: tuple  # closed[k]: bitmask of the atoms dividing elements[k]
 
     @property
     def bottom(self) -> Multidegree:
@@ -46,11 +42,12 @@ class LcmLattice:
 
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    codec, lcms = ideal.codec, ideal.subset_lcms
-    decoded = sorted(((codec.decode(m), m) for m in set(lcms)),
+    codec = ideal.codec
+    decoded = sorted(((codec.decode(m), m) for m in set(ideal.subset_lcms)),
                      key=lambda em: (total_degree(em[0]), em[0]))
-    return LcmLattice(ideal.num_vars, ideal.generators, tuple(e for e, _ in decoded), codec,
-                      tuple(m for _, m in decoded), lcms)
+    closed = (sum(1 << i for i, a in enumerate(codec.atoms) if a & ~m == 0) for _, m in decoded)
+    return LcmLattice(ideal.num_vars, ideal.generators, tuple(e for e, _ in decoded),
+                      tuple(closed))
 
 
 @dataclass(frozen=True)
@@ -70,78 +67,62 @@ class LatticeMap:
             raise InputError(f"{m} is not an element of the source lattice") from None
 
 
-def _induced_element_map(L1: LcmLattice, L2: LcmLattice, atom_map):
-    """The mask map m_J -> m'_{sigma(J)} if well defined and injective, else None.
+def _lattice_map(L1: LcmLattice, L2: LcmLattice, atom_map):
+    """The LatticeMap induced by ``atom_map`` (r distinct target atoms for
+    L1's r atoms), or None if it induces no lattice isomorphism.
 
-    ``atom_map`` must list r distinct target atoms for L1's r atoms; then the
-    image is all of L2 and an injective map is a lattice isomorphism.
+    It induces one exactly when |L1| = |L2| and it maps the atom set of every
+    element of L1 onto the atom set of an element of L2: distinct atom sets
+    have distinct images, the sizes make the map onto, and inclusion of atom
+    sets is kept both ways.  Coprimality of nonzero elements is coprimality
+    of every pair of atoms below them, so the r^2 atom pairs decide
+    ``gcd_preserving``.
     """
-    target_lcms = subset_table([L2.codec.atoms[k] for k in atom_map])
-    pairs = set(zip(L1.lcms, target_lcms))
-    # well defined: one image per source element; injective: one preimage per image
-    if not len(pairs) == len(L1.masks) == len(set(target_lcms)):
+    if len(L1.elements) != len(L2.elements):
         return None
-    return dict(pairs)
+    targets = dict(zip(L2.closed, L2.elements))
+    element_map = {}
+    for m, c in zip(L1.elements, L1.closed):
+        image = targets.get(sum(1 << k for i, k in enumerate(atom_map) if c >> i & 1))
+        if image is None:
+            return None
+        element_map[m] = image
+    pairs = [(a, L2.atoms[k]) for a, k in zip(L1.atoms, atom_map)]
+    gcd_preserving = all(coprime(a, b) == coprime(fa, fb)
+                         for (a, fa), (b, fb) in combinations(pairs, 2))
+    return LatticeMap(L1, L2, tuple(atom_map), element_map, gcd_preserving)
 
 
-def _gcd_preserving(fwd, atoms) -> bool:
-    """Does the isomorphism ``fwd`` (masks) keep coprimality of every pair of
-    nonzero elements?
-
-    Elements a and b are coprime iff every atom below a is coprime to every
-    atom below b, and an isomorphism maps the atoms below a onto the atoms
-    below fwd[a]; so the r^2 pairs of the atom masks ``atoms`` decide it.
-    """
-    pairs = [(a, fwd[a]) for a in atoms]
-    return all((a & b == 0) == (fa & fb == 0)
-               for (a, fa), (b, fb) in combinations(pairs, 2))
-
-
-def _lattice_map(L1: LcmLattice, L2: LcmLattice, atom_map, fwd) -> LatticeMap:
-    elements1 = dict(zip(L1.masks, L1.elements))
-    elements2 = dict(zip(L2.masks, L2.elements))
-    element_map = {elements1[a]: elements2[b] for a, b in fwd.items()}
-    return LatticeMap(L1, L2, tuple(atom_map), element_map,
-                      _gcd_preserving(fwd, L1.codec.atoms))
+def _atom_bijections(candidates, prefix=()):
+    """Each injective choice of one entry from every list of ``candidates``,
+    depth first, in list order."""
+    if len(prefix) == len(candidates):
+        yield prefix
+        return
+    for k in candidates[len(prefix)]:
+        if k not in prefix:
+            yield from _atom_bijections(candidates, prefix + (k,))
 
 
 def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
     """All atom bijections inducing a lattice isomorphism L_{I1} -> L_{I2}.
 
     Every lattice isomorphism maps atoms to atoms, so enumerating atom
-    bijections is exhaustive.  Candidates are pruned by matching up-set sizes
-    (an order-isomorphism invariant); each map carries a flag saying whether it
-    also induces an isomorphism of the GCD graphs.
+    bijections is exhaustive.  An atom may only go to an atom with as many
+    elements above it (an order-isomorphism invariant, read off ``closed``);
+    each surviving bijection is decided on atom sets by ``_lattice_map``, and
+    each map found carries a flag saying whether it also induces an
+    isomorphism of the GCD graphs.
     """
     L1 = build_lcm_lattice(I1)
     L2 = build_lcm_lattice(I2)
-    if len(L1.elements) != len(L2.elements) or len(L1.atoms) != len(L2.atoms):
-        return []
-
-    def upset_sizes(L):
-        return [sum(1 for m in L.masks if a & ~m == 0) for a in L.codec.atoms]
-
-    up1, up2 = upset_sizes(L1), upset_sizes(L2)
     r = len(L1.atoms)
+    if len(L1.elements) != len(L2.elements) or r != len(L2.atoms):
+        return []
+    up1, up2 = ([sum(c >> i & 1 for c in L.closed) for i in range(r)] for L in (L1, L2))
     candidates = [[k for k in range(r) if up2[k] == up1[i]] for i in range(r)]
-    found = []
-
-    def backtrack(i, used, current):
-        if i == r:
-            fwd = _induced_element_map(L1, L2, current)
-            if fwd is not None:
-                found.append(_lattice_map(L1, L2, current, fwd))
-            return
-        for k in candidates[i]:
-            if k not in used:
-                used.add(k)
-                backtrack(i + 1, used, current + [k])
-                used.remove(k)
-
-    backtrack(0, set(), [])
-    # the closure refers to itself; dropping it frees the lattices now, not at the next gc
-    del backtrack
-    return found
+    return [m for atom_map in _atom_bijections(candidates)
+            if (m := _lattice_map(L1, L2, atom_map)) is not None]
 
 
 def lattice_map_from_atom_bijection(I1: MonomialIdeal, I2: MonomialIdeal, atom_map):
@@ -160,12 +141,7 @@ def lattice_map_from_atom_bijection(I1: MonomialIdeal, I2: MonomialIdeal, atom_m
         raise InputError(f"atom map {atom_map} has an index outside range({r2})")
     if r1 != r2 or len(set(atom_map)) != r1:
         return None
-    L1 = build_lcm_lattice(I1)
-    L2 = build_lcm_lattice(I2)
-    fwd = _induced_element_map(L1, L2, atom_map)
-    if fwd is None:
-        return None
-    return _lattice_map(L1, L2, atom_map, fwd)
+    return _lattice_map(build_lcm_lattice(I1), build_lcm_lattice(I2), atom_map)
 
 
 def polarization_lattice_map(pol: Polarization) -> LatticeMap:

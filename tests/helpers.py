@@ -6,7 +6,10 @@ so it shares no linear algebra with the package; the d o d oracle multiplies
 dense matrices of the same stored scalars.  The subset oracles
 enumerate generator subsets with ``combinations`` and take each lcm on its
 own, the definition the package's shared subset-lcm table replaces; the
-GCD-graph oracle compares every pair of lattice elements on multidegrees.
+lattice isomorphism oracle is the package's former definition, m_J ->
+m'_sigma(J) for every subset J over all r! atom bijections, where
+``lattice`` compares atom sets; the GCD-graph oracle compares every pair of
+lattice elements on multidegrees.
 The denominator oracle reads Q off a minimal resolution of k over R in box
 m_I, so it shares nothing with the lattice formula of ``series.denominator``;
 the Golod-denominator oracle builds the Golod formula from the Koszul
@@ -24,7 +27,7 @@ reads every exponent off one logarithmic derivative.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd
 
 from monpoincare.core import (
@@ -255,6 +258,29 @@ def brute_candidate_terms(ideal):
         l = connected_components_lJ(ideal, f)
         out.add(((-1) ** l, len(f) + l, lcm_of_subset(ideal, f)))
     return out
+
+
+def subset_lcm_isomorphisms(I1, I2):
+    """(atom_map, element_map, gcd_preserving) for each of the r! atom
+    bijections sigma, in lex order, whose map m_J -> m'_sigma(J) over all
+    generator subsets J (each lcm from ``lcm_of_subset``) is well defined,
+    injective and onto L_{I2}; the flag comes from every pair of elements."""
+    r = I1.num_generators
+    if r != I2.num_generators:
+        return []
+    subsets = all_subsets(r)
+    size2 = len({lcm_of_subset(I2, J) for J in subsets})
+    found = []
+    for sigma in permutations(range(r)):
+        element_map = {}
+        for J in subsets:
+            image = lcm_of_subset(I2, [sigma[i] for i in J])
+            if element_map.setdefault(lcm_of_subset(I1, J), image) != image:
+                break
+        else:
+            if len(element_map) == len(set(element_map.values())) == size2:
+                found.append((sigma, element_map, oracle_gcd_preserving(element_map)))
+    return found
 
 
 def oracle_gcd_preserving(element_map):

@@ -359,6 +359,22 @@ def test_exit_codes(ideal_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"vars": ["x", "y"], "gens": 5}, "ideal file must be"),
+    ({"vars": 5, "gens": [[1, 0]]}, "ideal file must be"),
+    ({"vars": "xy", "gens": [[1, 0]]}, "ideal file must be"),
+    ({"vars": ["x", "y"], "gens": [5]}, "multidegree 5 must be a list of exponents"),
+    ({"vars": ["x", "y"], "gens": [[True, 0]]}, "must consist of non-negative integers"),
+], ids=["gens-not-a-list", "vars-not-a-list", "vars-a-string", "generator-not-a-list",
+        "bool-exponent"])
+def test_a_malformed_ideal_file_exits_2_with_a_message(tmp_path, doc, message, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["q", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("command, nfiles",
                          [("candidates", 1), ("scarf", 1), ("lattice-iso", 2), ("q", 1)])
 def test_oversized_subset_table_refused_before_allocating(ideal_file, command, nfiles, capsys):
@@ -407,10 +423,8 @@ def test_each_command_builds_one_codec_per_ideal(closing_pair, ideal_file, table
         # polarize --check also builds the lattice of the polarized ideal
         ideals = 2 if command == "lattice-iso" or command == "polarize" and check else 1
         assert table_builds["staircase"] <= ideals, command
-        # an lcm table and a neighbour table per ideal; lattice-iso adds one
-        # table per candidate atom bijection
-        if command != "lattice-iso":
-            assert table_builds["subset_table"] <= 2 * ideals, command
+        # an lcm table and a neighbour table per ideal
+        assert table_builds["subset_table"] <= 2 * ideals, command
     capsys.readouterr()
 
 
@@ -502,6 +516,29 @@ def test_q_check_reports_a_kernel_the_exactness_count_contradicts(ideal_file, mo
             "dimension 1, exactness counts 2") in capsys.readouterr().err
     assert main(["q", c5, "--char", "2"]) == 0  # without --check nothing is resolved
     capsys.readouterr()
+
+
+def test_lattice_iso_transport_marks_the_compared_isomorphisms(closing_pair, ideal_file,
+                                                              capsys):
+    # (x, y^3) to itself: [1] swaps the linear generator x with y^3; no
+    # isomorphism of the closing pair preserves the GCD graph
+    lin = ideal_file("lin", ["x", "y"], [[1, 0], [0, 3]])
+    a, b = closing_pair
+    for pair, compared in (((lin, lin), [True, False]), ((a, b), [False, False])):
+        assert main(["lattice-iso", *pair, "--transport", "-f", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [iso["transport_compared"] for iso in doc["isomorphisms"]] == compared
+        assert main(["lattice-iso", *pair, "--transport"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  [")]
+        assert [not l.endswith(" (not compared)") for l in lines] == compared
+        assert main(["lattice-iso", *pair, "-f", "json"]) == 0
+        assert all(iso.keys() == {"atoms", "gcd_preserving"}
+                   for iso in json.loads(capsys.readouterr().out)["isomorphisms"])
+    assert main(["lattice-iso", lin, lin]) == 0
+    assert capsys.readouterr().out == (
+        "2 lattice isomorphism(s) from L_(x, y^3) to L_(x, y^3)\n"
+        "  [0] x -> x, y^3 -> y^3   gcd_preserving=True\n"
+        "  [1] x -> y^3, y^3 -> x   gcd_preserving=True\n")
 
 
 def test_lattice_iso_transport_compares_coefficients_not_boxes(ideal_file, capsys):

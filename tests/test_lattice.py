@@ -1,6 +1,6 @@
 import gc
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,8 @@ from monpoincare.lattice import (
 )
 from monpoincare.series import denominator, series_from_terms, series_one
 
-from helpers import oracle_gcd_preserving, random_corpus, resolver_denominator
+from helpers import (cycle_ideal, oracle_gcd_preserving, random_antichain, random_corpus,
+                     resolver_denominator, subset_lcm_isomorphisms)
 
 CLOSING_I = [(2, 0, 0), (0, 2, 1)]
 CLOSING_IP = [(1, 2, 0), (1, 0, 2)]
@@ -29,13 +30,15 @@ def test_build_lattice_closing_examples():
     assert set(Lp.elements) == {(0, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)}
 
 
-def test_the_lattice_shares_the_ideals_codec_and_table():
-    ideal = minimalize(CLOSING_I, 3)
-    L = build_lcm_lattice(ideal)
-    assert L.codec is ideal.codec and L.lcms is ideal.subset_lcms
-    # the shared list is left out of equality and hashing
+def test_closed_lists_the_atoms_below_each_element():
+    L = build_lcm_lattice(minimalize(CLOSING_I, 3))
+    assert list(zip(L.elements, L.closed)) == [((0, 0, 0), 0b00), ((2, 0, 0), 0b01),
+                                               ((0, 2, 1), 0b10), ((2, 2, 1), 0b11)]
     again = build_lcm_lattice(minimalize(CLOSING_I, 3))
     assert L == again and hash(L) == hash(again)
+    # the triangle xy, yz, xz: any two atoms lie below the top alone
+    triangle = build_lcm_lattice(minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3))
+    assert triangle.closed == (0b000, 0b001, 0b010, 0b100, 0b111)
 
 
 def test_lattice_empty_ideal():
@@ -109,8 +112,11 @@ def test_gcd_flag_invariant_under_gcd_automorphisms():
 def test_lattice_map_from_atom_bijection_rejects_non_isomorphism():
     A = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)  # triangle: lattice of 5
     B = minimalize([(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)], 4)  # path: lattice of 8
-    assert lattice_map_from_atom_bijection(A, B, (0, 1, 2)) is None  # not well defined
-    assert lattice_map_from_atom_bijection(B, A, (0, 1, 2)) is None  # not injective
+    assert lattice_map_from_atom_bijection(A, B, (0, 1, 2)) is None  # 5 into 8 elements
+    assert lattice_map_from_atom_bijection(B, A, (0, 1, 2)) is None  # 8 onto 5 elements
+    # every atom set of the triangle is one of (x, y, z), but its lattice has 8
+    xyz = minimalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert lattice_map_from_atom_bijection(A, xyz, (0, 1, 2)) is None
 
 
 def test_lattice_map_from_atom_bijection_requires_a_permutation():
@@ -124,6 +130,28 @@ def test_lattice_map_from_atom_bijection_requires_a_permutation():
     xy = minimalize([(1, 0), (0, 1)], 2)
     xyz = minimalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert lattice_map_from_atom_bijection(xy, xyz, (0, 1)) is None  # 4 into 8 elements
+
+
+def test_the_search_finds_what_the_subset_lcm_definition_finds():
+    corpus = random_corpus() + [cycle_ideal(5)]
+    corpus += [random_antichain(5, 3, 3, seed) for seed in range(20)]
+    by_shape = defaultdict(list)
+    for ideal in corpus:
+        by_shape[ideal.num_generators, len(build_lcm_lattice(ideal).elements)].append(ideal)
+    pairs = [(ideal, polarize(ideal).ideal) for ideal in corpus[::3]]
+    pairs += [(ideal, partner) for ideal in corpus for partner in
+              by_shape[ideal.num_generators, len(build_lcm_lattice(ideal).elements)][:4]]
+    found = rejected = 0
+    for ideal, partner in pairs:
+        expected = subset_lcm_isomorphisms(ideal, partner)
+        assert [(m.atom_map, m.element_map, m.gcd_preserving)
+                for m in find_lattice_isomorphisms(ideal, partner)] == expected, (ideal, partner)
+        by_atom_map = {sigma: (e, g) for sigma, e, g in expected}
+        for sigma in permutations(range(ideal.num_generators)):
+            m = lattice_map_from_atom_bijection(ideal, partner, sigma)
+            assert (m and (m.element_map, m.gcd_preserving)) == by_atom_map.get(sigma)
+            found, rejected = found + (m is not None), rejected + (m is None)
+    assert found > 500 and rejected > 500
 
 
 def test_gcd_flag_matches_all_element_pairs():
@@ -200,8 +228,8 @@ def test_transport_rejects_non_lattice_multidegrees():
 
 
 def test_find_isomorphisms_leaves_no_reference_cycle():
-    # a cycle would keep both lattices' 2^r tables alive until the next
-    # cyclic garbage collection
+    # a cycle would keep both lattices and every map found alive until the
+    # next cyclic garbage collection
     I = minimalize(CLOSING_IP, 3)
     gc.collect()
     gc.disable()

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from monpoincare.core import (InputError, InternalInconsistencyError, mdeg_add, minimalize,
-                              total_degree, unit_mdeg)
+from monpoincare.core import (InputError, InternalInconsistencyError, divides, mdeg_add,
+                              minimalize, total_degree, unit_mdeg)
+from monpoincare.lattice import build_lcm_lattice
 from monpoincare.series import (
     BigradedSeries,
     candidate_terms,
@@ -291,6 +292,44 @@ def test_denominator_matches_the_resolver_in_box_m_I():
             if ideal.num_vars == 8 and char == 0:
                 continue
             assert denominator(ideal, char=char) == resolver_denominator(ideal, char), (ideal, char)
+
+
+def _restrictions(ideal):
+    """(alpha, I_{<=alpha}) for each alpha in L_I minus 0, where I_{<=alpha} is
+    generated by the generators of I that divide alpha."""
+    for alpha in build_lcm_lattice(ideal).elements[1:]:
+        yield alpha, minimalize([g for g in ideal.generators if divides(g, alpha)],
+                                ideal.num_vars)
+
+
+RESTRICTION_CASES = [*random_corpus(), minimalize(rp2_generators(), 6),
+                     *(cycle_ideal(n) for n in range(5, 10))]
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_q_restricts_to_the_ideal_below_each_lattice_element(char):
+    """The y^alpha coefficient of Q(I), a polynomial in t, is that of
+    Q(I_{<=alpha}) for every alpha in L_I minus 0."""
+    def at(Q, alpha):
+        return {t: c for (t, j), c in Q.terms() if j == alpha}
+
+    for ideal in RESTRICTION_CASES:
+        Q = denominator(ideal, char=char)
+        for alpha, below in _restrictions(ideal):
+            assert at(Q, alpha) == at(denominator(below, char=char), alpha), (ideal, alpha)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_deviations_restrict_to_the_ideal_below_each_lattice_element(char):
+    """e_{n,beta}(I) = e_{n,beta}(I_{<=alpha}) for every beta dividing alpha
+    and n <= 5; I's table is taken once in box m_I, I_{<=alpha}'s in box alpha."""
+    for ideal in RESTRICTION_CASES:
+        Q = denominator(ideal, char=char)
+        table = deviations(poincare_from_denominator(Q, 5, Q.ybound), 5)
+        for alpha, below in _restrictions(ideal):
+            P = poincare_from_denominator(denominator(below, char=char), 5, alpha)
+            assert deviations(P, 5) == {
+                (n, j): e for (n, j), e in table.items() if divides(j, alpha)}, (ideal, alpha)
 
 
 def test_denominator_terms_are_candidate_terms():
