@@ -17,7 +17,6 @@ from .core import (
 )
 from .complexes import (
     FreeComplex,
-    Ring,
     homology,
     is_taylor_minimal,
     koszul_complex,

@@ -51,7 +51,6 @@ from .core import (
     total_degree,
 )
 from .complexes import (
-    Ring,
     homology,
     is_taylor_minimal,
     koszul_complex,
@@ -286,8 +285,7 @@ def cmd_scarf(args, ideal):
 
 
 def cmd_koszul(args, ideal):
-    return _complex_command(args, ideal, koszul_complex(Ring.quotient(ideal)),
-                            "Koszul complex over R")
+    return _complex_command(args, ideal, koszul_complex(ideal), "Koszul complex over R")
 
 
 def cmd_betti(args, ideal):

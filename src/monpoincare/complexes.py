@@ -1,5 +1,9 @@
 """Multigraded free chain complexes over S or R = S/I.
 
+A ring S/I is given by its monomial ideal I (a ``MonomialIdeal``), and S by
+the zero ideal in the same variables; ``ring.kills(m)`` asks whether x^m is
+zero in the ring.
+
 Because every differential is multidegree-homogeneous, an entry from a column
 generator of multidegree c to a row generator of multidegree r is a single
 term: scalar times the monomial x^(c - r).  Only the scalar is stored; the
@@ -29,30 +33,10 @@ from .core import (
 from .linalg import rank_of
 
 
-@dataclass(frozen=True)
-class Ring:
-    """k[x_1..x_n] modulo a (possibly empty) set of minimal monomial relations."""
-
-    num_vars: int
-    var_names: tuple
-    relations: tuple = ()
-
-    @classmethod
-    def ambient(cls, ideal: MonomialIdeal) -> "Ring":
-        """The free polynomial ring S an ideal lives in."""
-        return cls(ideal.num_vars, ideal.var_names, ())
-
-    @classmethod
-    def quotient(cls, ideal: MonomialIdeal) -> "Ring":
-        return cls(ideal.num_vars, ideal.var_names, ideal.generators)
-
-    def kills(self, m: Multidegree) -> bool:
-        return any(divides(r, m) for r in self.relations)
-
-
 @dataclass
 class FreeComplex:
-    """Chain complex of multigraded free modules.
+    """Chain complex of multigraded free modules over ``ring``, the ideal I
+    of R = S/I (the zero ideal for S).
 
     ``modules[i]`` lists the generator multidegrees in homological degree i;
     ``diffs[i]`` holds the differential modules[i] -> modules[i-1] by column:
@@ -65,7 +49,7 @@ class FreeComplex:
     It is not part of equality, and ``dataclasses.replace`` starts it empty.
     """
 
-    ring: Ring
+    ring: MonomialIdeal
     modules: list
     diffs: list
     labels: list | None = None
@@ -140,7 +124,7 @@ def cell_rows(diff: list, cols, rows: set) -> list:
     return list(M.values())
 
 
-def _entry(ring: Ring, column: dict, row: int, scalar: int, mono: Multidegree):
+def _entry(ring: MonomialIdeal, column: dict, row: int, scalar: int, mono: Multidegree):
     """Add ``scalar`` at ``row`` of one column of a differential, unless the
     ring kills the entry's monomial ``mono``; an entry that sums to zero is
     removed."""
@@ -152,7 +136,7 @@ def _entry(ring: Ring, column: dict, row: int, scalar: int, mono: Multidegree):
             column.pop(row, None)
 
 
-def _subset_complex(ring: Ring, atoms, faces_by_size) -> FreeComplex:
+def _subset_complex(ring: MonomialIdeal, atoms, faces_by_size) -> FreeComplex:
     """Simplicial-style complex over ``ring`` on subsets J of ``atoms`` (faces
     listed by size, increasing tuples of atom indices), where T_J has the lcm
     m_J of its atoms as multidegree.
@@ -186,8 +170,8 @@ def _all_subsets(r: int):
 
 def taylor_complex(ideal: MonomialIdeal) -> FreeComplex:
     """Taylor complex of S/I on the minimal generators, over S."""
-    return _subset_complex(Ring.ambient(ideal), ideal.generators,
-                           _all_subsets(ideal.num_generators))
+    return _subset_complex(MonomialIdeal(ideal.num_vars, ideal.var_names, ()),
+                           ideal.generators, _all_subsets(ideal.num_generators))
 
 
 def scarf_faces(ideal: MonomialIdeal):
@@ -206,7 +190,8 @@ def scarf_complex(ideal: MonomialIdeal) -> FreeComplex:
     faces = scarf_faces(ideal)
     top = max((len(f) for f in faces), default=0)
     by_size = [[f for f in faces if len(f) == size] for size in range(top + 1)]
-    return _subset_complex(Ring.ambient(ideal), ideal.generators, by_size)
+    return _subset_complex(MonomialIdeal(ideal.num_vars, ideal.var_names, ()),
+                           ideal.generators, by_size)
 
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
@@ -214,7 +199,7 @@ def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     return len(set(ideal.subset_lcms)) == len(ideal.subset_lcms)
 
 
-def koszul_complex(ring: Ring) -> FreeComplex:
+def koszul_complex(ring: MonomialIdeal) -> FreeComplex:
     """Exterior-algebra Koszul complex on the variables of the ring: the
     subset complex of x_1..x_n over the ring, so
 
@@ -226,8 +211,8 @@ def koszul_complex(ring: Ring) -> FreeComplex:
     return _subset_complex(ring, units, _all_subsets(n))
 
 
-def standard_monomials(ring: Ring, bound: Multidegree) -> set:
-    """Multidegrees s <= bound with x^s outside the ring's relations."""
+def standard_monomials(ring: MonomialIdeal, bound: Multidegree) -> set:
+    """Multidegrees s <= bound with x^s outside the ideal ``ring``."""
     return {s for s in box_multidegrees(bound) if not ring.kills(s)}
 
 
@@ -257,16 +242,15 @@ def alive_cells(g: Multidegree, bound: Multidegree, standard: set) -> list:
     return [tuple(map(add, g, s)) for s in shifts]
 
 
-def alive_index(ring: Ring, module, bound: Multidegree, standard: set | None = None) -> dict:
+def alive_index(module, bound: Multidegree, standard: set) -> dict:
     """{cell j <= bound: indices c of module, ascending, with module[c] | j and
     j - module[c] standard}: ``alive_basis`` for every cell of the box at once.
 
-    ``standard`` is ``standard_monomials(ring, bound)`` when the caller has it.
-    Each generator walks its own alive cells, so the cost is proportional to
-    the (generator, alive cell) pairs, not to |box| x |module|.
+    ``standard`` is ``standard_monomials(ring, bound)`` of the module's ring,
+    the one place the ring enters.  Each generator walks its own alive cells,
+    so the cost is proportional to the (generator, alive cell) pairs, not to
+    |box| x |module|.
     """
-    if standard is None:
-        standard = standard_monomials(ring, bound)
     index = {}
     for c, g in enumerate(module):
         for j in alive_cells(g, bound, standard):
@@ -303,7 +287,7 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     indexes = C.alive_memo.get(bound)
     if indexes is None:
         standard = standard_monomials(C.ring, bound)
-        indexes = [alive_index(C.ring, module, bound, standard) for module in C.modules]
+        indexes = [alive_index(module, bound, standard) for module in C.modules]
     top = C.top_degree
     result = {i: {} for i in range(top + 1)}
     for j in box_multidegrees(bound):

@@ -107,6 +107,8 @@ class MonomialIdeal:
 
     Construct through :func:`minimalize` (or ``from_dict``); the constructor
     assumes the generators are already minimal, deduplicated and sorted.
+    An ideal I also stands for the ring S/I, and the zero ideal
+    ``MonomialIdeal(n, names, ())`` for S itself.
     """
 
     num_vars: int
@@ -124,8 +126,13 @@ class MonomialIdeal:
         return len(self.generators)
 
     def top_lcm(self) -> Multidegree:
-        """m_I, the lcm of all minimal generators (zero for the zero ideal)."""
-        return lcm_of_subset(self, range(self.num_generators))
+        """m_I, the lcm of all minimal generators (zero for the zero ideal):
+        the block widths of the staircase ``codec``, so it is built once."""
+        return self.codec.widths
+
+    def kills(self, m: Multidegree) -> bool:
+        """Is x^m in the ideal, that is, zero in S/I?"""
+        return any(divides(g, m) for g in self.generators)
 
     @cached_property
     def codec(self) -> Staircase:
@@ -247,7 +254,7 @@ class Staircase(namedtuple("Staircase", "widths offsets atoms")):
 
 def staircase(gens, num_vars: int) -> Staircase:
     """The staircase codec whose blocks fit ``gens`` exactly."""
-    widths = tuple(max((g[i] for g in gens), default=0) for i in range(num_vars))
+    widths = tuple(map(max, zip(*gens))) if gens else zero_mdeg(num_vars)
     offsets = tuple(sum(widths[:i]) for i in range(num_vars))
     codec = Staircase(widths, offsets, ())
     return codec._replace(atoms=tuple(codec.encode(g) for g in gens))
@@ -373,9 +380,7 @@ def _polarize_mdeg(m: Multidegree, arities) -> Multidegree:
 
 def polarize(ideal: MonomialIdeal) -> Polarization:
     """Standard polarization; squarefree ideals come back unchanged."""
-    arities = tuple(
-        max([1] + [g[i] for g in ideal.generators]) for i in range(ideal.num_vars)
-    )
+    arities = tuple(max(1, w) for w in ideal.top_lcm())
     names = []
     for name, d in zip(ideal.var_names, arities):
         if d == 1:

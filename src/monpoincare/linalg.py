@@ -55,8 +55,7 @@ class EchelonSpace:
     """Incrementally built row space: forward-echelon bitmask rows over GF(2),
     reduced-echelon dict rows over every other field."""
 
-    def __init__(self, ncols: int, char: int = 0):
-        self.ncols = ncols
+    def __init__(self, char: int = 0):
         self.char = char
         # GF(2): lowest set bit -> row bitmask; else pivot column -> reduced row
         self.rows = {}
@@ -139,7 +138,7 @@ class EchelonSpace:
 
 
 def rank_of(rows, ncols: int, char: int = 0) -> int:
-    space = EchelonSpace(ncols, char)
+    space = EchelonSpace(char)
     for row in rows:
         space.add(row)
         if space.dim == ncols:
@@ -158,7 +157,7 @@ def kernel_basis(rows, ncols: int, char: int = 0):
     reduced rows, not ncols per vector.  Over GF(2) the forward-echelon rows
     are reduced once, here, before the vectors are read off.
     """
-    space = EchelonSpace(ncols, char)
+    space = EchelonSpace(char)
     for row in rows:
         space.add(row)
     if char == 2:

@@ -41,7 +41,6 @@ from .core import (
 )
 from .complexes import (
     FreeComplex,
-    Ring,
     _entry,
     alive_basis,
     alive_cells,
@@ -58,9 +57,9 @@ from .series import BigradedSeries, betti_numbers, denominator, series_from_term
 
 @dataclass
 class ResidueFieldResolution:
-    """Minimal multigraded free resolution of k over R, within (tmax, bound)."""
+    """Minimal multigraded free resolution of k over R = S/I, within (tmax,
+    bound); I is ``complex.ring``."""
 
-    ideal: MonomialIdeal
     tmax: int
     bound: Multidegree
     complex: FreeComplex
@@ -74,7 +73,7 @@ class ResidueFieldResolution:
         return table
 
     def poincare_series(self) -> BigradedSeries:
-        return series_from_terms(self.ideal.num_vars, self.tmax, self.bound,
+        return series_from_terms(self.complex.ring.num_vars, self.tmax, self.bound,
                                  [(i, j, c) for (i, j), c in self.betti().items()])
 
 
@@ -115,9 +114,8 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         raise InputError(f"multidegree bound {bound} must dominate m_I = {top}")
     if tmax < 0:
         raise InputError("tmax must be non-negative")
-    ring = Ring.quotient(ideal)
     cells = box_multidegrees(bound)
-    standard = standard_monomials(ring, bound)
+    standard = standard_monomials(ideal, bound)
 
     modules = [[zero_mdeg(n)]]
     diffs = [[{}]]
@@ -127,7 +125,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         gens1 = [u for u in (unit_mdeg(n, i) for i in range(n)) if u in standard]
         modules.append(gens1)
         diffs.append([{0: 1} for _ in gens1])
-    alive = [alive_index(ring, module, bound, standard) for module in modules]
+    alive = [alive_index(module, bound, standard) for module in modules]
     rank_prev = {j: 1 for j in standard if any(j)}  # the rank of d_1 at j
 
     for step in range(2, tmax + 1):
@@ -145,7 +143,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
             # non-standard cofactor map to zero here and are not in the index,
             # and entries on columns dead at j drop out
             pos = {c: ci for ci, c in enumerate(cols)}
-            span = EchelonSpace(len(cols), char)
+            span = EchelonSpace(char)
             for w in index.get(j, ()):
                 span.add({pos[c]: x for c, x in vecs[w].items() if c in pos})
                 if span.dim == z:
@@ -172,13 +170,13 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         rank_prev = rank
         diffs.append(vecs)
 
-    cpx = FreeComplex(ring, modules, diffs, None, char)
+    cpx = FreeComplex(ideal, modules, diffs, None, char)
     cpx.alive_memo[bound] = alive
-    return ResidueFieldResolution(ideal, tmax, bound, cpx)
+    return ResidueFieldResolution(tmax, bound, cpx)
 
 
-def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> dict:
-    """Exterior product of two Koszul component vectors, reduced over the ring."""
+def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ideal: MonomialIdeal) -> dict:
+    """Exterior product of two Koszul component vectors, reduced over S/ideal."""
     out = {}
     target = mdeg_add(j1, j2)
     for s1, a in c1.items():
@@ -186,8 +184,8 @@ def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> 
             if set(s1) & set(s2):
                 continue
             union = tuple(sorted(s1 + s2))
-            mono = mdeg_sub(target, tuple(1 if v in union else 0 for v in range(ring.num_vars)))
-            if ring.kills(mono):
+            mono = mdeg_sub(target, tuple(1 if v in union else 0 for v in range(ideal.num_vars)))
+            if ideal.kills(mono):
                 continue
             new = out.get(union, 0) + a * b * _perm_sign(s1 + s2)
             if new:
@@ -200,7 +198,7 @@ def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ring: Ring) -> 
 def koszul_homology_dims(ideal: MonomialIdeal, char: int = 0) -> dict:
     """dim H_i(Koszul complex over R)_j for j <= m_I as {(i, j): dim}: by Tor
     symmetry the Betti numbers of S/I, so the oracle of ``series.betti_numbers``."""
-    table = homology(koszul_complex(Ring.quotient(ideal)), ideal.top_lcm(), char)
+    table = homology(koszul_complex(ideal), ideal.top_lcm(), char)
     return {(i, j): d for i, dims in table.items() for j, d in dims.items()}
 
 
@@ -294,7 +292,6 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, m_face: dict,
     choices is searched with all product identities checked explicitly.
     """
     gens = ideal.generators
-    ring = K.ring
     n = ideal.num_vars
     face_set = set(faces)
 
@@ -324,7 +321,7 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, m_face: dict,
     assigned = {}
 
     def pair_identity_holds(A, B):
-        lhs = _wedge(assigned[A], m_face[A], assigned[B], m_face[B], ring)
+        lhs = _wedge(assigned[A], m_face[A], assigned[B], m_face[B], ideal)
         target = {}
         if not set(A) & set(B):
             union = tuple(sorted(A + B))
@@ -335,7 +332,7 @@ def _scarf_cycle_reps(ideal: MonomialIdeal, K: FreeComplex, faces, m_face: dict,
                 ms = _perm_sign(A + B)
                 for w, c in assigned[union].items():
                     mono = mdeg_sub(j, tuple(1 if v in w else 0 for v in range(n)))
-                    if not ring.kills(mono):
+                    if not ideal.kills(mono):
                         target[w] = ms * c
         return lhs == target
 
@@ -376,7 +373,7 @@ def _verify_class_rep(K: FreeComplex, i: int, j: Multidegree, cycle: dict, char:
     cols = alive_basis(K, i, j)
     rows, alive = set(alive_basis(K, i - 1, j)), set(cols)
     d_i = {c: {r: s for r, s in K.diffs[i][c].items() if r in rows} for c in cols}
-    span = EchelonSpace(len(cols), char)  # the boundaries
+    span = EchelonSpace(char)  # the boundaries
     for c in alive_basis(K, i + 1, j):
         span.add({r: s for r, s in K.diffs[i + 1][c].items() if r in alive})
     dim = len(cols) - rank_of(list(d_i.values()), len(rows), char) - span.dim
@@ -413,8 +410,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
     if not is_generic(ideal):
         raise InputError("the Eagon construction here requires a generic ideal")
     n = ideal.num_vars
-    ring = Ring.quotient(ideal)
-    K = koszul_complex(ring)
+    K = koszul_complex(ideal)
     faces = [f for f in scarf_faces(ideal) if f]
     face_set = set(faces)
     m_face = {f: lcm_of_subset(ideal, f) for f in faces}
@@ -456,7 +452,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
             for a, v in enumerate(S, start=1):
                 target = (tuple(x for x in S if x != v), chain)
                 row = index[i - 1][target]
-                _entry(ring, column, row, (-1) ** (a + 1),
+                _entry(ideal, column, row, (-1) ** (a + 1),
                        mdeg_sub(col_mdeg, modules[i - 1][row]))
             if not chain:
                 continue
@@ -468,7 +464,7 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
                     continue
                 target = (tuple(sorted(S + T)), chain[1:])
                 row = index[i - 1][target]
-                _entry(ring, column, row, sgn_S * _perm_sign(S + T) * coeff,
+                _entry(ideal, column, row, sgn_S * _perm_sign(S + T) * coeff,
                        mdeg_sub(col_mdeg, modules[i - 1][row]))
             # merges of adjacent faces; the sign exponent is the summed
             # homological weight of the factors up to and including the first
@@ -481,8 +477,8 @@ def eagon_resolution(ideal: MonomialIdeal, imax: int, char: int = 0) -> FreeComp
                     if union in face_set:
                         target = (S, chain[:q - 1] + (union,) + chain[q + 1:])
                         row = index[i - 1][target]
-                        _entry(ring, column, row,
+                        _entry(ideal, column, row,
                                sgn_S * ((-1) ** weight) * _perm_sign(A + B),
                                mdeg_sub(col_mdeg, modules[i - 1][row]))
                 weight += len(B) + 1
-    return FreeComplex(ring, modules, diffs, labels, char)
+    return FreeComplex(ideal, modules, diffs, labels, char)

@@ -70,12 +70,6 @@ class BigradedSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other):
-        if not isinstance(other, BigradedSeries):
-            return NotImplemented
-        return (self.num_vars, self.tmax, self.ybound, self.coeffs) == (
-            other.num_vars, other.tmax, other.ybound, other.coeffs)
-
     def __add__(self, other):
         self._compatible(other)
         coeffs = dict(self.coeffs)
@@ -95,14 +89,7 @@ class BigradedSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return BigradedSeries(self.num_vars, self.tmax, self.ybound, {})
-            return BigradedSeries(self.num_vars, self.tmax, self.ybound,
-                                  {k: c * other for k, c in self.coeffs.items()})
         return series_mul(self, other)
-
-    __rmul__ = __mul__
 
     def restrict(self, tmax: int, ybound: Multidegree) -> "BigradedSeries":
         """Tighten the truncation box, discarding keys that fall outside."""
@@ -119,9 +106,7 @@ class BigradedSeries:
             raise InternalInconsistencyError("multidegree map collapsed distinct terms")
         return BigradedSeries(num_vars, self.tmax, tuple(ybound), coeffs)
 
-    def render(self, names=None) -> str:
-        if names is None:
-            names = tuple(f"y{i + 1}" for i in range(self.num_vars))
+    def render(self, names) -> str:
         if self.is_zero():
             return "0"
         parts = []

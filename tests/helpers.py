@@ -169,7 +169,7 @@ def oracle_homology(C, bound):
     """
     from sympy import Matrix
 
-    rels = C.ring.relations
+    rels = C.ring.generators
     top = C.top_degree
 
     def dead(mu):
@@ -201,7 +201,7 @@ def oracle_homology(C, bound):
 def oracle_d_squared_violations(C):
     """Every (i, row, col) where the dense product d_{i-1} d_i has an entry
     that is nonzero (mod the characteristic) on a monomial the ring keeps."""
-    rels = C.ring.relations
+    rels = C.ring.generators
     out = []
     for i in range(2, len(C.modules)):
         top, mid, low = C.modules[i], C.modules[i - 1], C.modules[i - 2]

@@ -683,6 +683,21 @@ def test_verify_lcm_reports_a_term_off_the_lattice(closing_pair, monkeypatch, fm
         assert out == "FAIL: some denominator multidegree is not a subset lcm\n"
 
 
+def test_eagon_exits_3_on_a_scarf_representative_that_is_a_boundary(ideal_file, monkeypatch,
+                                                                    capsys):
+    # a representative search that settles on the zero chain for every face:
+    # the always-on check of each class representative refuses it
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+
+    def zero_chains(k, order, candidates, assigned, pair_identity_holds):
+        assigned.update(dict.fromkeys(order, {}))
+        return True
+
+    monkeypatch.setattr(resolution, "_assign_cycles", zero_chains)
+    assert main(["eagon", gen, "--imax", "3"]) == 3
+    assert "internal error: representative at (0, 2) is a boundary" in capsys.readouterr().err
+
+
 def test_eagon_check_reports_a_resolution_that_is_not_exact(ideal_file, monkeypatch, capsys):
     gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
     monkeypatch.setattr(cli, "homology", lambda C, bound, char: {2: {(1, 1): 1}})
@@ -806,3 +821,7 @@ def test_bad_bounds_are_refused_before_the_work(closing_pair, rp2, capsys):
     for flag in ([], ["--check"]):
         assert main(["deviations", b, "--nmax", "-1", *flag]) == 2, flag
         assert "error: --nmax must be non-negative, got -1" in capsys.readouterr().err, flag
+        assert main(["poincare", b, "--tmax", "-1", *flag]) == 2, flag
+        assert "error: tmax must be non-negative" in capsys.readouterr().err, flag
+    assert main(["eagon", b, "--imax", "-1"]) == 2
+    assert "error: imax must be non-negative" in capsys.readouterr().err

@@ -3,11 +3,10 @@ from dataclasses import replace
 import pytest
 
 from monpoincare import complexes
-from monpoincare.core import (InternalInconsistencyError, box_multidegrees, is_generic, mdeg_add,
-                              minimalize, total_degree)
+from monpoincare.core import (InternalInconsistencyError, MonomialIdeal, box_multidegrees,
+                              is_generic, mdeg_add, minimalize, total_degree)
 from monpoincare.complexes import (
     FreeComplex,
-    Ring,
     alive_basis,
     alive_index,
     homology,
@@ -16,6 +15,7 @@ from monpoincare.complexes import (
     minimize,
     scarf_complex,
     scarf_faces,
+    standard_monomials,
     taylor_complex,
 )
 from monpoincare.resolution import eagon_resolution, resolve_residue_field
@@ -100,8 +100,7 @@ def test_scarf_and_taylor_minimal_match_brute_force():
 
 
 def test_koszul_conventions():
-    ring = Ring(2, ("x", "y"))
-    K = koszul_complex(ring)
+    K = koszul_complex(MonomialIdeal(2, ("x", "y"), ()))
     assert K.ranks() == [1, 2, 1]
     # d(e1 ^ e2) = x1 e2 - x2 e1
     assert K.diffs[2] == [{1: 1, 0: -1}]
@@ -110,7 +109,7 @@ def test_koszul_conventions():
 
 def test_koszul_over_quotient_kills_entries():
     I = minimalize([(1, 0)], 2)  # x itself in the ideal
-    K = koszul_complex(Ring.quotient(I))
+    K = koszul_complex(I)
     # d(e_x) = x = 0 in R, so no entry in column of e_x
     assert 0 not in K.diffs[1][0]
     K.validate()
@@ -118,13 +117,13 @@ def test_koszul_over_quotient_kills_entries():
 
 def test_koszul_d_squared_four_variables():
     I = minimalize([(2, 1, 0, 0), (0, 1, 1, 1)], 4)
-    K = koszul_complex(Ring.quotient(I))
+    K = koszul_complex(I)
     K.validate()
     assert not K.d_squared_violations()
 
 
 def test_homology_koszul_hypersurface():
-    K = koszul_complex(Ring.quotient(minimalize([(2,)], 1)))
+    K = koszul_complex(minimalize([(2,)], 1))
     H = homology(K, (3,))
     assert H[0] == {(0,): 1}
     assert H[1] == {(2,): 1}
@@ -143,7 +142,7 @@ def test_homology_taylor_resolves_quotient():
 def test_homology_zero_complex():
     from monpoincare.complexes import FreeComplex
 
-    C = FreeComplex(Ring(2, ("x", "y")), [[]], [{}])
+    C = FreeComplex(MonomialIdeal(2, ("x", "y"), ()), [[]], [{}])
     assert homology(C, (1, 1)) == {0: {}}
 
 
@@ -154,9 +153,9 @@ def test_homology_matches_oracle_small():
     I, c5 = minimalize([(2, 0), (1, 1), (0, 2)], 2), cycle_ideal(5)
     rp2 = minimalize(rp2_generators(), 6)
     for ideal, C in ((I, taylor_complex(I)), (I, scarf_complex(I)),
-                     (I, koszul_complex(Ring.quotient(I))),
+                     (I, koszul_complex(I)),
                      (c5, resolve_residue_field(c5, 4).complex),
-                     (rp2, koszul_complex(Ring.quotient(rp2)))):
+                     (rp2, koszul_complex(rp2))):
         bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
         assert homology(C, bound) == oracle_homology(C, bound)
 
@@ -172,7 +171,7 @@ def test_homology_ranks_the_smaller_side(monkeypatch):
     monkeypatch.setattr(complexes, "rank_of", recorded)
     c5, rp2 = cycle_ideal(5), minimalize(rp2_generators(), 6)
     for ideal, C in ((c5, resolve_residue_field(c5, 4).complex),
-                     (rp2, koszul_complex(Ring.quotient(rp2)))):
+                     (rp2, koszul_complex(rp2))):
         calls.clear()
         homology(C, mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars))
         assert calls, ideal
@@ -180,7 +179,7 @@ def test_homology_ranks_the_smaller_side(monkeypatch):
 
 
 def test_validate_raises_on_each_planted_violation():
-    ring = Ring.quotient(minimalize([(2, 0)], 2, ("x", "y")))  # k[x,y]/(x^2)
+    ring = minimalize([(2, 0)], 2, ("x", "y"))  # k[x,y]/(x^2)
     modules = [[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (1, 1)]]
     # x, x and y: two entries share the monomial x, and none is killed
     good = [{0: 1}, {1: 1}, {1: -1}]
@@ -195,10 +194,20 @@ def test_validate_raises_on_each_planted_violation():
         C = FreeComplex(ring, modules, [empty, diff])
         with pytest.raises(InternalInconsistencyError, match=message):
             C.validate()
-    for diffs, message in (([empty, good[:2]], "degree 1 has 3 generators and 2 columns"),
+    for diffs, message in (([empty], "modules/diffs length mismatch"),
+                           ([empty, good[:2]], "degree 1 has 3 generators and 2 columns"),
                            ([[{}, {}], good], "degree 0 has 3 generators and 2 columns")):
         with pytest.raises(InternalInconsistencyError, match=message):
             FreeComplex(ring, modules, diffs).validate()
+
+
+def test_a_subset_complex_with_a_missing_face_is_refused():
+    ring = minimalize([], 2)
+    atoms = [(1, 0), (0, 1)]
+    complexes._subset_complex(ring, atoms, [[()], [(0,), (1,)], [(0, 1)]]).validate()
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"face \(1,\) missing below \(0, 1\); subset complex not closed"):
+        complexes._subset_complex(ring, atoms, [[()], [(0,)], [(0, 1)]])
 
 
 def test_every_builder_stores_one_column_per_generator():
@@ -211,7 +220,7 @@ def test_every_builder_stores_one_column_per_generator():
                              (1, 2, 2, 0)], 4)
     for ideal in [*corpus, renumbered]:
         taylor = taylor_complex(ideal)
-        built = [taylor, scarf_complex(ideal), koszul_complex(Ring.quotient(ideal)),
+        built = [taylor, scarf_complex(ideal), koszul_complex(ideal),
                  minimize(taylor), minimize(replace(taylor, char=2)),
                  *(resolve_residue_field(ideal, 4, char=char).complex for char in (0, 2))]
         if is_generic(ideal):
@@ -224,7 +233,7 @@ def test_every_builder_stores_one_column_per_generator():
 
 def test_homology_char_two_agrees_here():
     I = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
-    K = koszul_complex(Ring.quotient(I))
+    K = koszul_complex(I)
     assert homology(K, I.top_lcm(), char=2) == homology(K, I.top_lcm())
 
 
@@ -261,7 +270,7 @@ def test_minimize_agrees_with_koszul_homology():
         for i, module in enumerate(E.modules):
             for j in module:
                 betti[(i, j)] = betti.get((i, j), 0) + 1
-        K = koszul_complex(Ring.quotient(ideal))
+        K = koszul_complex(ideal)
         H = homology(K, ideal.top_lcm())
         koszul_dims = {(i, j): d for i, dims in H.items() for j, d in dims.items()}
         assert {k: v for k, v in betti.items() if k[0] >= 1} == \
@@ -272,7 +281,8 @@ def _assert_index_is_alive_basis(C, bound):
     """alive_index of every module agrees with alive_basis on every cell of
     the box (a missing key is an empty basis); returns the indexes."""
     cells = box_multidegrees(bound)
-    indexes = [alive_index(C.ring, module, bound) for module in C.modules]
+    standard = standard_monomials(C.ring, bound)
+    indexes = [alive_index(module, bound, standard) for module in C.modules]
     for i, index in enumerate(indexes):
         assert set(index) <= set(cells), i
         for j in cells:
@@ -287,7 +297,7 @@ def test_alive_index_matches_alive_basis():
     for ideal in [*corpus, c5, rp2]:
         top = ideal.top_lcm()
         slack = mdeg_add(top, (1,) * ideal.num_vars)
-        _assert_index_is_alive_basis(koszul_complex(Ring.quotient(ideal)), slack)
+        _assert_index_is_alive_basis(koszul_complex(ideal), slack)
         _assert_index_is_alive_basis(taylor_complex(ideal), slack)
         if is_generic(ideal):
             _assert_index_is_alive_basis(eagon_resolution(ideal, 4), slack)

@@ -1,7 +1,9 @@
 """Import lint: every name a package module or a test file imports is used
 in that file; dead-code lint: every private function, class or method of the
-package is named somewhere in the package outside its own body; and
-table lint: only ``core`` builds an ideal's staircase codec and subset tables.
+package is named somewhere in the package outside its own body; attribute
+lint: every ``self.<name> = ...`` in a package class is read as an attribute
+somewhere in the package; and table lint: only ``core`` builds an ideal's
+staircase codec and subset tables.
 
 ``__init__.py`` is exempt from the import lint, since its imports are the
 package's public names.  A name counts as used when it appears as a bare name
@@ -93,6 +95,42 @@ def test_package_private_names_are_all_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) >= 8
     assert dead_private_names(sources) == []
+
+
+def unread_attributes(sources: dict) -> list:
+    """(file, line, name) of each ``self.<name> = ...`` in a class of
+    ``sources`` ({file name: source}) whose name no attribute read in any of
+    them loads; an augmented assignment is no read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for file, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"
+                            and node.attr not in read):
+                        unread.add((file, node.lineno, node.attr))
+    return sorted(unread)
+
+
+def test_the_lint_sees_an_unread_attribute():
+    a = ("class Space:\n    def __init__(self, n, char):\n        self.n = n\n"
+         "        self.char = char\n        self.rows = {}\n        self.count = 0\n\n"
+         "    def add(self):\n        self.count += 1\n        return self.char\n")
+    b = "from .a import Space\nSpace(1, 2).rows[0] = 1\n"
+    assert unread_attributes({"a.py": a, "b.py": b}) == [("a.py", 3, "n"), ("a.py", 6, "count"),
+                                                         ("a.py", 9, "count")]
+    assert unread_attributes({"a.py": a}) == [("a.py", 3, "n"), ("a.py", 5, "rows"),
+                                              ("a.py", 6, "count"), ("a.py", 9, "count")]
+
+
+def test_package_attributes_are_all_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 8
+    assert unread_attributes(sources) == []
 
 
 TABLE_BUILDERS = ("staircase", "subset_table", "subset_components")

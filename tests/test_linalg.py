@@ -12,7 +12,7 @@ def _as_dict(v):
 
 
 def test_echelon_membership():
-    space = EchelonSpace(3)
+    space = EchelonSpace()
     assert space.add([1, 2, 3])
     assert space.add([0, 1, 1])
     assert not space.add([1, 3, 4])  # sum of the two
@@ -104,7 +104,7 @@ def test_echelon_rows_stay_reduced():
     for char in (0, 2, 3, 7):
         for _ in range(100):
             M, n = _random_matrix(rng, rng.random() < 0.5)
-            space = EchelonSpace(n, char)
+            space = EchelonSpace(char)
             for row in M:
                 space.add(row if rng.random() < 0.5 else dict(enumerate(row)))
             if char == 2:
@@ -147,7 +147,7 @@ def test_wide_gf2_matrices_match_the_dense_oracle():
         for rows in (M, [_as_dict(row) for row in M]):
             assert kernel_basis(rows, n, 2) == expected, M
             assert rank_of(rows, n, 2) == rank, M
-            space = EchelonSpace(n, 2)
+            space = EchelonSpace(2)
             for row in rows:
                 space.add(row)
             assert all(space.contains(row) for row in rows)

@@ -3,8 +3,9 @@ import gc
 import pytest
 
 from monpoincare import resolution
-from monpoincare.core import InputError, is_generic, mdeg_add, minimalize, total_degree
-from monpoincare.complexes import homology
+from monpoincare.core import (InputError, InternalInconsistencyError, is_generic, mdeg_add,
+                              minimalize, total_degree)
+from monpoincare.complexes import alive_basis, homology, koszul_complex
 from monpoincare.resolution import (
     eagon_resolution,
     golod_denominator,
@@ -309,6 +310,32 @@ def test_eagon_regression_pair_with_shifted_attainment():
     assert all(not H.get(i) for i in range(1, 5))
 
 
+def test_verify_class_rep_raises_on_each_planted_representative():
+    # K is the Koszul complex of D10 = (z^2w, xw^2, y^3z, x^3y) over R; its
+    # H_2 at (3, 1, 2, 1), the lcm of the Scarf face {z^2w, x^3y}, is
+    # spanned by e_{x,z}
+    K, j = koszul_complex(minimalize(D10_GENERATORS, 4)), (3, 1, 2, 1)
+    resolution._verify_class_rep(K, 2, j, {(0, 2): -1}, 0)
+    alive = set(alive_basis(K, 2, j))
+    top = K.labels[3].index((0, 1, 3))
+    boundary = {K.labels[2][r]: s for r, s in K.diffs[3][top].items() if r in alive}
+    assert len(boundary) == 2
+    # no row is alive where H(K) is one-dimensional, so every chain there is
+    # a cycle; over (xz, xy), H_2 at xyz is spanned by e_{y,z}, and
+    # d(e_{x,y}) reaches the alive row e_x
+    L = koszul_complex(minimalize([(1, 0, 1), (1, 1, 0)], 3))
+    resolution._verify_class_rep(L, 2, (1, 1, 1), {(1, 2): 1}, 0)
+    planted = [(K, 1, (1, 0, 0, 0), {(0,): 1},
+                r"H_1\(K\)_\(1, 0, 0, 0\) has dimension 0, expected 1 for a Scarf face"),
+               (K, 2, j, {(0, 1): 1}, r"representative at \(3, 1, 2, 1\) is zero over the ring"),
+               (K, 2, j, boundary, r"representative at \(3, 1, 2, 1\) is a boundary"),
+               (L, 2, (1, 1, 1), {(0, 1): 1}, r"representative at \(1, 1, 1\) is not a cycle")]
+    for C, i, cell, cycle, message in planted:
+        for char in (0, 2):
+            with pytest.raises(InternalInconsistencyError, match=message):
+                resolution._verify_class_rep(C, i, cell, cycle, char)
+
+
 def test_residue_field_resolution_char2_matches_char0_small():
     I = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
     b0 = resolve_residue_field(I, 3).betti()
@@ -346,9 +373,18 @@ def _dense(vec, ncols):
 
 
 class _DenseSpace(DenseEchelonSpace):
-    """The dense oracle taking the resolver's {column: entry} rows."""
+    """The dense oracle taking the resolver's {column: entry} rows.  Built
+    as ``EchelonSpace(char)``, with no width, it widens its rows with zero
+    columns to the widest vector added, which keeps them in echelon form."""
+
+    def __init__(self, char=0):
+        super().__init__(0, char)
 
     def add(self, vec):
+        width = max(vec, default=-1) + 1
+        if width > self.ncols:
+            self.rows = [row + [0] * (width - self.ncols) for row in self.rows]
+            self.ncols = width
         return super().add(_dense(vec, self.ncols))
 
 
