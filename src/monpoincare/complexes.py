@@ -30,7 +30,7 @@ from .core import (
     mdeg_sub,
     zero_mdeg,
 )
-from .linalg import rank_of
+from .linalg import pack, rank_of, restrict, support
 
 
 @dataclass
@@ -275,11 +275,12 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     cost of (generator, standard cell) pairs, or read from ``C.alive_memo``
     when the resolver left the indexes for this bound.  At each cell the
     smaller side of the matrix of d_i is ranked: the alive columns of
-    ``C.diffs[i]``, each a sparse vector {row generator: scalar}, over the
-    alive rows (the transpose, so the rank is the same), or, where
-    there are more alive columns than alive rows, the alive rows as
-    ``cell_rows`` over the alive columns.  So ``rank_of`` never gets more
-    vectors than columns.
+    ``C.diffs[i]`` over the alive rows (the transpose, so the rank is the
+    same), or, where there are more alive columns than alive rows, the alive
+    rows as ``cell_rows`` over the alive columns.  So ``rank_of`` never gets
+    more vectors than columns.  Each column of each d_i is ``pack``-ed once
+    per call, and the column side restricts the packed columns with one mask
+    of the cell's alive rows (``support`` and ``restrict``).
     """
     if char is None:
         char = C.char
@@ -289,19 +290,20 @@ def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
         standard = standard_monomials(C.ring, bound)
         indexes = [alive_index(module, bound, standard) for module in C.modules]
     top = C.top_degree
+    packed = [[pack(column, char) for column in diff] for diff in C.diffs]
     result = {i: {} for i in range(top + 1)}
     for j in box_multidegrees(bound):
         alive = [index.get(j, ()) for index in indexes]
         ranks = [0] * (top + 2)
         for i in range(1, top + 1):
-            cols = alive[i]
-            if cols and alive[i - 1]:
-                rows, diff = set(alive[i - 1]), C.diffs[i]
+            cols, rows = alive[i], alive[i - 1]
+            if cols and rows:
                 if len(cols) > len(rows):
-                    ranks[i] = rank_of(cell_rows(diff, cols, rows), len(cols), char)
+                    ranks[i] = rank_of(cell_rows(C.diffs[i], cols, set(rows)), len(cols), char)
                 else:
-                    ranks[i] = rank_of([{r: s for r, s in diff[c].items() if r in rows}
-                                        for c in cols], len(rows), char)
+                    keep = support(rows, char)
+                    ranks[i] = rank_of([restrict(packed[i][c], keep) for c in cols],
+                                       len(rows), char)
         for i in range(top + 1):
             if d := len(alive[i]) - ranks[i] - ranks[i + 1]:
                 result[i][j] = d

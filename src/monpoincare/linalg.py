@@ -3,13 +3,23 @@
 An input row is a dict {column: nonzero entry}; a list is read as the same
 row.  The pivot of a stored row is its first nonzero column.
 
-Over GF(2) ``EchelonSpace`` stores each row as an int bitmask (bit c set iff
-column c is odd), keyed by its lowest set bit, in forward echelon form: a
-vector is reduced by XOR-ing the row of its lowest set bit until that bit is
-not a pivot, and no earlier row is touched when a row is added.  Only
-``kernel_basis`` back-substitutes, once, at the end.  An XOR clears a whole
-row in one C-level operation (the packed rows of M4RI; Albrecht and Bard,
-"The M4RI library").
+``pack`` turns a row into the form ``EchelonSpace`` stores, which ``add``,
+``contains`` and ``extend`` also take as input, so a caller that offers the
+same vector at many places packs it once: over GF(2) an int bitmask (bit c
+set iff column c is odd), over every other field a {column: entry} dict with
+entries reduced mod p.  ``support`` turns a set of columns into a mask (an
+int over GF(2), else a set) and ``restrict`` keeps a packed row's entries on
+those columns only (one ``&`` over GF(2)), so a caller can offer the same
+packed vector on many column subsets.  ``extend`` takes a batch of rows in
+one call and stops at a dimension limit; ``rank_of`` is ``extend`` on a
+fresh space.  No other module looks inside a packed row.
+
+Over GF(2) ``EchelonSpace`` keeps each row keyed by its lowest set bit, in
+forward echelon form: a vector is reduced by XOR-ing the row of its lowest
+set bit until that bit is not a pivot, and no earlier row is touched when a
+row is added.  Only ``kernel_basis`` back-substitutes, once, at the end.  An
+XOR clears a whole row in one C-level operation (the packed rows of M4RI;
+Albrecht and Bard, "The M4RI library").
 
 Over every other field the rows are dicts in reduced echelon form: no other
 row has an entry in a pivot column.  Over GF(p) entries are canonical
@@ -43,6 +53,31 @@ def _bits(vec) -> int:
     return v
 
 
+def pack(vec, char: int):
+    """A dict or list row in the form ``EchelonSpace`` stores: an int bitmask
+    over GF(2), else a fresh {column: entry} dict with entries mod char."""
+    return _bits(vec) if char == 2 else _sparse(vec, char)
+
+
+def support(columns, char: int):
+    """The columns as the mask ``restrict`` takes: an int with their bits set
+    over GF(2), else a set."""
+    if char != 2:
+        return set(columns)
+    mask = 0
+    for c in columns:
+        mask |= 1 << c
+    return mask
+
+
+def restrict(row, keep):
+    """A packed row with its entries outside the columns ``keep`` (from
+    ``support``) dropped; the row itself is not changed."""
+    if isinstance(keep, int):
+        return row & keep
+    return {c: x for c, x in row.items() if c in keep}
+
+
 def _make_primitive(row: dict) -> None:
     """Divide an integer row by its content (in place)."""
     g = gcd(*row.values())
@@ -53,7 +88,10 @@ def _make_primitive(row: dict) -> None:
 
 class EchelonSpace:
     """Incrementally built row space: forward-echelon bitmask rows over GF(2),
-    reduced-echelon dict rows over every other field."""
+    reduced-echelon dict rows over every other field.
+
+    Every method takes a row as a dict, a list or a ``pack``-ed row.
+    """
 
     def __init__(self, char: int = 0):
         self.char = char
@@ -95,7 +133,7 @@ class EchelonSpace:
         else a fresh dict."""
         rows = self.rows
         if self.char == 2:
-            v = _bits(vec)
+            v = vec if isinstance(vec, int) else _bits(vec)
             # 0 is no key, so a zero v stops the loop too
             while row := rows.get(v & -v):
                 v ^= row
@@ -112,37 +150,54 @@ class EchelonSpace:
 
     def add(self, vec) -> bool:
         """Insert vec's residual; True if it enlarged the space."""
-        v = self._reduce(vec)
-        if not v:
-            return False
-        if self.char == 2:
-            self.rows[v & -v] = v
-            return True
-        c = min(v)
-        p = self.char
-        if p:
-            inv = pow(v[c], -1, p)
-            if inv != 1:
-                for k in v:
-                    v[k] = v[k] * inv % p
-        else:
-            _make_primitive(v)
-            if v[c] < 0:
-                for k in v:
-                    v[k] = -v[k]
-        for row in self.rows.values():
-            if c in row:
-                self._eliminate(row, c, v)
-        self.rows[c] = v
-        return True
+        dim = len(self.rows)
+        self.extend((vec,), dim + 1)
+        return len(self.rows) > dim
+
+    def extend(self, vecs, limit: int) -> None:
+        """Insert the residuals of vecs, in order, until the dimension
+        reaches limit; the vectors past that point are not read."""
+        rows, p = self.rows, self.char
+        if len(rows) >= limit:
+            return
+        if p == 2:
+            # _reduce, inlined: the rows of a span arrive here by the thousand
+            for v in vecs:
+                if not isinstance(v, int):
+                    v = _bits(v)
+                while row := rows.get(v & -v):
+                    v ^= row
+                if v:
+                    rows[v & -v] = v
+                    if len(rows) >= limit:
+                        return
+            return
+        for vec in vecs:
+            v = self._reduce(vec)
+            if not v:
+                continue
+            c = min(v)
+            if p:
+                inv = pow(v[c], -1, p)
+                if inv != 1:
+                    for k in v:
+                        v[k] = v[k] * inv % p
+            else:
+                _make_primitive(v)
+                if v[c] < 0:
+                    for k in v:
+                        v[k] = -v[k]
+            for row in rows.values():
+                if c in row:
+                    self._eliminate(row, c, v)
+            rows[c] = v
+            if len(rows) >= limit:
+                return
 
 
 def rank_of(rows, ncols: int, char: int = 0) -> int:
     space = EchelonSpace(char)
-    for row in rows:
-        space.add(row)
-        if space.dim == ncols:
-            break
+    space.extend(rows, ncols)
     return space.dim
 
 
@@ -158,8 +213,7 @@ def kernel_basis(rows, ncols: int, char: int = 0):
     are reduced once, here, before the vectors are read off.
     """
     space = EchelonSpace(char)
-    for row in rows:
-        space.add(row)
+    space.extend(rows, ncols)
     if char == 2:
         return _kernel_basis_bits(space.rows, ncols)
     # non-pivot column -> (pivot, entry, pivot entry) of the rows reaching it

@@ -51,7 +51,7 @@ from .complexes import (
     scarf_faces,
     standard_monomials,
 )
-from .linalg import EchelonSpace, kernel_basis, rank_of
+from .linalg import EchelonSpace, kernel_basis, pack, rank_of, restrict, support
 from .series import BigradedSeries, betti_numbers, denominator, series_from_terms
 
 
@@ -104,6 +104,16 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     InternalInconsistencyError naming the step and the multidegree.  Its
     vectors that enlarge the span become new generators until the span
     reaches z, as a greedy pass over the whole kernel basis would choose.
+
+    Each kernel vector offered to the span is ``pack``-ed once, over the
+    indices of the whole previous module, and a chosen generator keeps that
+    packed column for the rest of its step.  A later cell restricts each
+    earlier generator's packed column with one mask of its alive columns
+    (``support`` and ``restrict``) and hands them to the span in one
+    ``extend`` call, so no column is rebuilt or packed again per cell.  The
+    alive columns are ascending, so the module's indices keep their order:
+    every pivot, and with it every kernel vector and generator, is the one a
+    span over the positions in the cell would give.
     """
     n = ideal.num_vars
     top = ideal.top_lcm()
@@ -130,7 +140,8 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
 
     for step in range(2, tmax + 1):
         cols_at, rows_at = alive[step - 1], alive[step - 2]
-        degs, vecs = [], []  # chosen generators: multidegree, column {prev index: scalar}
+        # chosen generators: multidegree, column {prev index: scalar}, packed column
+        degs, vecs, packed = [], [], []
         index, rank = {}, {}  # cell -> generators alive there, the rank of d_step there
         for j in cells:
             cols = cols_at.get(j)
@@ -142,14 +153,12 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
             # the earlier generators alive at j; those dividing j with a
             # non-standard cofactor map to zero here and are not in the index,
             # and entries on columns dead at j drop out
-            pos = {c: ci for ci, c in enumerate(cols)}
             span = EchelonSpace(char)
-            for w in index.get(j, ()):
-                span.add({pos[c]: x for c, x in vecs[w].items() if c in pos})
+            if earlier := index.get(j):
+                keep = support(cols, char)
+                span.extend((restrict(packed[w], keep) for w in earlier), z)
                 if span.dim == z:
-                    break
-            if span.dim == z:
-                continue
+                    continue
             M = cell_rows(diffs[step - 1], cols, set(rows_at.get(j, ())))
             kernel = kernel_basis(M, len(cols), char)
             if len(kernel) != z:
@@ -157,10 +166,13 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                                                  f"dimension {len(kernel)}, exactness counts {z}")
             new = []
             for v in kernel:
-                if span.add(v):
+                vec = {cols[ci]: x for ci, x in v.items()}
+                row = pack(vec, char)
+                if span.add(row):
                     new.append(len(vecs))
                     degs.append(j)
-                    vecs.append({cols[ci]: x for ci, x in v.items()})
+                    vecs.append(vec)
+                    packed.append(row)
                     if span.dim == z:
                         break
             for cell in alive_cells(j, bound, standard):

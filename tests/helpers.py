@@ -159,13 +159,14 @@ def rp2_generators():
             for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
 
 
-def oracle_homology(C, bound):
-    """Brute-force per-multidegree homology: dense sympy matrices over Q.
+def oracle_homology(C, bound, char=0):
+    """Brute-force per-multidegree homology: dense matrices, ranked by sympy
+    over Q (char 0) or by ``dense_rank_of`` over GF(char).
 
     Independent reconstruction: alive bases are derived from generator degrees
     and the relation set, matrix entries read off the stored scalars, ranks
-    taken by sympy.  Returns the same {i: {mdeg: dim}} shape as
-    monpoincare.complexes.homology with zeros omitted.
+    taken by sympy or the dense echelon oracle.  Returns the same {i: {mdeg:
+    dim}} shape as monpoincare.complexes.homology with zeros omitted.
     """
     from sympy import Matrix
 
@@ -189,8 +190,8 @@ def oracle_homology(C, bound):
         for i in range(1, top + 1):
             rows, cols = alive[i - 1], alive[i]
             if rows and cols:
-                M = Matrix([[C.diffs[i][c].get(r, 0) for c in cols] for r in rows])
-                ranks[i] = M.rank()
+                M = [[C.diffs[i][c].get(r, 0) for c in cols] for r in rows]
+                ranks[i] = dense_rank_of(M, len(cols), char) if char else Matrix(M).rank()
         for i in range(top + 1):
             h = len(alive[i]) - ranks[i] - ranks[i + 1]
             if h:

@@ -147,17 +147,25 @@ def test_homology_zero_complex():
 
 
 def test_homology_matches_oracle_small():
-    # the slack-box resolution of C5 and the Koszul complex of RP^2 give the
-    # smaller-side sparse ranks non-square matrices of both shapes over many
-    # steps
+    # the slack-box resolutions of C5 and RP^2 and the Koszul complex of RP^2
+    # give the smaller-side sparse ranks non-square matrices of both shapes
+    # over many steps, in char 0 and over GF(2), where the rows are bitmasks;
+    # a char-2 resolution is ranked in char 2 only, since over Q its
+    # differentials need not compose to zero
     I, c5 = minimalize([(2, 0), (1, 1), (0, 2)], 2), cycle_ideal(5)
     rp2 = minimalize(rp2_generators(), 6)
-    for ideal, C in ((I, taylor_complex(I)), (I, scarf_complex(I)),
-                     (I, koszul_complex(I)),
-                     (c5, resolve_residue_field(c5, 4).complex),
-                     (rp2, koszul_complex(rp2))):
+    both = [(I, taylor_complex(I)), (I, scarf_complex(I)), (I, koszul_complex(I)),
+            (c5, resolve_residue_field(c5, 4).complex), (rp2, koszul_complex(rp2))]
+    cases = [(ideal, C, char) for char in (0, 2) for ideal, C in both]
+    cases += [(ideal, resolve_residue_field(ideal, 4, char=2).complex, 2) for ideal in (c5, rp2)]
+    for ideal, C, char in cases:
         bound = mdeg_add(ideal.top_lcm(), (1,) * ideal.num_vars)
-        assert homology(C, bound) == oracle_homology(C, bound)
+        assert homology(C, bound, char) == oracle_homology(C, bound, char), (ideal, char)
+    # the Koszul homology of RP^2 depends on the characteristic
+    K, slack = koszul_complex(rp2), mdeg_add(rp2.top_lcm(), (1,) * 6)
+    H0, H2 = homology(K, slack, 0), homology(K, slack, 2)
+    assert (sum(H0[3].values()), sum(H0[4].values())) == (6, 0)
+    assert (sum(H2[3].values()), sum(H2[4].values())) == (7, 1)
 
 
 def test_homology_ranks_the_smaller_side(monkeypatch):

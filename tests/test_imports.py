@@ -2,8 +2,10 @@
 in that file; dead-code lint: every private function, class or method of the
 package is named somewhere in the package outside its own body; attribute
 lint: every ``self.<name> = ...`` in a package class is read as an attribute
-somewhere in the package; and table lint: only ``core`` builds an ideal's
-staircase codec and subset tables.
+somewhere in the package; table lint: only ``core`` builds an ideal's
+staircase codec and subset tables; and row-format lint: only ``linalg``
+branches on characteristic 2, where its packed rows are bitmasks, and no
+module imports a private name of ``linalg``.
 
 ``__init__.py`` is exempt from the import lint, since its imports are the
 package's public names.  A name counts as used when it appears as a bare name
@@ -167,3 +169,55 @@ def test_only_core_builds_the_codec_and_the_subset_tables():
     found = {p.name: calls for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"
              and (calls := table_builder_calls(p.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def _is_char(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "char"
+            or isinstance(node, ast.Attribute) and node.attr == "char")
+
+
+def _constants(node) -> set:
+    """The constants a comparison operand names: itself, or the items of a
+    tuple, list or set display."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {x.value for x in items if isinstance(x, ast.Constant)}
+
+
+def char_two_comparisons(source: str) -> list:
+    """The line of each comparison in ``source`` between a name or attribute
+    ``char`` and the constant 2 (also as an item of ``char in (2, ...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_char, operands)) and any(2 in _constants(x) for x in operands):
+                found.append(node.lineno)
+    return found
+
+
+def private_linalg_imports(source: str) -> list:
+    """(line, name) of each private name that ``source`` imports from linalg."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg"
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_lint_sees_the_row_format_named():
+    source = ("from .linalg import EchelonSpace, _bits\n"
+              "from monpoincare.linalg import pack, _sparse as s\nfrom .core import _private\n\n\n"
+              "def f(char, C, p):\n    if char == 2 or 2 != C.char:\n        return char in (0, 2)\n"
+              "    return C.char == 3 or p == 2 or char < 3\n")
+    assert char_two_comparisons(source) == [7, 7, 8]
+    assert private_linalg_imports(source) == [(1, "_bits"), (2, "_sparse")]
+
+
+def test_only_linalg_names_the_row_format():
+    """The other modules hand rows to ``linalg`` through ``pack``, ``support``
+    and ``restrict``, so none of them knows that a GF(2) row is an int."""
+    branching = {p.name: lines for p in sorted(PACKAGE.glob("*.py")) if p.name != "linalg.py"
+                 and (lines := char_two_comparisons(p.read_text(encoding="utf-8")))}
+    assert branching == {}
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    private = {p.name: found for p in files
+               if (found := private_linalg_imports(p.read_text(encoding="utf-8")))}
+    assert private == {}

@@ -1,7 +1,7 @@
 import random
 from math import gcd
 
-from monpoincare.linalg import EchelonSpace, kernel_basis, rank_of
+from monpoincare.linalg import EchelonSpace, kernel_basis, pack, rank_of, restrict, support
 
 from helpers import DenseEchelonSpace, dense_kernel_basis, dense_rank_of
 
@@ -154,3 +154,37 @@ def test_wide_gf2_matrices_match_the_dense_oracle():
             for probe in probes:
                 assert space.contains(probe) == dense.contains(probe), (M, probe)
                 assert space.contains(_as_dict(probe)) == dense.contains(probe), (M, probe)
+
+
+def test_packed_rows_restricted_to_columns_match_the_dense_oracle():
+    # a row packed once and restricted to a column subset spans what the
+    # submatrix on those columns spans, and restricting leaves it unchanged
+    rng = random.Random(11)
+    for char in (0, 2, 3, 7):
+        for _ in range(100):
+            M, n = _random_matrix(rng, rng.random() < 0.5)
+            keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+            packed = [pack(row, char) for row in M]
+            mask = support(keep, char)
+            rows = [restrict(v, mask) for v in packed]
+            rank = dense_rank_of([[row[c] for c in keep] for row in M], len(keep), char)
+            assert rank_of(rows, len(keep), char) == rank, (M, keep, char)
+            space = EchelonSpace(char)
+            space.extend(rows, n)
+            assert space.dim == rank and all(map(space.contains, rows))
+            assert packed == [pack(row, char) for row in M]
+
+
+def test_extend_stops_reading_at_the_limit():
+    read = []
+
+    def unit_rows():
+        for c in range(5):
+            read.append(c)
+            yield {c: 1}
+
+    for char in (0, 2, 3):
+        read.clear()
+        space = EchelonSpace(char)
+        space.extend(unit_rows(), 3)
+        assert space.dim == 3 and read == [0, 1, 2]

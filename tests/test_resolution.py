@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from monpoincare import resolution
+from monpoincare import linalg, resolution
 from monpoincare.core import (InputError, InternalInconsistencyError, is_generic, mdeg_add,
                               minimalize, total_degree)
 from monpoincare.complexes import alive_basis, homology, koszul_complex
@@ -368,19 +368,54 @@ def test_every_kernel_basis_the_resolver_computes_yields_a_generator(monkeypatch
             assert len(calls) == sum(len(set(module)) for module in modules[2:]) > 0
 
 
+def test_the_gf2_resolver_packs_each_column_once(monkeypatch):
+    # a chosen generator's column is packed into a bitmask once and masked
+    # at every later cell where it is alive, so besides the matrix rows that
+    # kernel_basis packs, only the kernel vectors offered to a span are packed
+    packs, budget = [], []
+    bits, kernel_basis = linalg._bits, resolution.kernel_basis
+
+    def counted_bits(vec):
+        packs.append(vec)
+        return bits(vec)
+
+    def counted_kernel(rows, ncols, char=0):
+        basis = kernel_basis(rows, ncols, char)
+        budget.append(len(rows) + len(basis))
+        return basis
+
+    monkeypatch.setattr(linalg, "_bits", counted_bits)
+    monkeypatch.setattr(resolution, "kernel_basis", counted_kernel)
+    for ideal, tmax in ((cycle_ideal(5), 6), (minimalize(rp2_generators(), 6), 4)):
+        packs.clear()
+        budget.clear()
+        resolve_residue_field(ideal, tmax, char=2)
+        assert 0 < len(packs) <= sum(budget), ideal
+
+
 def _dense(vec, ncols):
     return [vec.get(c, 0) for c in range(ncols)]
 
 
 class _DenseSpace(DenseEchelonSpace):
-    """The dense oracle taking the resolver's {column: entry} rows.  Built
-    as ``EchelonSpace(char)``, with no width, it widens its rows with zero
-    columns to the widest vector added, which keeps them in echelon form."""
+    """The dense oracle taking the resolver's packed rows: {column: entry}
+    dicts, or over GF(2) ints whose set bits c are decoded into {c: 1}.
+    Built as ``EchelonSpace(char)``, with no width, it widens its rows with
+    zero columns to the widest vector added, which keeps them in echelon
+    form."""
 
     def __init__(self, char=0):
         super().__init__(0, char)
 
+    def extend(self, vecs, limit):
+        for vec in vecs:
+            if self.dim >= limit:
+                return
+            self.add(vec)
+
     def add(self, vec):
+        if isinstance(vec, int):
+            vec = {c: 1 for c in range(vec.bit_length()) if vec >> c & 1}
         width = max(vec, default=-1) + 1
         if width > self.ncols:
             self.rows = [row + [0] * (width - self.ncols) for row in self.rows]
