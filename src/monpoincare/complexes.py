@@ -9,6 +9,13 @@ generator of multidegree c to a row generator of multidegree r is a single
 term: scalar times the monomial x^(c - r).  Only the scalar is stored; the
 monomial is implied by the generator degrees.  Over R, entries whose implied
 monomial lies in the defining ideal are dropped at construction time.
+
+``homology`` and the resolver work cell by cell in a box of multidegrees
+j <= bound.  There a cell is one int, its ``core.Box`` code (the mixed-radix
+index of j), so the per-cell tables (standard cells, alive indexes, ranks)
+are keyed by ints, and a cell's alive cells are found by adding strides.  A
+multidegree is decoded from its code only where it leaves the box
+computation: module degrees, result keys and error messages.
 """
 from __future__ import annotations
 
@@ -17,20 +24,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from operator import add
 
 from .core import (
+    Box,
     InternalInconsistencyError,
     MonomialIdeal,
     Multidegree,
-    box_multidegrees,
     divides,
     mask_subset,
     mdeg_join,
     mdeg_sub,
     zero_mdeg,
 )
-from .linalg import pack, rank_of, restrict, support
+from .linalg import pack, pack_rows, rank_of, restrict, support
 
 
 @dataclass
@@ -43,10 +49,11 @@ class FreeComplex:
     one {row: nonzero scalar} dict per generator of modules[i], so diffs[0]
     holds empty columns.  ``labels`` may carry a parallel structure naming
     the generators (subsets, wedge sets...).
-    ``alive_memo`` maps a bound to one ``alive_index`` per module; only
-    ``resolve_residue_field`` fills it, for its own box, so that ``homology``
-    over that box reads the resolver's indexes instead of rebuilding them.
-    It is not part of equality, and ``dataclasses.replace`` starts it empty.
+    ``alive_memo`` maps a bound to one ``alive_index`` per module, keyed by
+    the cell codes of ``Box(bound)``; only ``resolve_residue_field`` fills
+    it, for its own box, so that ``homology`` over that box reads the
+    resolver's indexes instead of rebuilding them.  It is not part of
+    equality, and ``dataclasses.replace`` starts it empty.
     """
 
     ring: MonomialIdeal
@@ -110,18 +117,6 @@ class FreeComplex:
                     if not kills(mono):
                         bad.append((i, r, c))
         return bad
-
-
-def cell_rows(diff: list, cols, rows: set) -> list:
-    """The matrix of a differential at one cell as sparse rows {column
-    position: scalar}: the entries of the alive columns ``cols`` of ``diff``
-    on the alive rows ``rows``, zero rows left out."""
-    M = {}  # row generator -> {column position: scalar}
-    for ci, c in enumerate(cols):
-        for r, s in diff[c].items():
-            if r in rows:
-                M.setdefault(r, {})[ci] = s
-    return list(M.values())
 
 
 def _entry(ring: MonomialIdeal, column: dict, row: int, scalar: int, mono: Multidegree):
@@ -211,49 +206,57 @@ def koszul_complex(ring: MonomialIdeal) -> FreeComplex:
     return _subset_complex(ring, units, _all_subsets(n))
 
 
-def standard_monomials(ring: MonomialIdeal, bound: Multidegree) -> set:
-    """Multidegrees s <= bound with x^s outside the ideal ``ring``."""
-    return {s for s in box_multidegrees(bound) if not ring.kills(s)}
+def alive_cells(box: Box, g: Multidegree, ok) -> list:
+    """Codes of the cells g + s of ``box`` with ok(code of s): the cells
+    where a generator of multidegree g is alive, when ok(s) says that s is
+    standard.  A g that is not <= the bound has no cell.
 
-
-def alive_cells(g: Multidegree, bound: Multidegree, standard: set) -> list:
-    """Cells j <= bound where a generator of multidegree g is alive: g + s for
-    every standard s <= bound - g.
-
-    Standard monomials are closed under division, so the walk extends s one
-    coordinate at a time and stops coordinate k at the first exponent e whose
-    prefix (s_1..s_{k-1}, e, 0..0) is not standard: every larger e is then
-    not standard either.  Each lookup either finds a new prefix or ends its
-    prefix's coordinate, so the walk costs at most 2n set lookups per cell
-    returned.
+    ``ok`` must hold at every divisor of a cell where it holds, as it does for
+    standard monomials, so the walk extends s one coordinate at a time and
+    stops coordinate k at the first exponent whose prefix (s_1..s_k, 0..0)
+    fails ``ok``.  A prefix and its zero padding have one code, and raising
+    coordinate k adds ``box.strides[k]``.  Each call of ``ok`` either finds a
+    new prefix or ends its prefix's coordinate, so the walk costs at most
+    n + 1 calls per cell returned.
     """
-    n = len(g)
-    shifts = [()]
-    for k in range(n):
-        pad = (0,) * (n - k - 1)
+    base = box.code(g)
+    if base is None or not ok(0):
+        return []
+    shifts = [0]
+    for stride, room in zip(box.strides, mdeg_sub(box.bound, g)):
         longer = []
         for s in shifts:
-            for e in range(bound[k] - g[k] + 1):
-                t = s + (e,)
-                if t + pad not in standard:
+            longer.append(s)
+            for _ in range(room):
+                s += stride
+                if not ok(s):
                     break
-                longer.append(t)
+                longer.append(s)
         shifts = longer
-    return [tuple(map(add, g, s)) for s in shifts]
+    return [base + s for s in shifts] if base else shifts
 
 
-def alive_index(module, bound: Multidegree, standard: set) -> dict:
-    """{cell j <= bound: indices c of module, ascending, with module[c] | j and
-    j - module[c] standard}: ``alive_basis`` for every cell of the box at once.
+def standard_monomials(ring: MonomialIdeal, box: Box) -> set:
+    """Codes of the cells s of ``box`` with x^s outside the ideal ``ring``:
+    the alive cells of the zero generator, so ``ring.kills`` runs once per
+    standard cell and once per cell on the frontier, not on the whole box."""
+    return set(alive_cells(box, zero_mdeg(len(box.bound)), lambda s: not ring.kills(box.decode[s])))
 
-    ``standard`` is ``standard_monomials(ring, bound)`` of the module's ring,
-    the one place the ring enters.  Each generator walks its own alive cells,
-    so the cost is proportional to the (generator, alive cell) pairs, not to
-    |box| x |module|.
+
+def alive_index(module, box: Box, standard: set) -> dict:
+    """{cell code: indices c of module, ascending, with module[c] | j and j -
+    module[c] standard, j the cell}: ``alive_basis`` for every cell of ``box``
+    at once, keyed by ``box`` code (``box.decode`` gives the multidegree).
+
+    ``standard`` is ``standard_monomials(ring, box)`` of the module's ring,
+    the one place the ring enters.  Each generator walks its own alive cells
+    (``alive_cells``), so the cost is proportional to the (generator, alive
+    cell) pairs, not to |box| x |module|.
     """
     index = {}
+    ok = standard.__contains__
     for c, g in enumerate(module):
-        for j in alive_cells(g, bound, standard):
+        for j in alive_cells(box, g, ok):
             index.setdefault(j, []).append(c)
     return index
 
@@ -270,43 +273,48 @@ def alive_basis(C: FreeComplex, i: int, j: Multidegree):
 def homology(C: FreeComplex, bound: Multidegree, char: int | None = None):
     """Dimensions of H_i(C) in every multidegree <= bound.
 
-    Returns {i: {multidegree: dim}} with zero dimensions omitted.  The alive
-    bases come from one ``alive_index`` per module, built once per call at a
-    cost of (generator, standard cell) pairs, or read from ``C.alive_memo``
-    when the resolver left the indexes for this bound.  At each cell the
-    smaller side of the matrix of d_i is ranked: the alive columns of
-    ``C.diffs[i]`` over the alive rows (the transpose, so the rank is the
-    same), or, where there are more alive columns than alive rows, the alive
-    rows as ``cell_rows`` over the alive columns.  So ``rank_of`` never gets
-    more vectors than columns.  Each column of each d_i is ``pack``-ed once
-    per call, and the column side restricts the packed columns with one mask
-    of the cell's alive rows (``support`` and ``restrict``).
+    Returns {i: {multidegree: dim}} with zero dimensions omitted.  The cells
+    are the codes of ``Box(bound)``, in its (total degree, lex) order, and a
+    multidegree is decoded only for a key of the result.  The alive bases
+    come from one code-keyed ``alive_index`` per module, built once per call
+    at a cost of (generator, standard cell) pairs, or read from
+    ``C.alive_memo`` when the resolver left the indexes for this bound.  At
+    each cell the smaller side of the matrix of d_i is ranked: the alive
+    columns of ``C.diffs[i]`` over the alive rows (the transpose, so the rank
+    is the same), or, where there are more alive columns than alive rows, the
+    alive rows over the alive columns.  So ``rank_of`` never gets more vectors
+    than columns.  Each column and each row of each d_i is packed once per
+    call (``pack`` and ``pack_rows``), and a cell restricts the packed
+    vectors of its side with one mask of the other side's alive indices
+    (``support`` and ``restrict``).
     """
     if char is None:
         char = C.char
-    bound = tuple(bound)
-    indexes = C.alive_memo.get(bound)
+    box = Box(bound)
+    indexes = C.alive_memo.get(box.bound)
     if indexes is None:
-        standard = standard_monomials(C.ring, bound)
-        indexes = [alive_index(module, bound, standard) for module in C.modules]
+        standard = standard_monomials(C.ring, box)
+        indexes = [alive_index(module, box, standard) for module in C.modules]
     top = C.top_degree
-    packed = [[pack(column, char) for column in diff] for diff in C.diffs]
+    packed_cols = [[pack(column, char) for column in diff] for diff in C.diffs]
+    packed_rows = [[]] + [pack_rows(C.diffs[i], len(C.modules[i - 1]), char)
+                          for i in range(1, top + 1)]
     result = {i: {} for i in range(top + 1)}
-    for j in box_multidegrees(bound):
+    for j in box.codes:
         alive = [index.get(j, ()) for index in indexes]
         ranks = [0] * (top + 2)
         for i in range(1, top + 1):
             cols, rows = alive[i], alive[i - 1]
             if cols and rows:
                 if len(cols) > len(rows):
-                    ranks[i] = rank_of(cell_rows(C.diffs[i], cols, set(rows)), len(cols), char)
+                    side, other, vectors = rows, cols, packed_rows[i]
                 else:
-                    keep = support(rows, char)
-                    ranks[i] = rank_of([restrict(packed[i][c], keep) for c in cols],
-                                       len(rows), char)
+                    side, other, vectors = cols, rows, packed_cols[i]
+                keep = support(other, char)
+                ranks[i] = rank_of([restrict(vectors[k], keep) for k in side], len(other), char)
         for i in range(top + 1):
             if d := len(alive[i]) - ranks[i] - ranks[i + 1]:
-                result[i][j] = d
+                result[i][box.decode[j]] = d
     return result
 
 

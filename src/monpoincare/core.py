@@ -23,6 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 Multidegree = tuple  # tuple[int, ...], length = number of variables
 
@@ -78,6 +79,35 @@ def box_multidegrees(bound: Multidegree):
     cells = list(product(*(range(b + 1) for b in bound)))
     cells.sort(key=lambda j: (sum(j), j))
     return cells
+
+
+class Box:
+    """The cells j <= bound, each named by one int code: the mixed-radix index
+    sum_k j_k * strides[k], where strides[k] is the product of bound_l + 1
+    over l > k.
+
+    ``codes`` lists the cells in ``box_multidegrees`` order, (total degree,
+    lex), and ``decode[code]`` is the cell's multidegree.  The last variable
+    has stride 1, so lex order on cells is numeric order on codes.  Inside the
+    box, adding multidegrees adds codes: no coordinate carries into the next.
+    """
+
+    def __init__(self, bound: Multidegree):
+        self.bound = bound = tuple(bound)
+        strides, step = [], 1
+        for b in reversed(bound):
+            strides.append(step)
+            step *= b + 1
+        self.strides = strides = strides[::-1]
+        cells = box_multidegrees(bound)
+        self.codes = [sum(map(mul, j, strides)) for j in cells]
+        self.decode = sorted(cells)  # lex order, i.e. code order
+
+    def code(self, j: Multidegree) -> int | None:
+        """The code of cell j, or None if j is not <= bound."""
+        if not divides(j, self.bound):
+            return None
+        return sum(map(mul, j, self.strides))
 
 
 def monomial_str(m: Multidegree, names) -> str:

@@ -7,12 +7,13 @@ row.  The pivot of a stored row is its first nonzero column.
 ``contains`` and ``extend`` also take as input, so a caller that offers the
 same vector at many places packs it once: over GF(2) an int bitmask (bit c
 set iff column c is odd), over every other field a {column: entry} dict with
-entries reduced mod p.  ``support`` turns a set of columns into a mask (an
-int over GF(2), else a set) and ``restrict`` keeps a packed row's entries on
-those columns only (one ``&`` over GF(2)), so a caller can offer the same
-packed vector on many column subsets.  ``extend`` takes a batch of rows in
-one call and stops at a dimension limit; ``rank_of`` is ``extend`` on a
-fresh space.  No other module looks inside a packed row.
+entries reduced mod p.  ``pack_rows`` packs the rows of a matrix given by
+columns (its transpose) in one pass.  ``support`` turns a set of columns into
+a mask (an int over GF(2), else a set) and ``restrict`` keeps a packed row's
+entries on those columns only (one ``&`` over GF(2)), so a caller can offer
+the same packed vector on many column subsets.  ``extend`` takes a batch of
+rows in one call and stops at a dimension limit; ``rank_of`` is ``extend`` on
+a fresh space.  No other module looks inside a packed row.
 
 Over GF(2) ``EchelonSpace`` keeps each row keyed by its lowest set bit, in
 forward echelon form: a vector is reduced by XOR-ing the row of its lowest
@@ -57,6 +58,26 @@ def pack(vec, char: int):
     """A dict or list row in the form ``EchelonSpace`` stores: an int bitmask
     over GF(2), else a fresh {column: entry} dict with entries mod char."""
     return _bits(vec) if char == 2 else _sparse(vec, char)
+
+
+def pack_rows(columns, nrows: int, char: int) -> list:
+    """The rows of the matrix whose columns are the {row: entry} dicts
+    ``columns``, each row in ``pack`` form over the column indices: the
+    transpose, packed in one pass over the entries."""
+    if char == 2:
+        rows = [0] * nrows
+        for c, column in enumerate(columns):
+            bit = 1 << c
+            for r, x in column.items():
+                if x & 1:
+                    rows[r] |= bit
+        return rows
+    rows = [{} for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for r, x in column.items():
+            if y := x % char if char else x:
+                rows[r][c] = y
+    return rows
 
 
 def support(columns, char: int):

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import (
+    Box,
     InputError,
     InternalInconsistencyError,
     MonomialIdeal,
     Multidegree,
-    box_multidegrees,
     divides,
     is_generic,
     lcm_of_subset,
@@ -45,7 +45,6 @@ from .complexes import (
     alive_basis,
     alive_cells,
     alive_index,
-    cell_rows,
     homology,
     koszul_complex,
     scarf_faces,
@@ -85,13 +84,18 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     unsound.  Ranks of the result are exactly dim Tor_i^R(k,k)_j for j in the
     box; generators outside the box are not tracked.
 
-    Each free module carries an ``alive_index`` over the box: the cells where
-    its generators are alive, built once at a cost of (generator, standard
-    cell) pairs.  At step k the index of modules[k-1] gives the columns and
-    that of modules[k-2] the rows of the cell's matrix; the index of
-    modules[k] is filled as its generators are chosen, so before choosing at
-    a cell it lists the earlier generators that reach it.  The indexes are
-    left in ``complex.alive_memo[bound]`` for ``homology`` over the same box.
+    Every cell of the box is one int, its ``Box`` code, and the cells are
+    visited in the box's (total degree, lex) order.  The standard cells, the
+    alive indexes and the ranks are keyed by code; a multidegree is decoded
+    only for a chosen generator's degree and for an error message.  Each free
+    module carries an ``alive_index`` over the box: the cells where its
+    generators are alive, built once at a cost of (generator, standard cell)
+    pairs.  At step k the index of modules[k-1] gives the columns and that of
+    modules[k-2] the rows of the cell's matrix; the index of modules[k] is
+    filled as its generators are chosen (``alive_cells`` from the chosen
+    cell), so before choosing at a cell it lists the earlier generators that
+    reach it.  The indexes are left in ``complex.alive_memo[bound]`` for
+    ``homology`` over the same box.
 
     No matrix is ranked.  rank_prev[j] is the rank of d_{k-1} at cell j (1 at
     standard j != 0 for d_1), so z = #columns - rank_prev[j] is the kernel
@@ -124,26 +128,27 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         raise InputError(f"multidegree bound {bound} must dominate m_I = {top}")
     if tmax < 0:
         raise InputError("tmax must be non-negative")
-    cells = box_multidegrees(bound)
-    standard = standard_monomials(ideal, bound)
+    box = Box(bound)
+    standard = standard_monomials(ideal, box)
+    is_standard = standard.__contains__
 
     modules = [[zero_mdeg(n)]]
     diffs = [[{}]]
     if tmax >= 1:
         # units outside the box belong to variables no generator uses; their
         # (split-off polynomial) contribution cancels against the numerator
-        gens1 = [u for u in (unit_mdeg(n, i) for i in range(n)) if u in standard]
+        gens1 = [u for u in (unit_mdeg(n, i) for i in range(n)) if box.code(u) in standard]
         modules.append(gens1)
         diffs.append([{0: 1} for _ in gens1])
-    alive = [alive_index(module, bound, standard) for module in modules]
-    rank_prev = {j: 1 for j in standard if any(j)}  # the rank of d_1 at j
+    alive = [alive_index(module, box, standard) for module in modules]
+    rank_prev = {j: 1 for j in standard if j}  # the rank of d_1 at j; code 0 is the zero cell
 
     for step in range(2, tmax + 1):
         cols_at, rows_at = alive[step - 1], alive[step - 2]
         # chosen generators: multidegree, column {prev index: scalar}, packed column
         degs, vecs, packed = [], [], []
         index, rank = {}, {}  # cell -> generators alive there, the rank of d_step there
-        for j in cells:
+        for j in box.codes:
             cols = cols_at.get(j)
             if not cols:
                 continue
@@ -159,23 +164,25 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                 span.extend((restrict(packed[w], keep) for w in earlier), z)
                 if span.dim == z:
                     continue
-            M = cell_rows(diffs[step - 1], cols, set(rows_at.get(j, ())))
+            M = _cell_rows(diffs[step - 1], cols, set(rows_at.get(j, ())))
             kernel = kernel_basis(M, len(cols), char)
+            deg = box.decode[j]
             if len(kernel) != z:
-                raise InternalInconsistencyError(f"step {step} at multidegree {j}: the kernel has "
-                                                 f"dimension {len(kernel)}, exactness counts {z}")
+                raise InternalInconsistencyError(
+                    f"step {step} at multidegree {deg}: the kernel has "
+                    f"dimension {len(kernel)}, exactness counts {z}")
             new = []
             for v in kernel:
                 vec = {cols[ci]: x for ci, x in v.items()}
                 row = pack(vec, char)
                 if span.add(row):
                     new.append(len(vecs))
-                    degs.append(j)
+                    degs.append(deg)
                     vecs.append(vec)
                     packed.append(row)
                     if span.dim == z:
                         break
-            for cell in alive_cells(j, bound, standard):
+            for cell in alive_cells(box, deg, is_standard):
                 index.setdefault(cell, []).extend(new)
         modules.append(degs)
         alive.append(index)
@@ -185,6 +192,18 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     cpx = FreeComplex(ideal, modules, diffs, None, char)
     cpx.alive_memo[bound] = alive
     return ResidueFieldResolution(tmax, bound, cpx)
+
+
+def _cell_rows(diff: list, cols, rows: set) -> list:
+    """The matrix of a differential at one cell as sparse rows {column
+    position: scalar}: the entries of the alive columns ``cols`` of ``diff``
+    on the alive rows ``rows``, zero rows left out."""
+    M = {}  # row generator -> {column position: scalar}
+    for ci, c in enumerate(cols):
+        for r, s in diff[c].items():
+            if r in rows:
+                M.setdefault(r, {})[ci] = s
+    return list(M.values())
 
 
 def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ideal: MonomialIdeal) -> dict:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from monpoincare import complexes
-from monpoincare.core import (InternalInconsistencyError, MonomialIdeal, box_multidegrees,
+from monpoincare.core import (Box, InternalInconsistencyError, MonomialIdeal, box_multidegrees,
                               is_generic, mdeg_add, minimalize, total_degree)
 from monpoincare.complexes import (
     FreeComplex,
@@ -186,6 +186,47 @@ def test_homology_ranks_the_smaller_side(monkeypatch):
         assert all(k <= ncols for k, ncols in calls), ideal
 
 
+def test_homology_ranks_rows_and_columns_on_the_c5_resolution(monkeypatch):
+    # each cell ranks the alive rows of d_i over its alive columns where it
+    # has more columns than rows, and the columns over the rows otherwise;
+    # the slack-box resolution of C5 has cells of both kinds
+    calls = []
+    real = complexes.rank_of
+
+    def recorded(vectors, ncols, char=0):
+        calls.append((len(vectors), ncols))
+        return real(vectors, ncols, char)
+
+    monkeypatch.setattr(complexes, "rank_of", recorded)
+    c5 = cycle_ideal(5)
+    slack = mdeg_add(c5.top_lcm(), (1,) * c5.num_vars)
+    for char in (0, 2, 3):
+        C = resolve_residue_field(c5, 4, slack, char).complex
+        expected, sides = [], set()
+        for j in box_multidegrees(slack):
+            alive = [alive_basis(C, i, j) for i in range(C.top_degree + 1)]
+            for i in range(1, C.top_degree + 1):
+                cols, rows = len(alive[i]), len(alive[i - 1])
+                if cols and rows:
+                    sides.add("rows" if cols > rows else "columns")
+                    expected.append((min(cols, rows), max(cols, rows)))
+        calls.clear()
+        assert homology(C, slack) == oracle_homology(C, slack, char), char
+        assert calls == expected and sides == {"rows", "columns"}, char
+
+
+def test_homology_skips_generators_outside_the_box():
+    # the Eagon resolution of D10 has generators such as (0, 0, 4, 2) that do
+    # not divide the slack bound (4, 4, 3, 3): they are alive at no cell
+    d10 = minimalize([(3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)], 4)
+    slack = mdeg_add(d10.top_lcm(), (1,) * d10.num_vars)
+    assert slack == (4, 4, 3, 3)
+    for char in (0, 2):
+        C = eagon_resolution(d10, 5, char)
+        assert (0, 0, 4, 2) in C.modules[4], char
+        assert homology(C, slack) == oracle_homology(C, slack, char), char
+
+
 def test_validate_raises_on_each_planted_violation():
     ring = minimalize([(2, 0)], 2, ("x", "y"))  # k[x,y]/(x^2)
     modules = [[(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0), (1, 1)]]
@@ -286,15 +327,19 @@ def test_minimize_agrees_with_koszul_homology():
 
 
 def _assert_index_is_alive_basis(C, bound):
-    """alive_index of every module agrees with alive_basis on every cell of
-    the box (a missing key is an empty basis); returns the indexes."""
+    """alive_index of every module, read through the box's decode, agrees
+    with alive_basis on every cell of the box (a missing key is an empty
+    basis); returns the code-keyed indexes."""
     cells = box_multidegrees(bound)
-    standard = standard_monomials(C.ring, bound)
-    indexes = [alive_index(module, bound, standard) for module in C.modules]
+    box = Box(bound)
+    standard = standard_monomials(C.ring, box)
+    assert {box.decode[s] for s in standard} == {j for j in cells if not C.ring.kills(j)}
+    indexes = [alive_index(module, box, standard) for module in C.modules]
     for i, index in enumerate(indexes):
-        assert set(index) <= set(cells), i
+        decoded = {box.decode[code]: gens for code, gens in index.items()}
+        assert len(decoded) == len(index) and set(decoded) <= set(cells), i
         for j in cells:
-            assert index.get(j, []) == alive_basis(C, i, j), (i, j)
+            assert decoded.get(j, []) == alive_basis(C, i, j), (i, j)
     return indexes
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from monpoincare.core import (
     SUBSET_TABLE_MAX_GENERATORS,
+    Box,
     InputError,
     MonomialIdeal,
     box_multidegrees,
@@ -16,6 +17,7 @@ from monpoincare.core import (
     lcm_of_subset,
     load_ideal,
     mask_subset,
+    mdeg_add,
     mdeg_join,
     minimalize,
     polarize,
@@ -94,6 +96,22 @@ def test_subset_lcms_matches_lcm_of_subset():
         assert len(table) == 2 ** r
         for mask, m in enumerate(table):
             assert m == lcm_of_subset(ideal, [i for i in range(r) if mask & (1 << i)])
+
+
+def test_box_codes_name_the_cells_in_box_order():
+    rng = random.Random(5)
+    for bound in [(0,), (3,), (2, 0, 1), (1, 2, 3), (4, 4, 3, 3), (0, 0), (2, 1, 1, 2, 1)]:
+        box = Box(bound)
+        cells = box_multidegrees(bound)
+        assert sorted(box.codes) == list(range(len(cells)))
+        assert [box.decode[c] for c in box.codes] == cells
+        assert [box.code(j) for j in cells] == box.codes
+        for _ in range(50):
+            a, b = rng.choice(cells), rng.choice(cells)
+            total = mdeg_add(a, b)
+            assert box.code(total) == (box.code(a) + box.code(b) if divides(total, bound)
+                                       else None), (bound, a, b)
+        assert box.code(tuple(x + 1 for x in bound)) is None
 
 
 def test_staircase_codec_matches_multidegree_operations():

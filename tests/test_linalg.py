@@ -1,7 +1,8 @@
 import random
 from math import gcd
 
-from monpoincare.linalg import EchelonSpace, kernel_basis, pack, rank_of, restrict, support
+from monpoincare.linalg import (EchelonSpace, kernel_basis, pack, pack_rows, rank_of, restrict,
+                                support)
 
 from helpers import DenseEchelonSpace, dense_kernel_basis, dense_rank_of
 
@@ -173,6 +174,17 @@ def test_packed_rows_restricted_to_columns_match_the_dense_oracle():
             space.extend(rows, n)
             assert space.dim == rank and all(map(space.contains, rows))
             assert packed == [pack(row, char) for row in M]
+
+
+def test_pack_rows_packs_the_transpose():
+    # the rows of a matrix stored by columns, packed in one pass, are the
+    # packed rows of the dense matrix
+    rng = random.Random(13)
+    for char in (0, 2, 3, 7):
+        for _ in range(100):
+            M, n = _random_matrix(rng, rng.random() < 0.5)
+            columns = [_as_dict([row[c] for row in M]) for c in range(n)]
+            assert pack_rows(columns, len(M), char) == [pack(row, char) for row in M], (M, char)
 
 
 def test_extend_stops_reading_at_the_limit():
