@@ -76,6 +76,7 @@ from .series import (
     denominator,
     denominator_from_poincare,
     deviations,
+    first_difference,
     poincare_from_denominator,
     series_from_deviations,
     verify_lcm_coefficients,
@@ -151,13 +152,12 @@ def _resolve_once(ideal, args, slack_tmax):
         return Q, None
     res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), args.char)
     resolved = denominator_from_poincare(res.poincare_series(), ideal)
-    strands = Q.restrict(resolved.tmax, resolved.ybound)
-    if strands != resolved:
-        t, j = min(key for key in strands.coeffs.keys() | resolved.coeffs.keys()
-                   if strands.coefficient(*key) != resolved.coefficient(*key))
+    diff = first_difference(Q.restrict(resolved.tmax, resolved.ybound), resolved)
+    if diff:
+        t, j, lattice_c, resolved_c = diff
         raise InternalInconsistencyError(
-            f"Q from the lcm lattice has {strands.coefficient(t, j)}*y^{j}*t^{t}, but the "
-            f"resolution in box {res.bound} gives {resolved.coefficient(t, j)}*y^{j}*t^{t}")
+            f"Q from the lcm lattice has {lattice_c}*y^{j}*t^{t}, but the "
+            f"resolution in box {res.bound} gives {resolved_c}*y^{j}*t^{t}")
     return Q, res
 
 

@@ -16,14 +16,12 @@ G = t*dP/dt / P = sum over (n, j) and k >= 1 of n*s_k*e_{n,j} y^(k*j) t^(k*n)
 with s_k = (-1)^(k+1) for odd n and 1 for even n: in increasing n, e_{n,j}
 is (G_{n,j} minus the pushes of the entries (n/k, j/k), k >= 2) / n, kept in
 an ``owed`` map that each entry pushes forward to its multiples in the box.
-``series_from_deviations`` expands a table back into P, the check of
-``deviations --check``.
+``series_from_deviations``, the one expansion of a product of binomial factors,
+gives P back from a table (``deviations --check``) and prod(1+t*y_i).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from operator import add, le
 
 from .core import (
@@ -35,6 +33,7 @@ from .core import (
     in_lcm_lattice,
     monomial_str,
     total_degree,
+    unit_mdeg,
     zero_mdeg,
 )
 from .linalg import rank_of
@@ -88,9 +87,6 @@ class BigradedSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        return series_mul(self, other)
-
     def restrict(self, tmax: int, ybound: Multidegree) -> "BigradedSeries":
         """Tighten the truncation box, discarding keys that fall outside."""
         coeffs = {(t, j): c for (t, j), c in self.coeffs.items()
@@ -129,6 +125,16 @@ class BigradedSeries:
     def to_json_dict(self) -> dict:
         return {"tmax": self.tmax, "ybound": list(self.ybound),
                 "terms": [{"t": t, "y": list(j), "c": c} for (t, j), c in self.terms()]}
+
+
+def first_difference(a: BigradedSeries, b: BigradedSeries):
+    """(t, j, a's coefficient, b's coefficient) at the first key in (t, lex)
+    order where a and b differ, or None if they agree."""
+    if a.coeffs == b.coeffs:
+        return None
+    t, j = min(key for key in a.coeffs.keys() | b.coeffs.keys()
+               if a.coeffs.get(key, 0) != b.coeffs.get(key, 0))
+    return t, j, a.coefficient(t, j), b.coefficient(t, j)
 
 
 def series_one(num_vars: int, tmax: int, ybound: Multidegree) -> BigradedSeries:
@@ -212,15 +218,14 @@ def series_inverse(a: BigradedSeries) -> BigradedSeries:
 
 
 def variables_product(num_vars: int, tmax: int, ybound) -> BigradedSeries:
-    """The numerator prod_i (1 + t*y_i), truncated.
+    """The numerator prod_i (1 + t*y_i), truncated: ``series_from_deviations``
+    of e_1 = 1 at each variable.
 
     A variable whose bound is 0 (one that no generator uses, in box m_I)
     contributes its truncation, the factor 1.
     """
-    live = [i for i in range(num_vars) if ybound[i]]
-    terms = [(len(S), tuple(1 if i in S else 0 for i in range(num_vars)), 1)
-             for k in range(min(tmax, len(live)) + 1) for S in combinations(live, k)]
-    return series_from_terms(num_vars, tmax, ybound, terms)
+    table = {(1, unit_mdeg(num_vars, i)): 1 for i in range(num_vars)}
+    return series_from_deviations(table, num_vars, tmax, ybound)
 
 
 def poincare_from_denominator(Q: BigradedSeries, tmax: int, ybound) -> BigradedSeries:
@@ -231,21 +236,6 @@ def poincare_from_denominator(Q: BigradedSeries, tmax: int, ybound) -> BigradedS
     wide = series_from_terms(Q.num_vars, tmax, ybound,
                              [(t, j, c) for (t, j), c in Q.coeffs.items() if t <= tmax])
     return series_div(variables_product(Q.num_vars, tmax, ybound), wide)
-
-
-def binomial_factor_power(num_vars: int, tmax: int, ybound, sign: int, n: int,
-                          j: Multidegree, exponent: int) -> BigradedSeries:
-    """(1 + sign*y^j*t^n)^exponent expanded in the box; exponent may be negative."""
-    terms = []
-    k = 0
-    while k * n <= tmax:
-        kj = tuple(k * x for x in j)
-        if not divides(kj, ybound):
-            break
-        binom = comb(exponent, k) if exponent >= 0 else (-1) ** k * comb(-exponent + k - 1, k)
-        terms.append((k * n, kj, binom * sign ** k))
-        k += 1
-    return series_from_terms(num_vars, tmax, ybound, terms)
 
 
 def deviations(P: BigradedSeries, nmax: int) -> dict:
@@ -297,15 +287,30 @@ def deviations(P: BigradedSeries, nmax: int) -> dict:
 def series_from_deviations(table: dict, num_vars: int, tmax: int,
                            ybound) -> BigradedSeries:
     """Expand prod (1+y^j t^n)^e [n odd] / prod (1-y^j t^n)^e [n even] over the
-    {(n, multidegree): e} table of ``deviations``."""
-    out = series_one(num_vars, tmax, tuple(ybound))
+    {(n, multidegree): e} table of ``deviations``, in the box (tmax, ybound):
+    each factor (1 + s*y^j t^n)^E, (s, E) = (1, e) for odd n and (-1, -e) for
+    even n, adds its terms C(E, k)*(s*y^j t^n)^k, k >= 1, times a snapshot of
+    one {(t, j): c} dict to that dict.  No term outside the box is formed."""
+    ybound = tuple(ybound)
+    coeffs = {(0, zero_mdeg(num_vars)): 1}
     for (n, j), e in sorted(table.items()):
-        if n > tmax:
-            continue
-        sign = 1 if n % 2 else -1
-        exponent = e if n % 2 else -e
-        out = out * binomial_factor_power(num_vars, tmax, ybound, sign, n, j, exponent)
-    return out
+        s, E = (1, e) if n % 2 else (-1, -e)
+        powers, b, kj = [], 1, j  # (k*n, k*j, C(E, k)*s^k) for k >= 1 in the box
+        for k in range(1, tmax // n + 1):
+            b = b * s * (E - k + 1) // k  # exact: C(E, k) = C(E, k-1)*(E-k+1)/k
+            if not b or not all(map(le, kj, ybound)):
+                break  # past the box, or C(E, k) = 0 for all k > E >= 0
+            powers.append((k * n, kj, b))
+            kj = tuple(map(add, kj, j))
+        for (t, m), c in list(coeffs.items()):
+            for tk, jk, ck in powers:
+                if t + tk > tmax:
+                    break
+                key = (t + tk, tuple(map(add, m, jk)))
+                if not all(map(le, key[1], ybound)):
+                    break
+                coeffs[key] = coeffs.get(key, 0) + c * ck
+    return BigradedSeries(num_vars, tmax, ybound, {key: c for key, c in coeffs.items() if c})
 
 
 def candidate_terms(ideal: MonomialIdeal):
@@ -361,10 +366,14 @@ def denominator_from_poincare(P: BigradedSeries, ideal: MonomialIdeal) -> Bigrad
     tight = P.restrict(tmax, top)
     Q = series_div(variables_product(ideal.num_vars, tmax, top), tight)
     _require_on_lattice(Q, ideal)
-    if (P.tmax, P.ybound) != (tmax, top) and poincare_from_denominator(Q, P.tmax, P.ybound) != P:
-        raise InternalInconsistencyError(
-            f"prod(1+t*y_i)/Q with Q read in box m_I = {top} does not reproduce the "
-            f"Poincare series in box {P.ybound} up to t^{P.tmax}")
+    if (P.tmax, P.ybound) != (tmax, top):
+        diff = first_difference(poincare_from_denominator(Q, P.tmax, P.ybound), P)
+        if diff:
+            t, j, expanded, given = diff
+            raise InternalInconsistencyError(
+                f"prod(1+t*y_i)/Q with Q read in box m_I = {top} does not reproduce the "
+                f"Poincare series in box {P.ybound} up to t^{P.tmax}: it gives "
+                f"{expanded}*y^{j}*t^{t}, where P has {given}*y^{j}*t^{t}")
     return Q
 
 

@@ -21,8 +21,15 @@ The dense kernel oracle is the package's former linear algebra: dense rows in
 (unreduced) echelon form and a ``Fraction`` back-substitution per kernel
 vector, against which the sparse reduced-echelon ``linalg`` is compared.
 The deviation oracle is the package's former factorization: it multiplies a
-running product by one binomial series per entry, where ``series.deviations``
-reads every exponent off one logarithmic derivative.
+running product by one binomial series per entry (``binomial_factor_power``,
+with ``series_mul``), where ``series.deviations`` reads every exponent off
+one logarithmic derivative; ``factorwise_product`` is the same factor-by-factor
+product for a whole table, the oracle of the in-place expansion
+``series.series_from_deviations``.
+The quadratic oracle is Froberg's closed form for Koszul rings: for an
+ideal generated in degree <= 2, Q = sum over all generator subsets J of
+(-1)^(|J|+|m_J|) t^|m_J| y^(m_J), with each m_J taken here on tuples, where
+``series.denominator`` ranks Taylor strands.
 """
 import random
 from collections import Counter
@@ -42,8 +49,8 @@ from monpoincare.core import (
 from monpoincare.complexes import scarf_faces
 from monpoincare.resolution import (golod_denominator, koszul_homology_dims,
                                    resolve_residue_field)
-from monpoincare.series import (binomial_factor_power, denominator_from_poincare, series_div,
-                                series_from_terms, series_one, variables_product)
+from monpoincare.series import (denominator_from_poincare, series_div, series_from_terms,
+                                series_mul, series_one, variables_product)
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 200
@@ -125,9 +132,50 @@ def inductive_deviations(P, nmax):
                 continue
             entries[(n, j)] = e
             # odd n: multiply by (1+y^j t^n)^e; even n: divide by (1-y^j t^n)^e
-            running = running * binomial_factor_power(
-                P.num_vars, P.tmax, P.ybound, sign, n, j, e if n % 2 else -e)
+            running = series_mul(running, binomial_factor_power(
+                P.num_vars, P.tmax, P.ybound, sign, n, j, e if n % 2 else -e))
     return entries
+
+
+def binomial_factor_power(num_vars, tmax, ybound, sign, n, j, exponent):
+    """(1 + sign*y^j*t^n)^exponent expanded in the box; exponent may be negative."""
+    terms = []
+    k = 0
+    while k * n <= tmax:
+        kj = tuple(k * x for x in j)
+        if not divides(kj, ybound):
+            break
+        binom = comb(exponent, k) if exponent >= 0 else (-1) ** k * comb(-exponent + k - 1, k)
+        terms.append((k * n, kj, binom * sign ** k))
+        k += 1
+    return series_from_terms(num_vars, tmax, ybound, terms)
+
+
+def factorwise_product(table, num_vars, tmax, ybound):
+    """prod (1+y^j t^n)^e [n odd] / prod (1-y^j t^n)^e [n even] over a
+    {(n, multidegree): e} table: one ``binomial_factor_power`` per entry,
+    multiplied into a running product with ``series_mul``."""
+    running = series_one(num_vars, tmax, ybound)
+    for (n, j), e in sorted(table.items()):
+        if n <= tmax:
+            running = series_mul(running, binomial_factor_power(
+                num_vars, tmax, ybound, 1 if n % 2 else -1, n, j, e if n % 2 else -e))
+    return running
+
+
+def koszul_quadratic_denominator(ideal):
+    """Q = sum over generator subsets J of (-1)^(|J|+|m_J|) t^|m_J| y^(m_J),
+    in box m_I up to t = deg m_I: Froberg's closed form, for ideals generated
+    in degree <= 2 (Koszul rings, Math. Scand. 1975).  The lcms m_J are
+    folded subset by subset on tuples, each from the subset without its
+    last generator."""
+    lcms = [(0,) * ideal.num_vars]  # lcms[J], J a bitmask of the generators seen so far
+    for g in ideal.generators:
+        lcms += [tuple(map(max, m, g)) for m in lcms]
+    top = ideal.top_lcm()
+    return series_from_terms(ideal.num_vars, total_degree(top), top,
+                             [(sum(m), m, (-1) ** (J.bit_count() + sum(m)))
+                              for J, m in enumerate(lcms)])
 
 
 def cycle_ideal(n):

@@ -5,7 +5,9 @@ lint: every ``self.<name> = ...`` in a package class is read as an attribute
 somewhere in the package; table lint: only ``core`` builds an ideal's
 staircase codec and subset tables; and row-format lint: only ``linalg``
 branches on characteristic 2, where its packed rows are bitmasks, and no
-module imports a private name of ``linalg``.
+module imports a private name of ``linalg``; series lint: only ``series``
+calls the ``BigradedSeries`` constructor, so its box check is made in one
+module.
 
 ``__init__.py`` is exempt from the import lint, since its imports are the
 package's public names.  A name counts as used when it appears as a bare name
@@ -221,3 +223,28 @@ def test_only_linalg_names_the_row_format():
     private = {p.name: found for p in files
                if (found := private_linalg_imports(p.read_text(encoding="utf-8")))}
     assert private == {}
+
+
+def series_constructor_calls(source: str) -> list:
+    """The line of each call in ``source`` of ``BigradedSeries``, bare or as
+    an attribute; naming the class in an annotation is no call."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  and "BigradedSeries" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None)))
+
+
+def test_the_lint_sees_a_series_built():
+    source = ("from .series import BigradedSeries, series_from_terms\n"
+              "from . import series\n\n\ndef f(Q: BigradedSeries) -> BigradedSeries:\n"
+              "    return BigradedSeries(1, 2, (2,), {})\n\n\n"
+              "x = series.BigradedSeries(1, 0, (0,), {})\ny = series_from_terms(1, 0, (0,), [])\n")
+    assert series_constructor_calls(source) == [6, 9]
+
+
+def test_only_series_builds_a_bigraded_series():
+    """Every other module builds its series through ``series`` functions,
+    such as ``series_from_terms``."""
+    found = {p.name: lines for p in sorted(PACKAGE.glob("*.py")) if p.name != "series.py"
+             and (lines := series_constructor_calls(p.read_text(encoding="utf-8")))}
+    assert found == {}
+    assert series_constructor_calls((PACKAGE / "series.py").read_text(encoding="utf-8"))

@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +29,9 @@ from helpers import (
     LINEAR,
     brute_candidate_terms,
     cycle_ideal,
+    factorwise_product,
     inductive_deviations,
+    koszul_quadratic_denominator,
     random_corpus,
     resolver_denominator,
     rp2_generators,
@@ -213,14 +217,14 @@ def test_deviations_visit_keys_where_the_logarithmic_derivative_vanishes():
 
 def test_deviations_divide_once_and_multiply_never(monkeypatch):
     P = _poincare_in_slack_box(cycle_ideal(5), 6, 0)
-    calls = {"series_div": 0, "series_mul": 0, "binomial_factor_power": 0}
+    calls = {"series_div": 0, "series_mul": 0}
     for name in calls:
         def counted(*args, _real=getattr(series, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(series, name, counted)
     assert len(deviations(P, 6)) == 71
-    assert calls == {"series_div": 1, "series_mul": 0, "binomial_factor_power": 0}
+    assert calls == {"series_div": 1, "series_mul": 0}
 
 
 def test_deviations_reject_t0_terms():
@@ -239,6 +243,42 @@ def test_series_from_unit_deviations():
     table = deviations(variables_product(3, 3, (1, 1, 1)), 3)
     P = series_from_deviations(table, 3, 3, (1, 1, 1))
     assert P == variables_product(3, 3, (1, 1, 1))
+
+
+def test_series_from_deviations_matches_the_factorwise_product():
+    # random tables with exponents of both signs, entries of t-degree past
+    # tmax, multidegrees outside the box and one multidegree at several n
+    rng = random.Random(2207)
+    for _ in range(150):
+        num_vars = rng.randint(1, 3)
+        tmax = rng.randint(0, 7)
+        ybound = tuple(rng.randint(0, 3) for _ in range(num_vars))
+        table = {}
+        for _ in range(rng.randint(0, 7)):
+            j = tuple(rng.randint(0, b + 1) for b in ybound)
+            for n in rng.sample(range(1, tmax + 3), min(tmax + 2, rng.choice([1, 1, 2, 3]))):
+                table[(n, j)] = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+        expected = factorwise_product(table, num_vars, tmax, ybound)
+        assert series_from_deviations(table, num_vars, tmax, ybound) == expected, table
+
+
+def test_series_from_deviations_builds_one_series_and_multiplies_none(monkeypatch):
+    P = _poincare_in_slack_box(minimalize(rp2_generators(), 6), 7, 0)
+    table = deviations(P, 7)
+    calls = {"built": 0, "series_mul": 0}
+    real_check = BigradedSeries.__post_init__
+
+    def counted_check(self):
+        calls["built"] += 1
+        real_check(self)
+
+    def counted_mul(*args):
+        calls["series_mul"] += 1
+        return series_mul(*args)
+    monkeypatch.setattr(BigradedSeries, "__post_init__", counted_check)
+    monkeypatch.setattr(series, "series_mul", counted_mul)
+    assert series_from_deviations(table, 6, 7, P.ybound) == P
+    assert calls == {"built": 1, "series_mul": 0}
 
 
 def test_candidate_terms_closing_examples():
@@ -292,6 +332,31 @@ def test_denominator_matches_the_resolver_in_box_m_I():
             if ideal.num_vars == 8 and char == 0:
                 continue
             assert denominator(ideal, char=char) == resolver_denominator(ideal, char), (ideal, char)
+
+
+def _random_graph_with_linear_generators(rng):
+    """The edges of a random graph on 3-7 vertices, plus x_v for one or two
+    of its vertices (their edges drop out when minimalized)."""
+    n = rng.randint(3, 7)
+    gens = [tuple(1 if k in e else 0 for k in range(n))
+            for e in combinations(range(n), 2) if rng.random() < 0.5]
+    gens += [tuple(1 if k == v else 0 for k in range(n))
+             for v in rng.sample(range(n), rng.randint(1, 2))]
+    return minimalize(gens, n)
+
+
+def test_quadratic_denominators_have_the_koszul_closed_form():
+    # ideals generated in degree <= 2 are Koszul (Froberg), so Q does not
+    # depend on the field
+    rng = random.Random(1975)
+    cases = [*(cycle_ideal(n) for n in range(4, 13)),
+             *(I for I in random_corpus() if all(total_degree(g) == 2 for g in I.generators)),
+             *(_random_graph_with_linear_generators(rng) for _ in range(40))]
+    assert len(cases) == 109
+    for ideal in cases:
+        expected = koszul_quadratic_denominator(ideal)
+        for char in (0, 2, 3):
+            assert denominator(ideal, char=char) == expected, (ideal, char)
 
 
 def _restrictions(ideal):
@@ -395,6 +460,9 @@ def test_denominator_from_poincare_flags_term_outside_box_m_I():
     for extra in [(4, (2, 2, 2)), (6, (2, 2, 1))]:
         terms = [(t, j, c) for (t, j), c in Q.coeffs.items()] + [(*extra, 1)]
         P = poincare_from_denominator(series_from_terms(3, tmax, slack, terms), tmax, slack)
-        with pytest.raises(InternalInconsistencyError, match="does not reproduce"):
+        t, j = extra
+        with pytest.raises(InternalInconsistencyError,
+                           match=rf"does not reproduce .*: it gives 0\*y\^{re.escape(str(j))}"
+                                 rf"\*t\^{t}, where P has -1\*y\^"):
             denominator_from_poincare(P, I)
     assert denominator_from_poincare(poincare_from_denominator(Q, tmax, slack), I) == Q
