@@ -25,7 +25,8 @@ exactness; for ``deviations``, the series they expand to with P; for
 ``betti``, the strands with the Koszul homology of R; for the complex
 commands, d o d (and exactness for ``eagon``); for ``polarize``, the
 depolarization and the GCD-graph isomorphism.  That Q's terms lie on L_I
-minus 0 is checked on every call, with or without --check.
+minus 0 is checked on every call, with or without --check, and so are the
+theorems on low deviations for ``deviations`` (``_check_deviation_identities``).
 
 Exit codes: 0 success, 1 verification failure (a requested check did not
 hold), 2 input error (bad file, bad arguments, violated precondition), 3
@@ -49,6 +50,7 @@ from .core import (
     monomial_str,
     polarize,
     total_degree,
+    unit_mdeg,
 )
 from .complexes import (
     homology,
@@ -220,6 +222,28 @@ def cmd_poincare(args, ideal):
     return 0
 
 
+def _check_deviation_identities(table, ideal, nmax):
+    """The theorems on low deviations (Avramov, "Infinite free resolutions",
+    1998, section 7), each for n <= nmax: every e_{n,j} >= 0; e_1 is 1
+    exactly at the variables that are not linear generators; e_2 is 1
+    exactly at the non-linear minimal generators, those of I with its linear
+    generators split off.  A violation is an internal error naming n, the
+    multidegree and the value."""
+    linear = {g for g in ideal.generators if total_degree(g) == 1}
+    units = [unit_mdeg(ideal.num_vars, i) for i in range(ideal.num_vars)]
+    want = {(n, j): 1 for n, js in ((1, units), (2, ideal.generators)) if n <= nmax
+            for j in js if j not in linear}
+    where = {1: "the variables that are not linear generators",
+             2: "the non-linear minimal generators"}
+    for n, j in sorted(table.keys() | want.keys()):
+        e = table.get((n, j), 0)
+        if e < 0:
+            raise InternalInconsistencyError(f"deviation at n={n}, y^{j} is {e} < 0")
+        if n in where and e != want.get((n, j), 0):
+            raise InternalInconsistencyError(
+                f"deviation at n={n}, y^{j} is {e}, but e_{n} is 1 exactly at {where[n]}")
+
+
 def cmd_deviations(args, ideal):
     nmax = args.nmax
     if nmax < 0:
@@ -228,6 +252,7 @@ def cmd_deviations(args, ideal):
     Q, _ = _resolve_once(ideal, args, nmax)
     P = poincare_from_denominator(Q, nmax, bound)
     table = deviations(P, nmax)
+    _check_deviation_identities(table, ideal, nmax)
     rows = sorted(table.items())
     if args.format == "json":
         _emit_json({"ideal": ideal.to_dict(), "nmax": nmax,

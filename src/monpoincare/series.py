@@ -18,6 +18,13 @@ is (G_{n,j} minus the pushes of the entries (n/k, j/k), k >= 2) / n, kept in
 an ``owed`` map that each entry pushes forward to its multiples in the box.
 ``series_from_deviations``, the one expansion of a product of binomial factors,
 gives P back from a table (``deviations --check``) and prod(1+t*y_i).
+
+``series_div``, behind P, Q from P and the deviations, packs each key (t, j)
+of its box into one int (``_packing``): t in the lowest field, and each
+coordinate in a field one bit wider than its bound b needs.  Two in-box keys
+sum to at most 2b in each field, below the field's top, so no carry crosses
+fields: the int sum is the packed key sum, and one mask test on it decides
+whether the sum lies in the box.  The keys are unpacked once, at the end.
 """
 from __future__ import annotations
 
@@ -175,6 +182,38 @@ def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
     return BigradedSeries(a.num_vars, a.tmax, a.ybound, coeffs)
 
 
+def _packing(tmax: int, ybound: Multidegree):
+    """(pack, unpack, tmask, adjust, guard) for keys (t, j) of the box
+    (tmax, ybound), packed into one int each.
+
+    Each coordinate, t in the lowest field, gets a field of w + 1 bits, where
+    w is the bit length of its bound b.  A sum of two packed in-box keys is
+    the packed sum of the keys: each field's sum is at most 2b < 2^(w+1), so
+    no carry crosses fields.  Lifting each field by 2^w - 1 - b (``adjust``)
+    sets its top bit exactly when the field's sum exceeds b, so the sum lies
+    in the box iff (sum + adjust) & guard == 0, ``guard`` holding each
+    field's top bit.  ``tmask`` reads t off a packed key.
+    """
+    fields, shift, adjust, guard = [], 0, 0, 0
+    for b in (tmax, *ybound):
+        w = b.bit_length()
+        fields.append((shift, (1 << (w + 1)) - 1))
+        adjust |= ((1 << w) - 1 - b) << shift
+        guard |= 1 << (shift + w)
+        shift += w + 1
+    (_, tmask), *yfields = fields
+
+    def pack(t, j):
+        for x, (s, _) in zip(j, yfields):
+            t += x << s
+        return t
+
+    def unpack(k):
+        return k & tmask, tuple([(k >> s) & m for s, m in yfields])
+
+    return pack, unpack, tmask, adjust, guard
+
+
 def series_div(num: BigradedSeries, den: BigradedSeries) -> BigradedSeries:
     """num / den within their common truncation box; den needs constant term 1.
 
@@ -182,31 +221,37 @@ def series_div(num: BigradedSeries, den: BigradedSeries) -> BigradedSeries:
     a key is final once all keys of lower weight are settled.  Keys are
     settled weight by weight, and each quotient term is pushed once against
     the other terms of den: the cost is (quotient terms) x (den terms), not
-    the size of the box.
+    the size of the box.  Keys are packed ints (``_packing``), so a push is
+    one add, one mask test for the box and one dict update; the tail of den
+    is sorted by t, and a push stops once it would pass tmax.
     """
     num._compatible(den)
     if den.constant_term != 1:
         raise InputError("series division needs a denominator with constant term 1")
     tmax, ybound = num.tmax, num.ybound
+    pack, unpack, tmask, adjust, guard = _packing(tmax, ybound)
     origin = (0, zero_mdeg(num.num_vars))
-    tail = sorted((t, j, c, t + sum(j)) for (t, j), c in den.coeffs.items() if (t, j) != origin)
-    pending = {}  # weight -> {key: coefficient still owed to the quotient}
+    tail = [(t, pack(t, j), c, t + sum(j)) for (t, j), c in sorted(den.coeffs.items())
+            if (t, j) != origin]
+    pending = {}  # weight -> {packed key: coefficient still owed to the quotient}
     for (t, j), c in num.coeffs.items():
-        pending.setdefault(t + sum(j), {})[(t, j)] = c
+        pending.setdefault(t + sum(j), {})[pack(t, j)] = c
     quotient = {}
     for weight in range(tmax + sum(ybound) + 1):
-        for (t, j), c in pending.pop(weight, {}).items():
+        for key, c in pending.pop(weight, {}).items():
             if not c:
                 continue
-            quotient[(t, j)] = c
-            for t1, j1, c1, w1 in tail:
-                if t + t1 > tmax:
+            quotient[key] = c
+            room = tmax - (key & tmask)
+            for t1, k1, c1, w1 in tail:
+                if t1 > room:
                     break  # tail is sorted by t
-                key = (t + t1, tuple(map(add, j, j1)))
-                if all(map(le, key[1], ybound)):
+                k = key + k1
+                if not (k + adjust) & guard:
                     bucket = pending.setdefault(weight + w1, {})
-                    bucket[key] = bucket.get(key, 0) - c * c1
-    return BigradedSeries(num.num_vars, tmax, ybound, quotient)
+                    bucket[k] = bucket.get(k, 0) - c * c1
+    return BigradedSeries(num.num_vars, tmax, ybound,
+                          {unpack(key): c for key, c in quotient.items()})
 
 
 def series_inverse(a: BigradedSeries) -> BigradedSeries:

@@ -30,12 +30,22 @@ The quadratic oracle is Froberg's closed form for Koszul rings: for an
 ideal generated in degree <= 2, Q = sum over all generator subsets J of
 (-1)^(|J|+|m_J|) t^|m_J| y^(m_J), with each m_J taken here on tuples, where
 ``series.denominator`` ranks Taylor strands.
+The stable oracle is the Eliahou-Kervaire resolution: for a strongly stable
+ideal (closed under Borel moves, tested here move by move), beta_{i,alpha}
+counts the pairs (u, F), u a minimal generator and F a subset of the indices
+below max(u), with |F| = i - 1 and u + e_F = alpha, and since such rings are
+Golod (Herzog-Reiner-Welker), Q = 1 - sum over those pairs of
+t^(|F|+2) y^(u+e_F) when I lies in m^2; ``series`` reads both off strands.
+The division oracle ``tuple_series_div`` is the package's former
+``series_div`` on tuple keys and plain dicts, where ``series.series_div``
+packs each key into one int.
 """
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, gcd
+from operator import add, le
 
 from monpoincare.core import (
     box_multidegrees,
@@ -176,6 +186,87 @@ def koszul_quadratic_denominator(ideal):
     return series_from_terms(ideal.num_vars, total_degree(top), top,
                              [(sum(m), m, (-1) ** (J.bit_count() + sum(m)))
                               for J, m in enumerate(lcms)])
+
+
+def tuple_series_div(num, den, tmax, ybound):
+    """num / den as {(t, j): c} dicts in the box (tmax, ybound), den with
+    constant term 1: the package's former tuple-key ``series_div``, settling
+    keys weight by weight and pushing each quotient term against the t-sorted
+    tail of den."""
+    origin = (0, (0,) * len(ybound))
+    tail = sorted((t, j, c, t + sum(j)) for (t, j), c in den.items() if (t, j) != origin)
+    pending = {}  # weight -> {key: coefficient still owed to the quotient}
+    for (t, j), c in num.items():
+        pending.setdefault(t + sum(j), {})[(t, j)] = c
+    quotient = {}
+    for weight in range(tmax + sum(ybound) + 1):
+        for (t, j), c in pending.pop(weight, {}).items():
+            if not c:
+                continue
+            quotient[(t, j)] = c
+            for t1, j1, c1, w1 in tail:
+                if t + t1 > tmax:
+                    break  # tail is sorted by t
+                key = (t + t1, tuple(map(add, j, j1)))
+                if all(map(le, key[1], ybound)):
+                    bucket = pending.setdefault(weight + w1, {})
+                    bucket[key] = bucket.get(key, 0) - c * c1
+    return quotient
+
+
+def _borel_moves(u):
+    """x_i u / x_j for each x_j dividing u and each i < j."""
+    for j, x in enumerate(u):
+        if x:
+            for i in range(j):
+                yield tuple(y + (k == i) - (k == j) for k, y in enumerate(u))
+
+
+def is_strongly_stable(ideal):
+    """Is I closed under Borel moves?  The minimal generators suffice: a move
+    on g*m lands in g*(I's monomials) or in (the move of g)*m."""
+    return all(any(divides(g, v) for g in ideal.generators)
+               for u in ideal.generators for v in _borel_moves(u))
+
+
+def borel_closure(monomials, num_vars):
+    """The smallest strongly stable ideal containing ``monomials``."""
+    seen, todo = set(monomials), list(monomials)
+    while todo:
+        for v in _borel_moves(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return minimalize(seen, num_vars)
+
+
+def _eliahou_kervaire_pairs(ideal):
+    """(|F|, u + e_F) for each minimal generator u and each subset F of the
+    indices below max(u), the largest index of a variable dividing u."""
+    for u in ideal.generators:
+        top = max(i for i, x in enumerate(u) if x)
+        for size in range(top + 1):
+            for F in combinations(range(top), size):
+                yield size, tuple(x + (i in F) for i, x in enumerate(u))
+
+
+def eliahou_kervaire_betti(ideal):
+    """{(i, alpha): beta_{i,alpha}(S/I)} of a strongly stable ideal (Eliahou-
+    Kervaire, J. Algebra 1990), with (0, 0) -> 1."""
+    betti = Counter((size + 1, alpha) for size, alpha in _eliahou_kervaire_pairs(ideal))
+    betti[(0, (0,) * ideal.num_vars)] = 1
+    return dict(betti)
+
+
+def stable_denominator(ideal):
+    """Q = 1 - sum over the Eliahou-Kervaire pairs of t^(|F|+2) y^(u+e_F), in
+    box m_I up to t = deg m_I: the Golod denominator of a strongly stable
+    ideal in m^2 (Herzog-Reiner-Welker, Michigan Math. J. 1999)."""
+    top = ideal.top_lcm()
+    return series_from_terms(ideal.num_vars, total_degree(top), top,
+                             [(0, (0,) * ideal.num_vars, 1)]
+                             + [(size + 2, alpha, -1)
+                                for size, alpha in _eliahou_kervaire_pairs(ideal)])
 
 
 def cycle_ideal(n):

@@ -672,6 +672,48 @@ def test_deviations_report_an_inexact_division(closing_pair, monkeypatch, capsys
             "which is not a multiple of 2") in capsys.readouterr().err
 
 
+# the deviations of R = S/(x1*x2^2, x1*x3^2) up to n = 2: the variables and the generators
+CLOSING_LOW_DEVIATIONS = {(1, (1, 0, 0)): 1, (1, (0, 1, 0)): 1, (1, (0, 0, 1)): 1,
+                          (2, (1, 2, 0)): 1, (2, (1, 0, 2)): 1}
+
+
+@pytest.mark.parametrize("planted, named", [
+    ({**CLOSING_LOW_DEVIATIONS, (3, (1, 2, 2)): -1}, "n=3, y^(1, 2, 2) is -1 < 0"),
+    ({**CLOSING_LOW_DEVIATIONS, (1, (0, 1, 0)): 2}, "n=1, y^(0, 1, 0) is 2, but e_1 is 1"),
+    ({k: e for k, e in CLOSING_LOW_DEVIATIONS.items() if k != (2, (1, 0, 2))},
+     "n=2, y^(1, 0, 2) is 0, but e_2 is 1 exactly at the non-linear minimal generators"),
+    ({**CLOSING_LOW_DEVIATIONS, (2, (0, 2, 0)): 1}, "n=2, y^(0, 2, 0) is 1, but e_2 is 1"),
+])
+def test_deviations_flag_a_table_the_theorems_forbid(closing_pair, monkeypatch, capsys,
+                                                     planted, named):
+    _, b = closing_pair
+    monkeypatch.setattr(cli, "deviations", lambda P, nmax: planted)
+    assert main(["deviations", b, "--nmax", "3", "-f", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # checked before any output
+    assert f"internal error: deviation at {named}" in captured.err
+
+
+def test_deviation_identities_hold_only_up_to_nmax(closing_pair, monkeypatch, capsys):
+    _, b = closing_pair
+    table = {k: e for k, e in CLOSING_LOW_DEVIATIONS.items() if k[0] == 1}
+    monkeypatch.setattr(cli, "deviations", lambda P, nmax: table)
+    assert main(["deviations", b, "--nmax", "1", "-f", "json"]) == 0
+    assert main(["deviations", b, "--nmax", "0", "-f", "json"]) == 3  # no e_1 at nmax 0
+    monkeypatch.setattr(cli, "deviations", lambda P, nmax: {})
+    assert main(["deviations", b, "--nmax", "0", "-f", "json"]) == 0
+
+
+def test_deviations_skip_the_variable_of_a_linear_generator(ideal_file, capsys):
+    # R = k[x2]/(x2^2): P = (1 + t*y2) / (1 - t^2*y2^2)
+    path = ideal_file("lin", ["x1", "x2"], [[1, 0], [0, 2]])
+    for char in ("0", "2"):
+        assert main(["deviations", path, "--nmax", "5", "--char", char, "-f", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["deviations"]
+        assert {(r["n"], tuple(r["y"])): r["e"] for r in rows} == {(1, (0, 1)): 1,
+                                                                   (2, (0, 2)): 1}
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_verify_lcm_reports_a_term_off_the_lattice(closing_pair, monkeypatch, fmt, capsys):
     a, _ = closing_pair

@@ -7,7 +7,8 @@ staircase codec and subset tables; and row-format lint: only ``linalg``
 branches on characteristic 2, where its packed rows are bitmasks, and no
 module imports a private name of ``linalg``; series lint: only ``series``
 calls the ``BigradedSeries`` constructor, so its box check is made in one
-module.
+module; packing lint: no package module but ``series`` names the packed-key
+helper ``_packing``, so packed keys never leave ``series``.
 
 ``__init__.py`` is exempt from the import lint, since its imports are the
 package's public names.  A name counts as used when it appears as a bare name
@@ -248,3 +249,26 @@ def test_only_series_builds_a_bigraded_series():
              and (lines := series_constructor_calls(p.read_text(encoding="utf-8")))}
     assert found == {}
     assert series_constructor_calls((PACKAGE / "series.py").read_text(encoding="utf-8"))
+
+
+def packing_references(source: str) -> list:
+    """The line of each name, attribute or imported name ``_packing`` in ``source``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if "_packing" in (getattr(node, "id", None), getattr(node, "attr", None))
+                   or isinstance(node, ast.alias) and node.name == "_packing"})
+
+
+def test_the_lint_sees_the_packing_named():
+    source = ("from .series import _packing as p, series_div\nfrom . import series\n\n\n"
+              "def f(num, den):\n    return series_div(num, den)\n\n\n"
+              "pack = series._packing(2, (1,))[0]\n_packing = None\nx = _packing_width\n")
+    assert packing_references(source) == [1, 9, 10]
+
+
+def test_only_series_packs_keys():
+    """``series_div`` packs and unpacks its keys itself; every other module
+    hands ``series`` tuple keys."""
+    found = {p.name: lines for p in sorted(PACKAGE.glob("*.py")) if p.name != "series.py"
+             and (lines := packing_references(p.read_text(encoding="utf-8")))}
+    assert found == {}
+    assert packing_references((PACKAGE / "series.py").read_text(encoding="utf-8"))

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +9,8 @@ from monpoincare.core import (InputError, InternalInconsistencyError, divides, m
 from monpoincare.lattice import build_lcm_lattice
 from monpoincare.series import (
     BigradedSeries,
+    _packing,
+    betti_numbers,
     candidate_terms,
     denominator,
     denominator_from_poincare,
@@ -27,14 +29,19 @@ from monpoincare.series import (
 from monpoincare import series
 from helpers import (
     LINEAR,
+    borel_closure,
     brute_candidate_terms,
     cycle_ideal,
+    eliahou_kervaire_betti,
     factorwise_product,
     inductive_deviations,
+    is_strongly_stable,
     koszul_quadratic_denominator,
     random_corpus,
     resolver_denominator,
     rp2_generators,
+    stable_denominator,
+    tuple_series_div,
 )
 
 D10 = minimalize([(3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)], 4)
@@ -92,6 +99,64 @@ def test_series_div_times_divisor_is_numerator():
                                       constant=rng.randint(-3, 3))
             den = _random_unit_series(rng, ybound=ybound)
             assert series_mul(series_div(num, den), den) == num
+
+
+PACKING_BOUNDS = (0, 1, 2, 3, 4, 7, 8)  # 2^w - 1 and 2^w, where the guard is tight
+PACKING_TMAXES = (0, 1, 2, 5, 8)
+
+
+def _packing_boxes():
+    """Every bound with every tmax in one variable; every pair of bounds in two
+    variables, and seven triples that put each bound in each position."""
+    bounds, tmaxes = PACKING_BOUNDS, PACKING_TMAXES
+    yield from ((tmax, (b,)) for b in bounds for tmax in tmaxes)
+    yield from ((tmaxes[(i + k) % 5], (b1, b2))
+                for i, b1 in enumerate(bounds) for k, b2 in enumerate(bounds))
+    yield from ((tmaxes[i % 5], (bounds[i], bounds[(i + 3) % 7], bounds[(i + 5) % 7]))
+                for i in range(7))
+
+
+def test_packed_keys_add_and_test_the_box_exactly():
+    # for every pair of in-box keys a, b: the guard passes exactly the b with
+    # a + b in the box (b <= bound - a, listed in the same lex order), and
+    # then the packed sum unpacks to a + b
+    pairs = 0
+    for tmax, ybound in _packing_boxes():
+        pack, unpack, tmask, adjust, guard = _packing(tmax, ybound)
+        bound = (tmax, *ybound)
+        packed = {key: pack(key[0], key[1:]) for key in product(*(range(b + 1) for b in bound))}
+        for a, pa in packed.items():
+            assert unpack(pa) == (a[0], a[1:]) and pa & tmask == a[0]
+            inside = [b for b, pb in packed.items() if not (pa + pb + adjust) & guard]
+            assert inside == list(product(*(range(x - y + 1) for x, y in zip(bound, a))))
+            for b in inside:
+                total = tuple(map(sum, zip(a, b)))
+                assert unpack(pa + packed[b]) == (total[0], total[1:])
+            pairs += len(packed)
+    assert pairs == 1127786
+
+
+def _random_terms(rng, tmax, ybound, big):
+    """Up to 10 random (t, j, c) in the box, with |c| <= big."""
+    return [(rng.randint(0, tmax), tuple(rng.randint(0, b) for b in ybound),
+             rng.randint(-big, big)) for _ in range(rng.randint(0, 10))]
+
+
+def test_series_div_matches_the_tuple_key_division():
+    # zero bounds, power-of-two bounds, tmax 0, and coefficients up to 10^30
+    rng = random.Random(1998)
+    boxes = [(0, (2,)), (0, (0, 0)), (3, (0, 0)), (4, (2, 0, 4)), (8, (8,)), (5, (1, 2, 4)),
+             (6, (3, 7)), (2, (16, 1)), (7, (1, 1, 1, 1))]
+    for tmax, ybound in boxes:
+        for big in (3, 10 ** 30):
+            for _ in range(12):
+                num = series_from_terms(len(ybound), tmax, ybound,
+                                        _random_terms(rng, tmax, ybound, big))
+                den = series_from_terms(len(ybound), tmax, ybound, [
+                    (t, j, c) for t, j, c in _random_terms(rng, tmax, ybound, big) if t + sum(j)]
+                    + [(0, (0,) * len(ybound), 1)])
+                expected = tuple_series_div(num.coeffs, den.coeffs, tmax, ybound)
+                assert series_div(num, den).coeffs == expected, (num, den)
 
 
 def test_series_div_requires_unit_constant_term():
@@ -357,6 +422,46 @@ def test_quadratic_denominators_have_the_koszul_closed_form():
         expected = koszul_quadratic_denominator(ideal)
         for char in (0, 2, 3):
             assert denominator(ideal, char=char) == expected, (ideal, char)
+
+
+def _power_of_m(num_vars, degree):
+    return minimalize([m for m in product(range(degree + 1), repeat=num_vars)
+                       if sum(m) == degree], num_vars)
+
+
+def test_the_stability_test_makes_borel_moves():
+    assert is_strongly_stable(_power_of_m(3, 2))
+    assert is_strongly_stable(minimalize([(2, 0), (1, 1)], 2))
+    assert not is_strongly_stable(minimalize([(0, 2)], 2))  # x1*x2 is missing
+    assert not is_strongly_stable(minimalize([(2, 0, 0), (0, 1, 1)], 3))
+    assert borel_closure([(0, 2)], 2) == _power_of_m(2, 2)
+    assert borel_closure([(0, 1, 1)], 3).generators == ((0, 1, 1), (0, 2, 0), (1, 0, 1),
+                                                        (1, 1, 0), (2, 0, 0))
+
+
+def test_stable_ideals_have_the_eliahou_kervaire_closed_form():
+    # strongly stable ideals in m^2: Eliahou-Kervaire Betti numbers, and the
+    # Golod denominator (Herzog-Reiner-Welker); neither depends on the field
+    rng = random.Random(1990)
+    cases = {(n, d): _power_of_m(n, d) for n, d in [*((2, d) for d in range(2, 11)),
+                                                    (3, 2), (3, 3), (4, 2)]}
+    while len(cases) < 52:  # and 40 distinct closures with at most 12 generators
+        n = rng.randint(2, 4)
+        monomials = []
+        for _ in range(rng.randint(1, 3)):
+            m = [0] * n
+            for _ in range(rng.randint(2, 5)):
+                m[rng.randrange(n)] += 1
+            monomials.append(tuple(m))
+        ideal = borel_closure(monomials, n)
+        if len(ideal.generators) <= 12:
+            cases.setdefault((n, ideal.generators), ideal)
+    for ideal in cases.values():
+        assert is_strongly_stable(ideal), ideal
+        expected_q, expected_betti = stable_denominator(ideal), eliahou_kervaire_betti(ideal)
+        for char in (0, 2):
+            assert denominator(ideal, char=char) == expected_q, (ideal, char)
+            assert betti_numbers(ideal, char=char) == expected_betti, (ideal, char)
 
 
 def _restrictions(ideal):
