@@ -19,7 +19,6 @@ computation: module degrees, result keys and error messages.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
@@ -172,10 +171,26 @@ def taylor_complex(ideal: MonomialIdeal) -> FreeComplex:
 def scarf_faces(ideal: MonomialIdeal):
     """Subsets of the generators whose lcm differs from every other subset's.
 
-    Counts the masks in the ideal's ``subset_lcms``; nothing is decoded.
+    J is Scarf exactly when J = A(m), the atoms below an element m of L_I,
+    and every atom j of J is essential: the join of J minus j is not m.  If J
+    is Scarf, A(m_J) also has lcm m_J, so it is J, and J minus j has another
+    lcm.  If J = A(m) has only essential atoms, a K with m_K = m lies in J,
+    and K missing some j would give m_K <= m_{J minus j} < m, so K = J.
+
+    An atom is essential exactly when it holds a bit of m that no other atom
+    of A(m) holds, so one pass over the atom sets A(m) in ``lattice_masks``
+    finds every face; nothing is decoded and no 2^r table is built.
     """
-    count = Counter(ideal.subset_lcms)
-    faces = [mask_subset(mask) for mask, m in enumerate(ideal.subset_lcms) if count[m] == 1]
+    atoms = ideal.codec.atoms
+    faces = []
+    for below in ideal.lattice_masks.values():
+        face = mask_subset(below)
+        once = twice = 0  # the bits held by at least one, two atoms of the face
+        for i in face:
+            twice |= once & atoms[i]
+            once |= atoms[i]
+        if all(atoms[i] & ~twice for i in face):
+            faces.append(face)
     faces.sort(key=lambda f: (len(f), f))
     return faces
 

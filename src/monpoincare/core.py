@@ -11,9 +11,11 @@ bits for an unused variable), and x_i^e sets the lowest e bits of its block.
 This is the polarization read as one integer.  On monomials dividing m_I the
 lcm is ``a | b``, a divides c exactly when ``a & ~c == 0``, and a and b are
 coprime exactly when ``a & b == 0``.  A :class:`MonomialIdeal` owns its
-``codec``, its 2^r :func:`subset_table` of subset lcms (``subset_lcms``) and
-its table of l_J (``subset_components``), each built on first use and kept,
-outside the fields, for the life of the object; both tables refuse more than
+``codec``, its 2^r :func:`subset_table` of subset lcms (``subset_lcms``), its
+table of l_J (``subset_components``) and the masks of its lcm lattice L_I,
+each with the atoms below it (``lattice_masks``, by :func:`join_closure`, at
+a cost of about |L_I| * r rather than 2^r), each built on first use and kept,
+outside the fields, for the life of the object; all three refuse more than
 ``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.
 """
 from __future__ import annotations
@@ -176,6 +178,10 @@ class MonomialIdeal:
     def subset_components(self) -> list:  # indexed by subset bitmask; do not mutate
         return subset_components(self.codec.atoms)
 
+    @cached_property
+    def lattice_masks(self) -> dict:  # element of L_I -> atoms below it; do not mutate
+        return join_closure(self.codec.atoms)
+
     def generator_str(self, g: Multidegree) -> str:
         return monomial_str(g, self.var_names)
 
@@ -290,6 +296,14 @@ def staircase(gens, num_vars: int) -> Staircase:
     return codec._replace(atoms=tuple(codec.encode(g) for g in gens))
 
 
+def _refuse_oversized(r: int):
+    """The one refusal of both builders, so every command words it alike."""
+    if r > SUBSET_TABLE_MAX_GENERATORS:
+        raise InputError(
+            f"{r} generators need a subset table of 2^{r} entries; the limit is "
+            f"{SUBSET_TABLE_MAX_GENERATORS} generators (2^{SUBSET_TABLE_MAX_GENERATORS} entries)")
+
+
 def subset_table(masks) -> list:
     """The union of ``masks[i]`` over i in J, for every subset J, indexed by
     bitmask (bit i set iff i is in J).
@@ -299,15 +313,33 @@ def subset_table(masks) -> list:
     per mask and each entry costs one ``|``.  Refuses more than
     ``SUBSET_TABLE_MAX_GENERATORS`` masks before allocating.
     """
-    r = len(masks)
-    if r > SUBSET_TABLE_MAX_GENERATORS:
-        raise InputError(
-            f"{r} generators need a subset table of 2^{r} entries; the limit is "
-            f"{SUBSET_TABLE_MAX_GENERATORS} generators (2^{SUBSET_TABLE_MAX_GENERATORS} entries)")
+    _refuse_oversized(len(masks))
     table = [0]
     for g in masks:
         table += [m | g for m in table]
     return table
+
+
+def join_closure(masks) -> dict:
+    """Each distinct union u of a subset of ``masks`` (the empty union 0
+    included), mapped to the bitmask (bit i for ``masks[i]``) of the masks
+    inside u.
+
+    On staircase masks of generators the keys are the elements of L_I and the
+    values the atoms below each.  Each mask joins every union found so far, so
+    the cost is about |result| per mask, not 2^r.  A union's value gathers
+    every subset that reaches it, and the masks inside u form the largest such
+    subset, so no inclusion test is made.  The result may still hold 2^r
+    unions, so this refuses more than ``SUBSET_TABLE_MAX_GENERATORS`` masks
+    before allocating.
+    """
+    _refuse_oversized(len(masks))
+    joins = {0: 0}
+    for i, g in enumerate(masks):
+        bit = 1 << i
+        for m, below in list(joins.items()):
+            joins[m | g] = joins.get(m | g, 0) | below | bit
+    return joins
 
 
 def subset_components(masks) -> list:

@@ -10,14 +10,15 @@ from .core import (
     Multidegree,
     Polarization,
     coprime,
-    total_degree,
+    mask_subset,
 )
 from .series import BigradedSeries
 
 
 @dataclass(frozen=True)
 class LcmLattice:
-    """All subset lcms of an ideal's generators, ordered by divisibility.
+    """The lcm lattice L_I: the lcms of all subsets of an ideal's generators,
+    each once, ordered by divisibility.
 
     ``elements`` is sorted by (total degree, lex); the bottom 0 comes first and
     the top m_I last.  The lattice is atomic, its atoms being the generators,
@@ -42,12 +43,20 @@ class LcmLattice:
 
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    codec = ideal.codec
-    decoded = sorted(((codec.decode(m), m) for m in set(ideal.subset_lcms)),
-                     key=lambda em: (total_degree(em[0]), em[0]))
-    closed = (sum(1 << i for i, a in enumerate(codec.atoms) if a & ~m == 0) for _, m in decoded)
-    return LcmLattice(ideal.num_vars, ideal.generators, tuple(e for e, _ in decoded),
-                      tuple(closed))
+    """L_I from the ideal's ``lattice_masks``, the join closure of its atoms,
+    which also gives each element's ``closed`` atoms.
+
+    Costs about |L_I| * r joins, with no 2^r subset table; like that table it
+    refuses more than ``SUBSET_TABLE_MAX_GENERATORS`` generators before
+    allocating.
+    """
+    decode = ideal.codec.decode
+    # a staircase mask has one bit per unit of total degree; the elements are
+    # distinct, so the sort never compares two closed sets
+    ordered = sorted((m.bit_count(), decode(m), closed)
+                     for m, closed in ideal.lattice_masks.items())
+    return LcmLattice(ideal.num_vars, ideal.generators, tuple(e for _, e, _ in ordered),
+                      tuple(c for _, _, c in ordered))
 
 
 @dataclass(frozen=True)
@@ -93,15 +102,19 @@ def _lattice_map(L1: LcmLattice, L2: LcmLattice, atom_map):
     return LatticeMap(L1, L2, tuple(atom_map), element_map, gcd_preserving)
 
 
-def _atom_bijections(candidates, prefix=()):
+def _atom_bijections(candidates, checks, targets, prefix=()):
     """Each injective choice of one entry from every list of ``candidates``,
-    depth first, in list order."""
-    if len(prefix) == len(candidates):
+    depth first, in list order, that maps each atom set in ``checks[k]``
+    onto a member of ``targets`` as soon as entry k is chosen."""
+    k = len(prefix)
+    if k == len(candidates):
         yield prefix
         return
-    for k in candidates[len(prefix)]:
-        if k not in prefix:
-            yield from _atom_bijections(candidates, prefix + (k,))
+    for t in candidates[k]:
+        if t not in prefix:
+            p = prefix + (t,)
+            if all(sum(1 << p[i] for i in atoms) in targets for atoms in checks[k]):
+                yield from _atom_bijections(candidates, checks, targets, p)
 
 
 def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
@@ -109,10 +122,13 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
 
     Every lattice isomorphism maps atoms to atoms, so enumerating atom
     bijections is exhaustive.  An atom may only go to an atom with as many
-    elements above it (an order-isomorphism invariant, read off ``closed``);
-    each surviving bijection is decided on atom sets by ``_lattice_map``, and
-    each map found carries a flag saying whether it also induces an
-    isomorphism of the GCD graphs.
+    elements above it (an order-isomorphism invariant, read off ``closed``).
+    Partial maps are pruned: once atom k is placed, every element of L1 whose
+    highest atom is k must map onto an atom set of L2.  An isomorphism maps
+    every element so, so none is lost, and the search order, hence the output
+    order, is that of the unpruned search.  Each surviving bijection is
+    decided on atom sets by ``_lattice_map``, and each map found carries a
+    flag saying whether it also induces an isomorphism of the GCD graphs.
     """
     L1 = build_lcm_lattice(I1)
     L2 = build_lcm_lattice(I2)
@@ -121,7 +137,11 @@ def find_lattice_isomorphisms(I1: MonomialIdeal, I2: MonomialIdeal):
         return []
     up1, up2 = ([sum(c >> i & 1 for c in L.closed) for i in range(r)] for L in (L1, L2))
     candidates = [[k for k in range(r) if up2[k] == up1[i]] for i in range(r)]
-    return [m for atom_map in _atom_bijections(candidates)
+    checks = [[] for _ in range(r)]
+    for c in L1.closed:
+        if c:
+            checks[c.bit_length() - 1].append(mask_subset(c))
+    return [m for atom_map in _atom_bijections(candidates, checks, set(L2.closed))
             if (m := _lattice_map(L1, L2, atom_map)) is not None]
 
 

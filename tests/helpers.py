@@ -298,6 +298,13 @@ def rp2_generators():
             for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
 
 
+def wide_lattice_cases():
+    """C5-C8, RP^2 and ten seeded antichains of 8-10 generators: lattice
+    oracle cases past the corpus's four generators."""
+    return [*(cycle_ideal(n) for n in range(5, 9)), minimalize(rp2_generators(), 6),
+            *(random_antichain(8 + seed % 3, 4, 3, seed) for seed in range(10))]
+
+
 def oracle_homology(C, bound, char=0):
     """Brute-force per-multidegree homology: dense matrices, ranked by sympy
     over Q (char 0) or by ``dense_rank_of`` over GF(char).

@@ -441,6 +441,36 @@ def test_q_and_golod_build_the_lcm_table_once(closing_pair, ideal_file, table_bu
     capsys.readouterr()
 
 
+def test_lattice_commands_build_no_subset_table(closing_pair, ideal_file, rp2, table_builds,
+                                               monkeypatch, capsys):
+    from monpoincare import core
+
+    a, b = closing_pair
+    gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
+    closures = []
+    real = core.join_closure
+    monkeypatch.setattr(core, "join_closure", lambda masks: closures.append(masks) or real(masks))
+    # one lcm lattice per ideal, by join closure; polarize --check also
+    # builds the lattice of the polarized ideal
+    for argv, ideals in ((["scarf", gen], 1), (["scarf", rp2, "--check"], 1),
+                         (["lattice-iso", a, b], 2), (["lattice-iso", rp2, rp2], 2),
+                         (["polarize", b, "--check"], 2), (["polarize", rp2, "--check"], 2)):
+        table_builds.clear()
+        closures.clear()
+        assert main(argv) == 0, argv
+        assert table_builds["subset_table"] == 0, argv
+        assert len(closures) == ideals, argv
+    capsys.readouterr()
+
+
+def test_lattice_iso_finds_the_60_automorphisms_of_rp2(rp2, capsys):
+    capsys.readouterr()
+    assert main(["lattice-iso", rp2, rp2, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == 60 == len(doc["isomorphisms"])
+    assert all(item["gcd_preserving"] for item in doc["isomorphisms"])
+
+
 @pytest.mark.parametrize("lines_read", [1, 0])
 def test_a_closed_stdout_exits_141_without_a_traceback(ideal_file, rp2, lines_read):
     # after one line: the candidate table of C14 (about 0.4 MB) is far larger

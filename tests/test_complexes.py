@@ -29,6 +29,7 @@ from helpers import (
     random_corpus,
     rp2_generators,
     standard_monomial_table,
+    wide_lattice_cases,
 )
 
 
@@ -97,6 +98,13 @@ def test_scarf_and_taylor_minimal_match_brute_force():
     for ideal in [minimalize([], 2), triangle, *random_corpus(40, seed=71)]:
         assert scarf_faces(ideal) == brute_scarf_faces(ideal)
         assert is_taylor_minimal(ideal) == brute_is_taylor_minimal(ideal)
+
+
+def test_scarf_faces_match_brute_force_past_four_generators():
+    cases = wide_lattice_cases()
+    assert max(ideal.num_generators for ideal in cases) == 10
+    for ideal in cases:
+        assert scarf_faces(ideal) == brute_scarf_faces(ideal), ideal
 
 
 def test_koszul_conventions():

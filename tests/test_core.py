@@ -14,6 +14,7 @@ from monpoincare.core import (
     divides,
     in_lcm_lattice,
     is_generic,
+    join_closure,
     lcm_of_subset,
     load_ideal,
     mask_subset,
@@ -180,6 +181,22 @@ def test_subset_table_refuses_oversized_generator_sets():
     with pytest.raises(InputError, match=f"limit is {limit}"):
         subset_components([1 << i for i in range(limit + 1)])
     assert len(subset_table([1, 2, 4])) == 8
+
+
+def test_join_closure_is_the_set_of_subset_table_entries():
+    for ideal in staircase_cases():
+        atoms = ideal.codec.atoms
+        joins = join_closure(atoms)
+        assert set(joins) == set(subset_table(atoms)), ideal
+        assert joins == {m: sum(1 << i for i, a in enumerate(atoms) if a & ~m == 0)
+                         for m in joins}, ideal
+        assert ideal.lattice_masks is ideal.lattice_masks
+        assert ideal.lattice_masks == joins
+    limit = SUBSET_TABLE_MAX_GENERATORS
+    with pytest.raises(InputError, match=f"{limit + 1} generators.*limit is {limit}"):
+        join_closure([1 << i for i in range(limit + 1)])
+    # masks inside a union count whether or not a subset reaching it used them
+    assert join_closure([1, 2, 3]) == {0: 0, 1: 0b001, 2: 0b010, 3: 0b111}
 
 
 def test_lcm_monotone():

@@ -138,7 +138,7 @@ def test_package_attributes_are_all_read():
     assert unread_attributes(sources) == []
 
 
-TABLE_BUILDERS = ("staircase", "subset_table", "subset_components")
+TABLE_BUILDERS = ("staircase", "subset_table", "subset_components", "join_closure")
 
 
 def table_builder_calls(source: str) -> list:
@@ -161,14 +161,15 @@ def test_the_lint_sees_a_table_builder():
     source = ("from .core import staircase, subset_table\n\n\ndef f(I):\n"
               "    return subset_table(staircase(I.generators, 2).atoms)\n\n\n"
               "class A:\n    def g(self, I):\n        return core.subset_components(I.m)\n\n\n"
-              "x = I.subset_components\ny = subset_table([1])\n")
+              "x = I.subset_components\ny = subset_table([1])\nz = join_closure(I.codec.atoms)\n")
     assert table_builder_calls(source) == [("f", "subset_table"), ("f", "staircase"),
-                                           ("A", "subset_components"), (None, "subset_table")]
+                                           ("A", "subset_components"), (None, "subset_table"),
+                                           (None, "join_closure")]
 
 
 def test_only_core_builds_the_codec_and_the_subset_tables():
-    """Every other module reads an ideal's ``codec``, ``subset_lcms`` and
-    ``subset_components``."""
+    """Every other module reads an ideal's ``codec``, ``subset_lcms``,
+    ``subset_components`` and ``lattice_masks``."""
     found = {p.name: calls for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"
              and (calls := table_builder_calls(p.read_text(encoding="utf-8")))}
     assert found == {}

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from monpoincare import lattice
 from monpoincare.core import InputError, mdeg_join, minimalize, polarize
 from monpoincare.lattice import (
     build_lcm_lattice,
@@ -15,7 +16,8 @@ from monpoincare.lattice import (
 from monpoincare.series import denominator, series_from_terms, series_one
 
 from helpers import (cycle_ideal, oracle_gcd_preserving, random_antichain, random_corpus,
-                     resolver_denominator, subset_lcm_isomorphisms)
+                     resolver_denominator, rp2_generators, subset_lcm_isomorphisms,
+                     wide_lattice_cases)
 
 CLOSING_I = [(2, 0, 0), (0, 2, 1)]
 CLOSING_IP = [(1, 2, 0), (1, 0, 2)]
@@ -58,6 +60,17 @@ def test_lattice_size_bound_and_atom_join_generation():
                     m = mdeg_join(m, a)
                 spanned.add(m)
         assert spanned == set(L.elements)
+
+
+def test_lattice_is_the_decoded_subset_table():
+    for ideal in wide_lattice_cases():
+        L = build_lcm_lattice(ideal)
+        codec = ideal.codec
+        expected = sorted({codec.decode(m) for m in ideal.subset_lcms},
+                          key=lambda e: (sum(e), e))
+        assert list(L.elements) == expected, ideal
+        assert L.closed == tuple(sum(1 << i for i, g in enumerate(ideal.generators)
+                                     if all(x <= y for x, y in zip(g, e))) for e in expected)
 
 
 def test_find_isomorphisms_closing_pair():
@@ -166,6 +179,26 @@ def test_gcd_flag_matches_all_element_pairs():
                 assert m.gcd_preserving == oracle_gcd_preserving(m.element_map), (ideal, partner)
                 flags.append(m.gcd_preserving)
     assert flags.count(False) > 100 and flags.count(True) > 100
+
+
+@pytest.mark.parametrize("ideal, count", [(minimalize(rp2_generators(), 6), 60),
+                                          (cycle_ideal(9), 18)], ids=["RP2", "C9"])
+def test_pruned_search_decides_each_map_found_once(ideal, count, monkeypatch):
+    # the prune checks every element of L1, so each full bijection it lets
+    # through induces an isomorphism, and _lattice_map rejects none
+    calls = []
+    real = lattice._lattice_map
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "_lattice_map", counted)
+    found = find_lattice_isomorphisms(ideal, ideal)
+    assert len(found) == count and len(calls) == count
+    assert [m.atom_map for m in found] == calls
+    assert all(m.gcd_preserving for m in found)
+    assert [m.atom_map for m in found] == sorted(m.atom_map for m in found)
 
 
 def test_transport_denominator_terms():
