@@ -13,14 +13,15 @@ a mask (an int over GF(2), else a set) and ``restrict`` keeps a packed row's
 entries on those columns only (one ``&`` over GF(2)), so a caller can offer
 the same packed vector on many column subsets.  ``extend`` takes a batch of
 rows in one call and stops at a dimension limit; ``rank_of`` is ``extend`` on
-a fresh space.  No other module looks inside a packed row.
+a fresh space.  ``unpack`` turns a packed vector back into a {column: entry}
+dict.  No other module looks inside a packed row.
 
 Over GF(2) ``EchelonSpace`` keeps each row keyed by its lowest set bit, in
 forward echelon form: a vector is reduced by XOR-ing the row of its lowest
 set bit until that bit is not a pivot, and no earlier row is touched when a
-row is added.  Only ``kernel_basis`` back-substitutes, once, at the end.  An
-XOR clears a whole row in one C-level operation (the packed rows of M4RI;
-Albrecht and Bard, "The M4RI library").
+row is added; nothing back-substitutes.  An XOR clears a whole row in one
+C-level operation (the packed rows of M4RI; Albrecht and Bard, "The M4RI
+library").
 
 Over every other field the rows are dicts in reduced echelon form: no other
 row has an entry in a pivot column.  Over GF(p) entries are canonical
@@ -29,12 +30,14 @@ entries are integers, every row is primitive (content 1) with a positive
 pivot, and elimination cross-multiplies, so no fraction or float appears.
 Reducing a vector eliminates each pivot in its support once.
 
-``kernel_basis`` reads every kernel vector straight off the reduced rows, as
-a sparse row itself.
+``kernel_basis`` takes a matrix as its packed columns, each labelled by an
+index, and eliminates forward over the columns, each carrying its
+combination of labels; a column that reduces to zero gives a kernel vector,
+already packed over the labels.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 
 def _sparse(vec, p: int) -> dict:
@@ -107,6 +110,33 @@ def _make_primitive(row: dict) -> None:
             row[c] //= g
 
 
+def _eliminate(v: dict, c: int, row: dict, p: int) -> None:
+    """Clear column c of v with row, whose pivot is c (in place), over GF(p)
+    or, for p = 0, over Q: there v becomes a primitive multiple of the result."""
+    if p:
+        f = v[c]  # the pivot is 1
+        for k, x in row.items():
+            y = (v.get(k, 0) - f * x) % p
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+        return
+    g = gcd(row[c], v[c])
+    a, b = row[c] // g, v[c] // g
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    for k, x in row.items():
+        y = v.get(k, 0) - b * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+    if v:
+        _make_primitive(v)
+
+
 class EchelonSpace:
     """Incrementally built row space: forward-echelon bitmask rows over GF(2),
     reduced-echelon dict rows over every other field.
@@ -123,32 +153,6 @@ class EchelonSpace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, v: dict, c: int, row: dict) -> None:
-        """Clear column c of v with row, whose pivot is c (in place)."""
-        p = self.char
-        if p:
-            f = v[c]  # the pivot is 1
-            for k, x in row.items():
-                y = (v.get(k, 0) - f * x) % p
-                if y:
-                    v[k] = y
-                else:
-                    del v[k]
-            return
-        g = gcd(row[c], v[c])
-        a, b = row[c] // g, v[c] // g
-        if a != 1:
-            for k in v:
-                v[k] *= a
-        for k, x in row.items():
-            y = v.get(k, 0) - b * x
-            if y:
-                v[k] = y
-            else:
-                del v[k]
-        if v:
-            _make_primitive(v)
-
     def _reduce(self, vec):
         """vec minus its part along the stored rows: a bitmask over GF(2),
         else a fresh dict."""
@@ -163,7 +167,7 @@ class EchelonSpace:
         # a stored row is zero at every other pivot, so eliminating one pivot
         # leaves v's entries at the others unchanged
         for c in [c for c in v if c in rows]:
-            self._eliminate(v, c, rows[c])
+            _eliminate(v, c, rows[c], self.char)
         return v
 
     def contains(self, vec) -> bool:
@@ -210,7 +214,7 @@ class EchelonSpace:
                         v[k] = -v[k]
             for row in rows.values():
                 if c in row:
-                    self._eliminate(row, c, v)
+                    _eliminate(row, c, v, p)
             rows[c] = v
             if len(rows) >= limit:
                 return
@@ -222,74 +226,59 @@ def rank_of(rows, ncols: int, char: int = 0) -> int:
     return space.dim
 
 
-def kernel_basis(rows, ncols: int, char: int = 0):
-    """Basis of the right kernel {v : M v = 0} as primitive integer vectors.
+def kernel_basis(columns: dict, nrows: int, char: int = 0) -> list:
+    """Basis of the kernel of the matrix whose columns are ``columns``, a
+    {label: packed column} dict in ascending label order over ``nrows`` rows
+    (which only size the matrix), each kernel vector packed over the labels.
 
-    Deterministic: one sparse vector {column: nonzero entry} per non-pivot
-    column f, in column order, the one with entry 1 at f (over GF(p); over Q
-    its primitive multiple with first nonzero entry positive) and 0 at every
-    other non-pivot column.  Its entry at a pivot c is -row_c[f] / row_c[c],
-    read off the reduced row, so building the basis costs the nonzeros of the
-    reduced rows, not ncols per vector.  Over GF(2) the forward-echelon rows
-    are reduced once, here, before the vectors are read off.
+    Each column is reduced by the independent columns before it, in forward
+    echelon form, carrying its combination of labels.  A column that reduces
+    to zero gives a kernel vector: itself minus its unique expression through
+    the earlier independent columns.  So there is one vector per dependent
+    column, in label order, with 0 at every other dependent column: entry 1
+    at its own over GF(p), and over Q the primitive multiple whose first
+    (lowest-label) entry is positive.
     """
-    space = EchelonSpace(char)
-    space.extend(rows, ncols)
+    pivots = {}
+    basis = []
     if char == 2:
-        return _kernel_basis_bits(space.rows, ncols)
-    # non-pivot column -> (pivot, entry, pivot entry) of the rows reaching it
-    reach = {f: [] for f in range(ncols) if f not in space.rows}
-    for c, row in space.rows.items():
-        for f, x in row.items():
-            if f != c:
-                reach[f].append((c, x, row[c]))
-    basis = []
-    for f, hits in reach.items():
-        if char:
-            v = {c: -x % char for c, x, _ in hits}
-            v[f] = 1
+        # lowest set bit -> (reduced column, its combination)
+        for label, v in columns.items():
+            comb = 1 << label
+            # 0 is no key, so a zero v stops the loop too
+            while piv := pivots.get(v & -v):
+                v, comb = v ^ piv[0], comb ^ piv[1]
+            if v:
+                pivots[v & -v] = v, comb
+            else:
+                basis.append(comb)
+        return basis
+    # highest row -> its reduced column, pivot entry 1 over GF(p).  The
+    # combination rides in the same dict at the keys ~label, below every row,
+    # so the highest key is a row until the column is zero
+    for label, col in columns.items():
+        v = dict(col)
+        v[~label] = 1
+        while (r := max(v)) >= 0 and (row := pivots.get(r)):
+            _eliminate(v, r, row, char)
+        if r < 0:  # v[r] is the entry at the lowest label
+            sign = -1 if v[r] < 0 else 1
+            basis.append({~k: sign * x for k, x in v.items()})
         else:
-            scale = lcm(*(a for _, _, a in hits))
-            v = {c: -x * (scale // a) for c, x, a in hits}
-            v[f] = scale
-            g = gcd(*v.values())
-            if v[min(v)] < 0:
-                g = -g
-            if g != 1:
-                v = {c: x // g for c, x in v.items()}
-        basis.append(v)
+            if char and (inv := pow(v[r], -1, char)) != 1:
+                for k in v:
+                    v[k] = v[k] * inv % char
+            pivots[r] = v
     return basis
 
 
-def _kernel_basis_bits(rows: dict, ncols: int):
-    """``kernel_basis`` over GF(2) from forward-echelon bitmask rows, which it
-    reduces in place.
-
-    Going down from the highest pivot, each row XORs in the reduced rows of
-    the higher pivots it holds (``row & pivots``); a reduced row holds no
-    pivot but its own, so the cost follows the set bits, not rank squared.
-    """
-    pivots = sum(rows)
-    for low in sorted(rows, reverse=True):
-        row = rows[low]
-        held = row & pivots ^ low
-        while held:
-            h = held & -held
-            row ^= rows[h]
-            held ^= h
-        rows[low] = row
-    # non-pivot column -> pivots of the rows reaching it, in insertion order
-    reach = {f: [] for f in range(ncols) if not pivots >> f & 1}
-    for low, row in rows.items():
-        c = low.bit_length() - 1
-        rest = row ^ low
-        while rest:
-            h = rest & -rest
-            reach[h.bit_length() - 1].append(c)
-            rest ^= h
-    basis = []
-    for f, hits in reach.items():
-        v = dict.fromkeys(hits, 1)
-        v[f] = 1
-        basis.append(v)
-    return basis
+def unpack(vec) -> dict:
+    """A packed vector as a {index: entry} dict: each set bit of a GF(2) int
+    with entry 1; a dict (every other field) is that form already."""
+    if not isinstance(vec, int):
+        return vec
+    out = {}
+    while vec:
+        out[(vec & -vec).bit_length() - 1] = 1
+        vec &= vec - 1
+    return out

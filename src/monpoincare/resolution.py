@@ -50,7 +50,7 @@ from .complexes import (
     scarf_faces,
     standard_monomials,
 )
-from .linalg import EchelonSpace, kernel_basis, pack, rank_of, restrict, support
+from .linalg import EchelonSpace, kernel_basis, pack, rank_of, restrict, support, unpack
 from .series import BigradedSeries, betti_numbers, denominator, series_from_terms
 
 
@@ -109,15 +109,17 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
     vectors that enlarge the span become new generators until the span
     reaches z, as a greedy pass over the whole kernel basis would choose.
 
-    Each kernel vector offered to the span is ``pack``-ed once, over the
-    indices of the whole previous module, and a chosen generator keeps that
-    packed column for the rest of its step.  A later cell restricts each
-    earlier generator's packed column with one mask of its alive columns
-    (``support`` and ``restrict``) and hands them to the span in one
-    ``extend`` call, so no column is rebuilt or packed again per cell.  The
-    alive columns are ascending, so the module's indices keep their order:
-    every pivot, and with it every kernel vector and generator, is the one a
-    span over the positions in the cell would give.
+    Every column is packed once.  The columns of d_1 are ``pack``-ed at the
+    start; every later one is a kernel vector, which ``kernel_basis`` returns
+    packed over the indices of the whole previous module, and a chosen
+    generator keeps it (``unpack`` gives its ``diffs`` entry) through the
+    next step.  The cell's matrix is the packed columns of d_{k-1} at its
+    alive columns, each restricted with one mask of its alive rows; the span
+    takes the earlier generators' packed columns, each restricted with one
+    mask of the alive columns, in one ``extend`` call (``support`` and
+    ``restrict``).  The alive columns are ascending, so the module's indices
+    keep their order: every kernel vector, pivot and generator is the one the
+    cell's own positions would give.
     """
     n = ideal.num_vars
     top = ideal.top_lcm()
@@ -142,6 +144,7 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
         diffs.append([{0: 1} for _ in gens1])
     alive = [alive_index(module, box, standard) for module in modules]
     rank_prev = {j: 1 for j in standard if j}  # the rank of d_1 at j; code 0 is the zero cell
+    prev = [pack(column, char) for column in diffs[-1]]  # the packed columns of d_1
 
     for step in range(2, tmax + 1):
         cols_at, rows_at = alive[step - 1], alive[step - 2]
@@ -164,8 +167,9 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                 span.extend((restrict(packed[w], keep) for w in earlier), z)
                 if span.dim == z:
                     continue
-            M = _cell_rows(diffs[step - 1], cols, set(rows_at.get(j, ())))
-            kernel = kernel_basis(M, len(cols), char)
+            rows = rows_at.get(j, ())
+            keep = support(rows, char)
+            kernel = kernel_basis({c: restrict(prev[c], keep) for c in cols}, len(rows), char)
             deg = box.decode[j]
             if len(kernel) != z:
                 raise InternalInconsistencyError(
@@ -173,37 +177,23 @@ def resolve_residue_field(ideal: MonomialIdeal, tmax: int, bound: Multidegree | 
                     f"dimension {len(kernel)}, exactness counts {z}")
             new = []
             for v in kernel:
-                vec = {cols[ci]: x for ci, x in v.items()}
-                row = pack(vec, char)
-                if span.add(row):
+                if span.add(v):
                     new.append(len(vecs))
                     degs.append(deg)
-                    vecs.append(vec)
-                    packed.append(row)
+                    vecs.append(unpack(v))
+                    packed.append(v)
                     if span.dim == z:
                         break
             for cell in alive_cells(box, deg, is_standard):
                 index.setdefault(cell, []).extend(new)
         modules.append(degs)
         alive.append(index)
-        rank_prev = rank
+        rank_prev, prev = rank, packed
         diffs.append(vecs)
 
     cpx = FreeComplex(ideal, modules, diffs, None, char)
     cpx.alive_memo[bound] = alive
     return ResidueFieldResolution(tmax, bound, cpx)
-
-
-def _cell_rows(diff: list, cols, rows: set) -> list:
-    """The matrix of a differential at one cell as sparse rows {column
-    position: scalar}: the entries of the alive columns ``cols`` of ``diff``
-    on the alive rows ``rows``, zero rows left out."""
-    M = {}  # row generator -> {column position: scalar}
-    for ci, c in enumerate(cols):
-        for r, s in diff[c].items():
-            if r in rows:
-                M.setdefault(r, {})[ci] = s
-    return list(M.values())
 
 
 def _wedge(c1: dict, j1: Multidegree, c2: dict, j2: Multidegree, ideal: MonomialIdeal) -> dict:
@@ -280,19 +270,27 @@ def is_golod_truncated(ideal: MonomialIdeal, tmax: int, char: int = 0,
 
 def is_golod_generic(ideal: MonomialIdeal) -> bool:
     """Golod test for generic ideals inside m^2: no Scarf face may split into
-    two parts with coprime lcms (equivalently m_A * m_B = m_{A u B}), i.e.
-    whose masks in ``ideal.subset_lcms`` do not meet."""
+    two parts with coprime lcms (equivalently m_A * m_B = m_{A u B}).
+
+    The lcm of a part is the OR of its generators' masks in
+    ``ideal.codec.atoms``, and two parts have coprime lcms iff no mask of one
+    meets a mask of the other.  So a face splits iff the part reached from
+    its first generator, through masks that meet, leaves some generator out.
+    No 2^r subset table is built.
+    """
     _require_in_m_squared(ideal)
     if not is_generic(ideal):
         raise InputError("criterion only applies to generic ideals")
-    lcms = ideal.subset_lcms
-    for face in scarf_faces(ideal):
-        F = sum(1 << i for i in face)
-        rest = B = F & (F - 1)  # B runs over the nonempty parts without F's lowest member
-        while B:
-            if not lcms[F ^ B] & lcms[B]:
-                return False
-            B = (B - 1) & rest
+    atoms = ideal.codec.atoms
+    for face in filter(None, scarf_faces(ideal)):
+        reach, rest = atoms[face[0]], [atoms[i] for i in face[1:]]
+        while rest:
+            near = [m for m in rest if m & reach]
+            if not near:
+                return False  # m_reach and the lcm of the rest are coprime
+            rest = [m for m in rest if not m & reach]
+            for m in near:
+                reach |= m
     return True
 
 

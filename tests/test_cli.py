@@ -452,7 +452,9 @@ def test_lattice_commands_build_no_subset_table(closing_pair, ideal_file, rp2, t
     monkeypatch.setattr(core, "join_closure", lambda masks: closures.append(masks) or real(masks))
     # one lcm lattice per ideal, by join closure; polarize --check also
     # builds the lattice of the polarized ideal
+    d10 = ideal_file("d10", ["x1", "x2", "x3", "x4"], [list(g) for g in D10_GENERATORS])
     for argv, ideals in ((["scarf", gen], 1), (["scarf", rp2, "--check"], 1),
+                         (["golod-generic", gen], 1), (["golod-generic", d10], 1),
                          (["lattice-iso", a, b], 2), (["lattice-iso", rp2, rp2], 2),
                          (["polarize", b, "--check"], 2), (["polarize", rp2, "--check"], 2)):
         table_builds.clear()
@@ -541,10 +543,11 @@ def test_q_check_reports_a_kernel_the_exactness_count_contradicts(ideal_file, mo
     c5 = ideal_file("c5", list(C5.var_names), [list(g) for g in C5.generators])
     real = resolution.kernel_basis
     monkeypatch.setattr(resolution, "kernel_basis", lambda *args: real(*args)[:-1])
-    assert main(["q", c5, "--char", "2", "--check"]) == 3
-    assert ("internal error: step 2 at multidegree (0, 0, 0, 1, 1): the kernel has "
-            "dimension 1, exactness counts 2") in capsys.readouterr().err
-    assert main(["q", c5, "--char", "2"]) == 0  # without --check nothing is resolved
+    for char in ("2", "0", "3"):
+        assert main(["q", c5, "--char", char, "--check"]) == 3, char
+        assert ("internal error: step 2 at multidegree (0, 0, 0, 1, 1): the kernel has "
+                "dimension 1, exactness counts 2") in capsys.readouterr().err, char
+        assert main(["q", c5, "--char", char]) == 0  # without --check nothing is resolved
     capsys.readouterr()
 
 

@@ -2,14 +2,29 @@ import random
 from math import gcd
 
 from monpoincare.linalg import (EchelonSpace, kernel_basis, pack, pack_rows, rank_of, restrict,
-                                support)
+                                support, unpack)
 
 from helpers import DenseEchelonSpace, dense_kernel_basis, dense_rank_of
 
 
 def _as_dict(v):
-    """A dense vector as the sparse {column: entry} form kernel_basis returns."""
+    """A dense vector as a sparse {column: entry} row."""
     return {c: x for c, x in enumerate(v) if x}
+
+
+def _columns(M, n, char, labels=None):
+    """The columns of the row matrix M as kernel_basis takes them: {label:
+    column packed over the rows}, labels ascending (0..n-1 by default)."""
+    labels = labels or range(n)
+    return {labels[c]: pack([row[c] for row in M], char) for c in range(n)}
+
+
+def _dense_kernel(M, n, char, labels=None):
+    """The dense oracle's kernel of M in kernel_basis's form: each vector
+    packed over the labels."""
+    labels = labels or range(n)
+    return [pack({labels[c]: x for c, x in enumerate(v) if x}, char)
+            for v in dense_kernel_basis(M, n, char)]
 
 
 def test_echelon_membership():
@@ -24,15 +39,18 @@ def test_echelon_membership():
 
 def test_kernel_basis_simple():
     # x + y + z = 0 has a 2-dimensional kernel
-    basis = kernel_basis([[1, 1, 1]], 3)
-    assert basis == [_as_dict([1, -1, 0]), _as_dict([1, 0, -1])]  # first entry positive
+    basis = kernel_basis({0: {0: 1}, 1: {0: 1}, 2: {0: 1}}, 1)
+    assert basis == [{0: 1, 1: -1}, {0: 1, 2: -1}]  # first entry positive
     for v in basis:
         assert sum(v.values()) == 0
 
 
 def test_kernel_of_zero_matrix():
-    assert kernel_basis([], 2) == [_as_dict([1, 0]), _as_dict([0, 1])]
-    assert kernel_basis([[0, 0]], 2) == [_as_dict([1, 0]), _as_dict([0, 1])]
+    # no rows, and one zero row: each column is a kernel vector by itself
+    for nrows in (0, 1):
+        assert kernel_basis({0: {}, 1: {}}, nrows) == [{0: 1}, {1: 1}]
+        assert kernel_basis({3: 0, 8: 0}, nrows, 2) == [1 << 3, 1 << 8]
+    assert kernel_basis({}, 4) == []
 
 
 def test_rank_and_kernel_random_consistency():
@@ -41,7 +59,7 @@ def test_rank_and_kernel_random_consistency():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         r = rank_of(M, n)
-        ker = kernel_basis(M, n)
+        ker = kernel_basis(_columns(M, n, 0), m)
         assert r + len(ker) == n  # rank-nullity
         for v in ker:
             assert all(v.values()) and all(0 <= c < n for c in v)
@@ -49,15 +67,15 @@ def test_rank_and_kernel_random_consistency():
 
 
 def test_kernel_mod_p():
-    # over GF(2) the all-ones vector kills [1, 1]
-    ker = kernel_basis([[1, 1]], 2, char=2)
-    assert ker == [_as_dict([1, 1])]
+    # over GF(2) the all-ones vector kills [1, 1]; a kernel vector is an int
+    ker = kernel_basis({0: 1, 1: 1}, 1, char=2)
+    assert ker == [0b11] and unpack(ker[0]) == {0: 1, 1: 1}
     rng = random.Random(5)
     for p in (2, 3, 7):
         for _ in range(20):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             M = [[rng.randint(0, p - 1) for _ in range(n)] for _ in range(m)]
-            ker = kernel_basis(M, n, char=p)
+            ker = [unpack(v) for v in kernel_basis(_columns(M, n, p), m, char=p)]
             assert rank_of(M, n, char=p) + len(ker) == n
             for v in ker:
                 assert all(0 < x < p for x in v.values())
@@ -72,20 +90,38 @@ def _random_matrix(rng, sparse):
     return [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], n
 
 
+def _with_zero_and_duplicate_columns(rng, M, n):
+    """M with a column zeroed and a column copied onto another, each at
+    random."""
+    M = [list(row) for row in M]
+    if rng.random() < 0.3:
+        c = rng.randrange(n)
+        for row in M:
+            row[c] = 0
+    if n > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(n), 2)
+        for row in M:
+            row[b] = row[a]
+    return M
+
+
 def test_kernel_and_rank_match_the_dense_oracle():
-    # the reduced-echelon kernel is the canonical free-column basis, so the
-    # vectors are identical to the Fraction back-substitution's (written
-    # sparsely), not just the same space
+    # the kernel vector of a dependent column, written through the earlier
+    # independent columns, is unique, so the column kernel is identical to
+    # the Fraction back-substitution's free-column basis (written sparsely
+    # over the labels), not just the same space
     rng = random.Random(2024)
     for char in (0, 2, 3, 7):
         for sparse in (False, True):
             for _ in range(200):
                 M, n = _random_matrix(rng, sparse)
-                expected = [_as_dict(v) for v in dense_kernel_basis(M, n, char)]
+                M = _with_zero_and_duplicate_columns(rng, M, n)
+                labels = sorted(rng.sample(range(3 * n + 5), n)) if rng.random() < 0.5 else None
+                expected = _dense_kernel(M, n, char, labels)
+                assert kernel_basis(_columns(M, n, char, labels), len(M), char) == expected, \
+                    (M, labels, char)
                 rank = dense_rank_of(M, n, char)
-                as_dicts = [{c: x for c, x in enumerate(row) if x} for row in M]
-                for rows in (M, as_dicts):
-                    assert kernel_basis(rows, n, char) == expected, (M, char)
+                for rows in (M, [_as_dict(row) for row in M]):
                     assert rank_of(rows, n, char) == rank, (M, char)
 
 
@@ -93,7 +129,8 @@ def test_kernel_vectors_hold_only_their_nonzeros():
     # x_0 + .. + x_1999 = 0: each of the 1999 basis vectors is a multiple of
     # e_f - e_0, so a sparse basis holds 2 entries per vector, not 2000
     for char in (0, 2, 3):
-        basis = kernel_basis([[1] * 2000], 2000, char)
+        basis = [unpack(v) for v in kernel_basis({c: pack({0: 1}, char) for c in range(2000)},
+                                                 1, char)]
         assert len(basis) == 1999
         assert all(len(v) == 2 for v in basis)
         last = {0: 1, 1999: -1} if char == 0 else {0: char - 1, 1999: 1}
@@ -111,8 +148,7 @@ def test_echelon_rows_stay_reduced():
             if char == 2:
                 # forward echelon bitmasks: each row keyed by its lowest set
                 # bit (so the keys are distinct pivots), inside the ncols
-                # columns, one per unit of rank; the reduced form is checked
-                # where kernel_basis reads it off
+                # columns, one per unit of rank
                 for low, row in space.rows.items():
                     assert row & -row == low and row >> n == 0
                 assert space.dim == dense_rank_of(M, n, char)
@@ -129,8 +165,9 @@ def test_echelon_rows_stay_reduced():
 
 
 def test_wide_gf2_matrices_match_the_dense_oracle():
-    # 65 to 200 columns, so a bitmask row spans more than one machine word;
-    # entries in {-1, 0, 1}, where -1 is odd
+    # 65 to 200 columns, so a bitmask row and a kernel vector over the column
+    # labels span more than one machine word, and so does each packed column
+    # of the transpose; entries in {-1, 0, 1}, where -1 is odd
     rng = random.Random(65)
     for _ in range(24):
         n = rng.randint(65, 200)
@@ -138,7 +175,9 @@ def test_wide_gf2_matrices_match_the_dense_oracle():
         density = rng.choice((0.02, 0.05, 0.2))
         M = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
              for _ in range(m)]
-        expected = [_as_dict(v) for v in dense_kernel_basis(M, n, 2)]
+        T = [list(col) for col in zip(*M)]
+        assert kernel_basis(_columns(M, n, 2), m, 2) == _dense_kernel(M, n, 2), M
+        assert kernel_basis(_columns(T, m, 2), n, 2) == _dense_kernel(T, m, 2), M
         rank = dense_rank_of(M, n, 2)
         dense = DenseEchelonSpace(n, 2)
         for row in M:
@@ -146,7 +185,6 @@ def test_wide_gf2_matrices_match_the_dense_oracle():
         probes = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(4)]
         probes += [[sum(col) for col in zip(*rng.sample(M, rng.randint(1, m)))] for _ in range(4)]
         for rows in (M, [_as_dict(row) for row in M]):
-            assert kernel_basis(rows, n, 2) == expected, M
             assert rank_of(rows, n, 2) == rank, M
             space = EchelonSpace(2)
             for row in rows:

@@ -5,7 +5,7 @@ import pytest
 from monpoincare import linalg, resolution
 from monpoincare.core import (InputError, InternalInconsistencyError, is_generic, mdeg_add,
                               minimalize, total_degree)
-from monpoincare.complexes import alive_basis, homology, koszul_complex
+from monpoincare.complexes import alive_basis, homology, koszul_complex, scarf_faces
 from monpoincare.resolution import (
     eagon_resolution,
     golod_denominator,
@@ -212,10 +212,25 @@ def test_is_golod_generic():
     with pytest.raises(InputError, match="x1 is linear"):
         is_golod_generic(minimalize([(1, 0), (0, 2)], 2))
     # the Scarf criterion against the exact certificate, Q = the Golod denominator
+    generic = [I for I in random_corpus() if is_generic(I)] + [minimalize(D10_GENERATORS, 4)]
     verdicts = [(is_golod_generic(I), is_golod_truncated(I, total_degree(I.top_lcm())))
-                for I in random_corpus() if is_generic(I)]
+                for I in generic]
     assert len(verdicts) >= 100 and 0 < sum(v for v, _ in verdicts) < len(verdicts)
     assert all(v == exact for v, exact in verdicts)
+    # and against every bipartition of every Scarf face, read off the lcm table
+    assert [v for v, _ in verdicts] == [_golod_by_bipartitions(I) for I in generic]
+
+
+def _golod_by_bipartitions(ideal):
+    """The Scarf criterion by brute force: no face F has a nonempty proper
+    part B with m_{F minus B} and m_B coprime (masks in ``subset_lcms``)."""
+    lcms = ideal.subset_lcms
+    for face in scarf_faces(ideal):
+        F = sum(1 << i for i in face)
+        for B in range(1, F):
+            if B & F == B != F and not lcms[F ^ B] & lcms[B]:
+                return False
+    return True
 
 
 def test_golod_q_equals_denominator_for_golod_ring():
@@ -369,28 +384,22 @@ def test_every_kernel_basis_the_resolver_computes_yields_a_generator(monkeypatch
 
 
 def test_the_gf2_resolver_packs_each_column_once(monkeypatch):
-    # a chosen generator's column is packed into a bitmask once and masked
-    # at every later cell where it is alive, so besides the matrix rows that
-    # kernel_basis packs, only the kernel vectors offered to a span are packed
-    packs, budget = [], []
-    bits, kernel_basis = linalg._bits, resolution.kernel_basis
+    # the columns of d_1 are packed into bitmasks once; every later column is
+    # a kernel vector, which kernel_basis returns packed, and a packed column
+    # is masked at every later cell where it is alive, so nothing else is
+    # packed
+    packs = []
+    bits = linalg._bits
 
     def counted_bits(vec):
         packs.append(vec)
         return bits(vec)
 
-    def counted_kernel(rows, ncols, char=0):
-        basis = kernel_basis(rows, ncols, char)
-        budget.append(len(rows) + len(basis))
-        return basis
-
     monkeypatch.setattr(linalg, "_bits", counted_bits)
-    monkeypatch.setattr(resolution, "kernel_basis", counted_kernel)
     for ideal, tmax in ((cycle_ideal(5), 6), (minimalize(rp2_generators(), 6), 4)):
         packs.clear()
-        budget.clear()
-        resolve_residue_field(ideal, tmax, char=2)
-        assert 0 < len(packs) <= sum(budget), ideal
+        res = resolve_residue_field(ideal, tmax, char=2)
+        assert packs == res.complex.diffs[1] and packs, ideal
 
 
 def _dense(vec, ncols):
@@ -423,23 +432,35 @@ class _DenseSpace(DenseEchelonSpace):
         return super().add(_dense(vec, self.ncols))
 
 
-def _dense_kernel(rows, ncols, char=0):
-    return [{c: x for c, x in enumerate(v) if x}
-            for v in dense_kernel_basis([_dense(row, ncols) for row in rows], ncols, char)]
+def _dense_kernel(columns, nrows, char=0):
+    """The dense oracle under ``kernel_basis``'s contract: the packed columns
+    decoded into a dense matrix on the rows they hold (a zero row changes no
+    kernel), each kernel vector packed back over the column labels."""
+    labels = list(columns)
+    cols = [linalg.unpack(col) for col in columns.values()]
+    rows = sorted(set().union(*cols))
+    assert len(rows) <= nrows
+    M = [[col.get(r, 0) for col in cols] for r in rows]
+    return [linalg.pack({labels[c]: x for c, x in enumerate(v) if x}, char)
+            for v in dense_kernel_basis(M, len(labels), char)]
 
 
-def test_char2_resolver_matches_the_dense_linear_algebra(monkeypatch):
-    # GF(2) rows are bitmasks in linalg; the same resolution must come out
-    # of the dense list-row oracle, generator for generator
+def test_the_resolver_matches_the_dense_linear_algebra(monkeypatch):
+    # GF(2) columns are bitmasks and other fields' are dicts in linalg; the
+    # same resolution must come out of the dense list-row oracle, generator
+    # for generator, in each characteristic
     cases = [(cycle_ideal(5), 6), (minimalize(rp2_generators(), 6), 4),
              (minimalize(D10_GENERATORS, 4), 11)]
-    expected = [resolve_residue_field(ideal, tmax, char=2).complex for ideal, tmax in cases]
-    monkeypatch.setattr(resolution, "EchelonSpace", _DenseSpace)
-    monkeypatch.setattr(resolution, "kernel_basis", _dense_kernel)
-    for (ideal, tmax), C in zip(cases, expected):
-        oracle = resolve_residue_field(ideal, tmax, char=2).complex
-        assert oracle.modules == C.modules, ideal
-        assert oracle.diffs == C.diffs, ideal
+    for char in (2, 0, 3):
+        expected = [resolve_residue_field(ideal, tmax, char=char).complex
+                    for ideal, tmax in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(resolution, "EchelonSpace", _DenseSpace)
+            patch.setattr(resolution, "kernel_basis", _dense_kernel)
+            for (ideal, tmax), C in zip(cases, expected):
+                oracle = resolve_residue_field(ideal, tmax, char=char).complex
+                assert oracle.modules == C.modules, (ideal, char)
+                assert oracle.diffs == C.diffs, (ideal, char)
 
 
 def test_eagon_resolution_leaves_no_reference_cycle():
