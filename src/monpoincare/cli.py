@@ -9,12 +9,13 @@ compute nothing over a field.  An option a subcommand does not take exits 2.
 (Miller-Rabin), loads the ideal files and calls ``handler(args, *ideals)``.
 
 The denominator Q comes from the lcm lattice alone (``series.denominator``,
-no resolution of k over R), and the Poincare series, deviations and Golod
-verdicts follow from Q; the Betti numbers of S/I and the Golod denominator
-come from the same lattice (``series.betti_numbers``).  Only --check resolves
-k over R, once per ideal, in the slack box m_I + (1,..,1): an independent
-oracle whose Q must equal the lattice Q and reproduce the whole resolution.
-Only ``koszul``, ``eagon`` and ``betti --check`` build a complex over R.
+no resolution of k over R); the deviations and Golod verdicts follow from Q,
+and P = prod(1+t*y_i)/Q is built only by ``poincare`` and ``deviations
+--check``.  The Betti numbers of S/I and the Golod denominator come from the
+same lattice (``series.betti_numbers``).  Only --check resolves k over R,
+once per ideal, in the slack box m_I + (1,..,1): an independent oracle whose
+Q must equal the lattice Q and reproduce the whole resolution.  Only
+``koszul``, ``eagon`` and ``betti --check`` build a complex over R.
 
 Besides that resolution, --check compares: for ``q``, Q's terms with the
 candidate terms on Taylor-minimal and Golod rings; for ``golod``, the same
@@ -250,8 +251,7 @@ def cmd_deviations(args, ideal):
         raise InputError(f"--nmax must be non-negative, got {nmax}")
     bound = _slack_bound(ideal)
     Q, _ = _resolve_once(ideal, args, nmax)
-    P = poincare_from_denominator(Q, nmax, bound)
-    table = deviations(P, nmax)
+    table = deviations(Q, nmax, bound)
     _check_deviation_identities(table, ideal, nmax)
     rows = sorted(table.items())
     if args.format == "json":
@@ -263,8 +263,12 @@ def cmd_deviations(args, ideal):
         for (n, j), e in rows:
             print(f"{n:>3}  {e:>4}  {monomial_str(j, ideal.var_names)} {list(j)}")
     if args.check:
-        if series_from_deviations(table, ideal.num_vars, nmax, bound) != P:
-            raise VerificationFailure("deviations do not reproduce the Poincare series")
+        diff = first_difference(series_from_deviations(table, ideal.num_vars, nmax, bound),
+                                poincare_from_denominator(Q, nmax, bound))
+        if diff:
+            t, j, expanded, given = diff
+            raise VerificationFailure(f"deviations do not reproduce the Poincare series at "
+                                      f"t^{t}*y^{j}: they give {expanded}, P has {given}")
     return 0
 
 

@@ -11,11 +11,11 @@ lattice (generator subsets grouped by lcm); neither builds a complex over R.
 
 The deviations e_{n,j} (``deviations``) are the exponents of
 P = prod (1+y^j t^n)^e [n odd] / prod (1-y^j t^n)^e [n even] (Avramov,
-"Infinite free resolutions", 1998, section 7).  They come from one division,
-G = t*dP/dt / P = sum over (n, j) and k >= 1 of n*s_k*e_{n,j} y^(k*j) t^(k*n)
-with s_k = (-1)^(k+1) for odd n and 1 for even n: in increasing n, e_{n,j}
-is (G_{n,j} minus the pushes of the entries (n/k, j/k), k >= 2) / n, kept in
-an ``owed`` map that each entry pushes forward to its multiples in the box.
+"Infinite free resolutions", 1998, section 7).  They come from one division
+by the sparse Q, not by the dense P: G = t*dP/dt / P = sum_i t*y_i/(1+t*y_i)
+- t*dQ/dt / Q, and in increasing n, e_{n,j} is (G_{n,j} minus the pushes of
+the entries (n/k, j/k), k >= 2) / n, kept in an ``owed`` map that each entry
+pushes forward to its multiples in the box.
 ``series_from_deviations``, the one expansion of a product of binomial factors,
 gives P back from a table (``deviations --check``) and prod(1+t*y_i).
 
@@ -95,7 +95,7 @@ class BigradedSeries:
         return self + (-other)
 
     def restrict(self, tmax: int, ybound: Multidegree) -> "BigradedSeries":
-        """Tighten the truncation box, discarding keys that fall outside."""
+        """The series in the box (tmax, ybound), discarding keys that fall outside."""
         coeffs = {(t, j): c for (t, j), c in self.coeffs.items()
                   if t <= tmax and divides(j, ybound)}
         return BigradedSeries(self.num_vars, tmax, tuple(ybound), coeffs)
@@ -274,41 +274,35 @@ def variables_product(num_vars: int, tmax: int, ybound) -> BigradedSeries:
 
 
 def poincare_from_denominator(Q: BigradedSeries, tmax: int, ybound) -> BigradedSeries:
-    """P = prod(1+t*y_i)/Q in the box (tmax, ybound); Q's box must lie inside
-    it in y.  Terms of Q above t^tmax cannot change P mod t^(tmax+1)."""
+    """P = prod(1+t*y_i)/Q in the box (tmax, ybound).  Truncation to the box
+    is a quotient map, so Q's terms outside it cannot change P in it."""
     if tmax < 0:
         raise InputError("tmax must be non-negative")
-    wide = series_from_terms(Q.num_vars, tmax, ybound,
-                             [(t, j, c) for (t, j), c in Q.coeffs.items() if t <= tmax])
-    return series_div(variables_product(Q.num_vars, tmax, ybound), wide)
+    return series_div(variables_product(Q.num_vars, tmax, ybound), Q.restrict(tmax, ybound))
 
 
-def deviations(P: BigradedSeries, nmax: int) -> dict:
-    """The exponents e_{n,j} of P = prod (1+y^j t^n)^e [n odd] / prod
-    (1-y^j t^n)^e [n even], as {(n, multidegree): e_{n,j}} for n <= nmax,
-    zeros omitted.  For P_R these are the deviations (Avramov, "Infinite free
-    resolutions", 1998, section 7).
+def deviations(Q: BigradedSeries, nmax: int, ybound) -> dict:
+    """The exponents e_{n,j} of P = prod(1+t*y_i)/Q = prod (1+y^j t^n)^e [n
+    odd] / prod (1-y^j t^n)^e [n even], as {(n, multidegree): e_{n,j}} in the
+    box (nmax, ybound), zeros omitted: for Q_R, the deviations (Avramov, 1998,
+    section 7).  Q is 1 plus terms of t-degree >= 1, as ``denominator`` gives
+    it; as in ``poincare_from_denominator``, its terms outside the box drop.
 
-    They are read off the logarithmic derivative G = t*dP/dt / P, one
-    ``series_div`` in the box (nmax, P.ybound).  The factor of (n, j) adds
-    n*s_k*e_{n,j} to G at (k*n, k*j) for every k >= 1, with s_k = (-1)^(k+1)
-    for odd n and s_k = 1 for even n.  So, in increasing n, e_{n,j} is what
-    G at (n, j) still owes after the entries of lower t-degree, divided by n;
-    the division is exact.  The ``owed`` map is seeded from G, and each entry
-    pushes its -n*s_k*e to every multiple (k*n, k*j), k >= 2, inside the box.
-    A key can be owed although G is 0 there, so every owed key is visited.
+    G = t*dP/dt / P = sum_i t*y_i/(1+t*y_i) - t*dQ/dt / Q, one ``series_div``.
+    The factor of (n, j) adds n*s_k*e_{n,j} to G at (k*n, k*j) for all k >= 1,
+    s_k = (-1)^(k+1) for odd n and 1 for even n.  So, in increasing n, e_{n,j}
+    is what G at (n, j) still owes after the entries of lower t-degree, over n
+    (exactly).  ``owed`` is seeded from G; each entry pushes -n*s_k*e to every
+    multiple (k*n, k*j), k >= 2, in the box, even where G is 0.
     """
-    if P.constant_term != 1 or any(t == 0 and any(j) for (t, j) in P.coeffs):
-        raise InputError("deviations need a series of the form 1 + (terms of t-degree >= 1)")
-    if nmax > P.tmax:
-        raise InputError(f"nmax {nmax} exceeds series truncation {P.tmax}")
-    P = P.restrict(nmax, P.ybound)
-    ybound = P.ybound
-    tdP = BigradedSeries(P.num_vars, nmax, ybound,
-                         {(t, j): t * c for (t, j), c in P.coeffs.items() if t})
-    owed = {}  # n -> {multidegree j: G_{n,j} minus the pushes of the entries found}
-    for (t, j), c in series_div(tdP, P).coeffs.items():
-        owed.setdefault(t, {})[j] = c
+    if Q.constant_term != 1 or any(t == 0 and any(j) for (t, j) in Q.coeffs):
+        raise InputError("deviations need a denominator of the form 1 + (terms of t-degree >= 1)")
+    Q, ybound = Q.restrict(nmax, ybound), tuple(ybound)
+    num = {(t, j): -t * c for (t, j), c in Q.coeffs.items() if t}  # -t*dQ/dt
+    owed = {k: {tuple(k * x for x in unit_mdeg(Q.num_vars, i)): (-1) ** (k + 1)  # n -> {j: G}
+                for i, b in enumerate(ybound) if k <= b} for k in range(1, nmax + 1)}
+    for (t, j), c in series_div(BigradedSeries(Q.num_vars, nmax, ybound, num), Q).coeffs.items():
+        owed[t][j] = owed[t].get(j, 0) + c
     entries = {}
     for n in range(1, nmax + 1):
         for j, c in sorted(owed.pop(n, {}).items()):

@@ -23,7 +23,7 @@ vector, against which the sparse reduced-echelon ``linalg`` is compared.
 The deviation oracle is the package's former factorization: it multiplies a
 running product by one binomial series per entry (``binomial_factor_power``,
 with ``series_mul``), where ``series.deviations`` reads every exponent off
-one logarithmic derivative; ``factorwise_product`` is the same factor-by-factor
+one division by Q; ``factorwise_product`` is the same factor-by-factor
 product for a whole table, the oracle of the in-place expansion
 ``series.series_from_deviations``.
 The quadratic oracle is Froberg's closed form for Koszul rings: for an

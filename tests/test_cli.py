@@ -683,26 +683,62 @@ def test_poincare_check_reports_a_resolution_that_is_not_exact(closing_pair, mon
 
 def test_deviations_check_reports_a_series_other_than_P(closing_pair, monkeypatch, capsys):
     _, b = closing_pair
-    monkeypatch.setattr(cli, "series_from_deviations", lambda *args: None)
+    real = cli.series_from_deviations
+
+    def perturbed(table, num_vars, tmax, ybound):
+        P = real(table, num_vars, tmax, ybound)
+        return P + series_from_terms(num_vars, tmax, ybound, [(2, (1, 0, 2), 3)])
+
+    monkeypatch.setattr(cli, "series_from_deviations", perturbed)
     _fails_check(["deviations", b, "--nmax", "3", "--check"], capsys,
-                 "deviations do not reproduce the Poincare series")
+                 "deviations do not reproduce the Poincare series at t^2*y^(1, 0, 2): "
+                 "they give 4, P has 1")
 
 
 def test_deviations_report_an_inexact_division(closing_pair, monkeypatch, capsys):
     _, b = closing_pair
     real = series.series_div
 
-    def off_by_one(num, den):
+    def off_by_one(num, den):  # the one division, t*dQ/dt / Q, owes 1 more at t^2*y3^2
         G = real(num, den)
-        if num.constant_term:  # the division that makes P, not t*dP/dt / P
-            return G
-        j = min(j for t, j in G.coeffs if t == 2)
-        return G + series_from_terms(G.num_vars, G.tmax, G.ybound, [(2, j, 1)])
+        return G + series_from_terms(G.num_vars, G.tmax, G.ybound, [(2, (0, 0, 2), 1)])
 
     monkeypatch.setattr(series, "series_div", off_by_one)
     assert main(["deviations", b, "--nmax", "3"]) == 3
     assert ("internal error: deviation at n=2, y^(0, 0, 2): t*dP/dt / P owes 1 there, "
             "which is not a multiple of 2") in capsys.readouterr().err
+
+
+def test_deviations_divide_once_by_Q_and_build_P_only_under_check(ideal_file, monkeypatch,
+                                                                   capsys):
+    """Without --check, ``deviations C5 --nmax 6`` makes one ``series_div``, by
+    Q, and builds no P: no ``poincare_from_denominator``, ``variables_product``
+    or ``series_mul`` call.  With --check the command builds P once; the
+    resolution's own check (``denominator_from_poincare``) is not counted."""
+    C5 = cycle_ideal(5)
+    c5 = ideal_file("c5", list(C5.var_names), [list(g) for g in C5.generators])
+    divisors, built = [], Counter()
+    real_div = series.series_div
+
+    def counted_div(num, den):
+        divisors.append(den)
+        return real_div(num, den)
+
+    monkeypatch.setattr(series, "series_div", counted_div)
+    for module, name in ((cli, "poincare_from_denominator"), (series, "poincare_from_denominator"),
+                         (series, "variables_product"), (series, "series_mul")):
+        def counted(*args, _real=getattr(module, name), _name=f"{module.__name__}.{name}"):
+            built[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["deviations", c5, "--nmax", "6", "-f", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["deviations"]) == 71
+    assert [den.coeffs for den in divisors] == [series.denominator(C5).coeffs]
+    assert built == Counter()
+    assert main(["deviations", c5, "--nmax", "6", "--check", "-f", "json"]) == 0
+    capsys.readouterr()
+    assert built["monpoincare.cli.poincare_from_denominator"] == 1
+    assert built["monpoincare.series.series_mul"] == 0
 
 
 # the deviations of R = S/(x1*x2^2, x1*x3^2) up to n = 2: the variables and the generators
@@ -720,7 +756,7 @@ CLOSING_LOW_DEVIATIONS = {(1, (1, 0, 0)): 1, (1, (0, 1, 0)): 1, (1, (0, 0, 1)): 
 def test_deviations_flag_a_table_the_theorems_forbid(closing_pair, monkeypatch, capsys,
                                                      planted, named):
     _, b = closing_pair
-    monkeypatch.setattr(cli, "deviations", lambda P, nmax: planted)
+    monkeypatch.setattr(cli, "deviations", lambda Q, nmax, ybound: planted)
     assert main(["deviations", b, "--nmax", "3", "-f", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""  # checked before any output
@@ -730,10 +766,10 @@ def test_deviations_flag_a_table_the_theorems_forbid(closing_pair, monkeypatch, 
 def test_deviation_identities_hold_only_up_to_nmax(closing_pair, monkeypatch, capsys):
     _, b = closing_pair
     table = {k: e for k, e in CLOSING_LOW_DEVIATIONS.items() if k[0] == 1}
-    monkeypatch.setattr(cli, "deviations", lambda P, nmax: table)
+    monkeypatch.setattr(cli, "deviations", lambda Q, nmax, ybound: table)
     assert main(["deviations", b, "--nmax", "1", "-f", "json"]) == 0
     assert main(["deviations", b, "--nmax", "0", "-f", "json"]) == 3  # no e_1 at nmax 0
-    monkeypatch.setattr(cli, "deviations", lambda P, nmax: {})
+    monkeypatch.setattr(cli, "deviations", lambda Q, nmax, ybound: {})
     assert main(["deviations", b, "--nmax", "0", "-f", "json"]) == 0
 
 
