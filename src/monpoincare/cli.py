@@ -15,7 +15,11 @@ and P = prod(1+t*y_i)/Q is built only by ``poincare`` and ``deviations
 same lattice (``series.betti_numbers``).  Only --check resolves k over R,
 once per ideal, in the slack box m_I + (1,..,1): an independent oracle whose
 Q must equal the lattice Q and reproduce the whole resolution.  Only
-``koszul``, ``eagon`` and ``betti --check`` build a complex over R.
+``koszul``, ``eagon`` and ``betti --check`` build a complex over R.  The 2^r
+subset tables are built only for the strands (Q, the Betti numbers and the
+Golod denominator) and for the Taylor-minimality test of ``q --check``;
+``candidates``, ``scarf``, ``lattice-iso``, ``polarize`` and the verdict of
+``golod-generic`` read the lcm lattice alone.
 
 Besides that resolution, --check compares: for ``q``, Q's terms with the
 candidate terms on Taylor-minimal and Golod rings; for ``golod``, the same

@@ -16,7 +16,11 @@ table of l_J (``subset_components``) and the masks of its lcm lattice L_I,
 each with the atoms below it (``lattice_masks``, by :func:`join_closure`, at
 a cost of about |L_I| * r rather than 2^r), each built on first use and kept,
 outside the fields, for the life of the object; all three refuse more than
-``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.
+``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.  Only the
+Taylor strands (``series.denominator``, ``series.betti_numbers``, and through
+them the Golod denominator) and ``complexes.is_taylor_minimal`` read the two
+2^r tables; the candidate terms, the Scarf faces and the lattice maps read
+``lattice_masks``.
 """
 from __future__ import annotations
 

@@ -352,16 +352,121 @@ def series_from_deviations(table: dict, num_vars: int, tmax: int,
     return BigradedSeries(num_vars, tmax, ybound, {key: c for key, c in coeffs.items() if c})
 
 
-def candidate_terms(ideal: MonomialIdeal):
-    """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J.
+def _fewest_connected(atoms) -> dict:
+    """Each connected lcm alpha (the lcm of a generator subset whose GCD graph
+    is connected), as a staircase mask, mapped to kc(alpha), the fewest
+    generators in such a subset, given the generators' masks ``atoms``.
 
-    m_J and l_J come from the ideal's two 2^r tables on the generators'
-    staircase masks (``subset_lcms``, ``subset_components``); only the
-    distinct terms are decoded back to multidegrees.
+    Breadth first: step k joins each mask first reached at step k - 1 with
+    every atom that meets it.  The atoms joined on the way to a mask form a
+    connected subset with that lcm, and a connected subset can be listed so
+    that each member meets an earlier one, so alpha is first reached at step
+    kc(alpha).
     """
-    terms = {(-1 if l & 1 else 1, J.bit_count() + l, m)
-             for J, (m, l) in enumerate(zip(ideal.subset_lcms, ideal.subset_components)) if J}
-    return {(sign, t, ideal.codec.decode(m)) for sign, t, m in terms}
+    fewest = dict.fromkeys(atoms, 1)
+    level, k = list(fewest), 1
+    while level:
+        k += 1
+        grown = []
+        for m in level:
+            for g in atoms:
+                if g & m and (u := g | m) not in fewest:
+                    fewest[u] = k
+                    grown.append(u)
+        level = grown
+    return fewest
+
+
+def _sum_sets(a, b):
+    """{(s*s', t+t')} over (s, t) in a and (s', t') in b, each a pair of
+    t-bitsets (sign +1, sign -1); the loop runs over a's bits."""
+    (ap, an), (bp, bn) = a, b
+    plus = minus = 0
+    while ap:
+        low = ap & -ap
+        plus, minus, ap = plus | bp * low, minus | bn * low, ap ^ low
+    while an:
+        low = an & -an
+        plus, minus, an = plus | bn * low, minus | bp * low, an ^ low
+    return plus, minus
+
+
+def candidate_terms(ideal: MonomialIdeal):
+    """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J,
+    from the lcm lattice L_I (``lattice_masks``) and the generators' staircase
+    masks, with no 2^r table.  Three facts reduce the subsets to L_I.
+
+    * Components are coprime families.  The GCD-graph components J_1..J_l of
+      J are connected subsets whose lcms alpha_i are pairwise coprime (a
+      shared variable would join two of them), and m_J is their product.
+      Conversely connected subsets with pairwise coprime lcms are the
+      components of their union.  So the terms at m are
+      ((-1)^l, sum (|J_i| + 1), m) over such families with product m.
+    * Connected sizes form an interval.  If J is connected with lcm alpha,
+      a generator that divides alpha shares a variable with it, so adding it
+      keeps J connected and the lcm alpha.  So the sizes of connected
+      subsets with lcm alpha run from kc(alpha) (``_fewest_connected``) to
+      |A(alpha)|, A(alpha) being the atoms below alpha, with no gap: one
+      component adds sign -1 and t in [kc(alpha) + 1, |A(alpha)| + 1].
+    * Disconnected atom sets split.  If A(m) falls into GCD-graph components
+      K_1..K_p with lcms kappa_j, each J with m_J = m meets K_j in a subset
+      with lcm kappa_j (only K_j reaches kappa_j's variables), and any such
+      choices give such a J, with |J| and l_J the sums over j.  So the
+      terms at m are the sums (signs multiplied, t added) of those at
+      kappa_1 and at m ^ kappa_1 (the quotient m / kappa_1, whose atom set
+      is K_2..K_p).
+
+    In increasing order, so that every submask comes first, each m of L_I
+    minus 0 gets its (sign, t) set as two t-bitsets.  A(m) is connected
+    exactly when ``_fewest_connected`` reaches m.  If it is not, kappa_1 is
+    grown from m's lowest bit one atom of A(m) at a time, and the third fact
+    applies.  If it is, a J with m_J = m has one first component: the one
+    holding m's lowest bit, whose lcm alpha is connected and satisfies
+    m & support(alpha) = alpha, as alpha is coprime to the rest m ^ alpha.
+    Each such alpha is m & s for s the support of a connected lcm with m's
+    lowest bit, and each m & s that is connected, with m ^ (m & s) in L_I or
+    0, is such an alpha (its support lies inside s).  m's set is the union,
+    over these alpha, of alpha's interval plus the set of m ^ alpha.  Each m
+    is decoded once.
+    """
+    codec, below = ideal.codec, ideal.lattice_masks
+    atoms, fewest = codec.atoms, _fewest_connected(codec.atoms)
+    blocks = [((1 << w) - 1) << off for off, w in zip(codec.offsets, codec.widths) if w]
+    single, supports = {}, {}  # alpha -> set of one component; lowest bit -> supports
+    for alpha, k in fewest.items():
+        single[alpha] = (0, ((1 << (below[alpha].bit_count() - k + 1)) - 1) << (k + 1))
+        support = sum(b for b in blocks if alpha & b)
+        supports.setdefault(alpha & -alpha, set()).add(support)
+    sets = {0: (1, 0)}  # mask -> (t-bitset of sign +1, t-bitset of sign -1)
+    for m in sorted(below)[1:]:  # 0 comes first
+        if m in single:
+            plus = minus = 0
+            for support in supports[m & -m]:
+                alpha = m & support
+                if alpha in single and (rest := sets.get(m ^ alpha)) is not None:
+                    p, n = _sum_sets(rest, single[alpha])
+                    plus, minus = plus | p, minus | n
+            sets[m] = plus, minus
+        else:
+            outside = ~m
+            inside = [g for g in atoms if not g & outside]
+            kappa, grown = m & -m, 0
+            while grown != kappa:
+                grown = kappa
+                for g in inside:
+                    if g & kappa:
+                        kappa |= g
+            sets[m] = _sum_sets(sets[kappa], sets[m ^ kappa])
+    del sets[0]
+    terms = set()
+    for m, (plus, minus) in sets.items():
+        j = codec.decode(m)
+        for sign, ts in ((1, plus), (-1, minus)):
+            while ts:
+                low = ts & -ts
+                terms.add((sign, low.bit_length() - 1, j))
+                ts ^= low
+    return terms
 
 
 def _off_lattice_terms(Q: BigradedSeries, ideal: MonomialIdeal) -> list:

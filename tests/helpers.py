@@ -5,7 +5,10 @@ differential data and takes ranks with sympy's exact rational elimination,
 so it shares no linear algebra with the package; the d o d oracle multiplies
 dense matrices of the same stored scalars.  The subset oracles
 enumerate generator subsets with ``combinations`` and take each lcm on its
-own, the definition the package's shared subset-lcm table replaces; the
+own, the definition the package's shared subset-lcm table replaces;
+``table_candidate_terms`` is the package's former candidate-term formula,
+one pass over the two 2^r subset tables, where ``series.candidate_terms``
+works on the lcm lattice; the
 lattice isomorphism oracle is the package's former definition, m_J ->
 m'_sigma(J) for every subset J over all r! atom bijections, where
 ``lattice`` compares atom sets; the GCD-graph oracle compares every pair of
@@ -405,6 +408,14 @@ def brute_candidate_terms(ideal):
         l = connected_components_lJ(ideal, f)
         out.add(((-1) ** l, len(f) + l, lcm_of_subset(ideal, f)))
     return out
+
+
+def table_candidate_terms(ideal):
+    """((-1)^l_J, |J|+l_J, m_J) for every nonempty subset mask J, read off the
+    ideal's two 2^r tables (``subset_lcms``, ``subset_components``)."""
+    terms = {(-1 if l & 1 else 1, J.bit_count() + l, m)
+             for J, (m, l) in enumerate(zip(ideal.subset_lcms, ideal.subset_components)) if J}
+    return {(sign, t, ideal.codec.decode(m)) for sign, t, m in terms}
 
 
 def subset_lcm_isomorphisms(I1, I2):

@@ -447,20 +447,23 @@ def test_lattice_commands_build_no_subset_table(closing_pair, ideal_file, rp2, t
 
     a, b = closing_pair
     gen = ideal_file("gen", ["x", "y"], [[3, 0], [1, 1], [0, 2]])
-    closures = []
-    real = core.join_closure
+    closures, components = [], []
+    real, real_components = core.join_closure, core.subset_components
     monkeypatch.setattr(core, "join_closure", lambda masks: closures.append(masks) or real(masks))
+    monkeypatch.setattr(core, "subset_components",
+                        lambda masks: components.append(masks) or real_components(masks))
     # one lcm lattice per ideal, by join closure; polarize --check also
     # builds the lattice of the polarized ideal
     d10 = ideal_file("d10", ["x1", "x2", "x3", "x4"], [list(g) for g in D10_GENERATORS])
-    for argv, ideals in ((["scarf", gen], 1), (["scarf", rp2, "--check"], 1),
+    for argv, ideals in ((["candidates", gen], 1), (["candidates", rp2], 1),
+                         (["scarf", gen], 1), (["scarf", rp2, "--check"], 1),
                          (["golod-generic", gen], 1), (["golod-generic", d10], 1),
                          (["lattice-iso", a, b], 2), (["lattice-iso", rp2, rp2], 2),
                          (["polarize", b, "--check"], 2), (["polarize", rp2, "--check"], 2)):
         table_builds.clear()
         closures.clear()
         assert main(argv) == 0, argv
-        assert table_builds["subset_table"] == 0, argv
+        assert table_builds["subset_table"] == 0 and not components, argv
         assert len(closures) == ideals, argv
     capsys.readouterr()
 

@@ -4,8 +4,9 @@ from itertools import combinations, product
 
 import pytest
 
-from monpoincare.core import (InputError, InternalInconsistencyError, divides, mdeg_add,
-                              minimalize, total_degree, unit_mdeg)
+from monpoincare.core import (InputError, InternalInconsistencyError, connected_components_lJ,
+                              coprime, divides, lcm_of_subset, mdeg_add, minimalize,
+                              total_degree, unit_mdeg)
 from monpoincare.lattice import build_lcm_lattice
 from monpoincare.series import (
     BigradedSeries,
@@ -29,6 +30,7 @@ from monpoincare.series import (
 from monpoincare import series
 from helpers import (
     LINEAR,
+    all_subsets,
     borel_closure,
     brute_candidate_terms,
     cycle_ideal,
@@ -37,11 +39,14 @@ from helpers import (
     inductive_deviations,
     is_strongly_stable,
     koszul_quadratic_denominator,
+    random_antichain,
     random_corpus,
     resolver_denominator,
     rp2_generators,
     stable_denominator,
+    table_candidate_terms,
     tuple_series_div,
+    wide_lattice_cases,
 )
 
 D10 = minimalize([(3, 1, 0, 0), (0, 3, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)], 4)
@@ -363,6 +368,86 @@ def test_candidate_terms_closing_examples():
 def test_candidate_terms_match_brute_force():
     for ideal in [minimalize([], 2), *random_corpus(40, seed=71)]:
         assert candidate_terms(ideal) == brute_candidate_terms(ideal)
+
+
+def _block_ideal(seed):
+    """Generators in 3 or 4 disjoint blocks of 2 or 3 variables, each block
+    holding at least one, so the GCD graph has at least 3 components."""
+    rng = random.Random(seed)
+    sizes = [rng.choice([2, 3]) for _ in range(rng.choice([3, 4]))]
+    n, gens, start = sum(sizes), [], 0
+    for size in sizes:
+        for _ in range(rng.randint(1, 3)):
+            g = [0] * n
+            for _ in range(rng.randint(1, 3)):
+                g[start + rng.randrange(size)] += 1
+            gens.append(g)
+        start += size
+    return minimalize(gens, n)
+
+
+def test_candidate_terms_match_the_subset_tables():
+    powers = [minimalize([m for m in product(range(d + 1), repeat=k) if sum(m) == d], k)
+              for k, d in ((3, 2), (3, 3), (3, 4), (5, 2))]
+    blocks = [_block_ideal(seed) for seed in range(30)]
+    for ideal in blocks:
+        assert connected_components_lJ(ideal, range(ideal.num_generators)) >= 3, ideal
+    cases = [*wide_lattice_cases(), *(random_antichain(14, 5, 4, seed) for seed in range(5)),
+             *(cycle_ideal(n) for n in range(4, 17)), minimalize(rp2_generators(), 6), D10,
+             *LINEAR, *powers, minimalize([], 3), minimalize([(2, 1)], 2), *blocks]
+    for ideal in cases:
+        assert candidate_terms(ideal) == table_candidate_terms(ideal), ideal
+
+
+def _first_component(ideal, J):
+    """The GCD-graph component of J holding a generator in the lowest
+    variable of m_J."""
+    gens = ideal.generators
+    v = min(i for i, e in enumerate(lcm_of_subset(ideal, J)) if e)
+    comp = {i for i in J if gens[i][v]}
+    while grown := {i for i in J if i not in comp
+                    and any(not coprime(gens[i], gens[k]) for k in comp)}:
+        comp |= grown
+    return sorted(comp)
+
+
+def test_candidate_term_lemmas_on_all_subsets():
+    # the three facts behind candidate_terms: connected sizes form an
+    # interval, the first component splits off, and so does each component
+    # of a disconnected atom set
+    cases = [*random_corpus(), *(cycle_ideal(n) for n in range(5, 9)),
+             minimalize(rp2_generators(), 6)]
+    for ideal in cases:
+        gens, r = ideal.generators, ideal.num_generators
+        sizes, lcms = {}, {}
+        for J in all_subsets(r)[1:]:
+            m = lcms[J] = lcm_of_subset(ideal, J)
+            if connected_components_lJ(ideal, J) == 1:
+                sizes.setdefault(m, set()).add(len(J))
+        fewest = {ideal.codec.decode(a): k
+                  for a, k in series._fewest_connected(ideal.codec.atoms).items()}
+        assert fewest == {alpha: min(ks) for alpha, ks in sizes.items()}, ideal
+        for alpha, ks in sizes.items():
+            below = sum(divides(g, alpha) for g in gens)
+            assert ks == set(range(min(ks), below + 1)), (ideal, alpha)
+        for J, m in lcms.items():
+            first = _first_component(ideal, J)
+            alpha = lcms[tuple(first)]
+            assert connected_components_lJ(ideal, first) == 1
+            # m restricted to the support of alpha is alpha
+            assert all(x == a for x, a in zip(m, alpha) if a), (ideal, J)
+            rest = [i for i in J if i not in first]
+            if rest:
+                assert (connected_components_lJ(ideal, rest)
+                        == connected_components_lJ(ideal, J) - 1), (ideal, J)
+                assert coprime(lcms[tuple(rest)], alpha), (ideal, J)
+        for m in set(lcms.values()):
+            atoms = tuple(i for i, g in enumerate(gens) if divides(g, m))
+            first = _first_component(ideal, atoms)
+            if len(first) < len(atoms):
+                kappa = lcms[tuple(first)]
+                for J in (J for J, mJ in lcms.items() if mJ == m):
+                    assert lcm_of_subset(ideal, set(J) & set(first)) == kappa, (ideal, J)
 
 
 def test_verify_lcm_coefficients():
