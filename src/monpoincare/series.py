@@ -28,6 +28,7 @@ whether the sum lies in the box.  The keys are unpacked once, at the end.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add, le
 
@@ -377,24 +378,12 @@ def _fewest_connected(atoms) -> dict:
     return fewest
 
 
-def _sum_sets(a, b):
-    """{(s*s', t+t')} over (s, t) in a and (s', t') in b, each a pair of
-    t-bitsets (sign +1, sign -1); the loop runs over a's bits."""
-    (ap, an), (bp, bn) = a, b
-    plus = minus = 0
-    while ap:
-        low = ap & -ap
-        plus, minus, ap = plus | bp * low, minus | bn * low, ap ^ low
-    while an:
-        low = an & -an
-        plus, minus, an = plus | bn * low, minus | bp * low, an ^ low
-    return plus, minus
-
-
 def candidate_terms(ideal: MonomialIdeal):
     """The signed lcm terms {((-1)^l_J, |J|+l_J, m_J)} over nonempty subsets J,
     from the lcm lattice L_I (``lattice_masks``) and the generators' staircase
-    masks, with no 2^r table.  Three facts reduce the subsets to L_I.
+    masks, with no 2^r table.  Two masks meet exactly when their monomials
+    share a variable, so coprime means disjoint.  Two facts reduce the
+    subsets to L_I.
 
     * Components are coprime families.  The GCD-graph components J_1..J_l of
       J are connected subsets whose lcms alpha_i are pairwise coprime (a
@@ -408,56 +397,57 @@ def candidate_terms(ideal: MonomialIdeal):
       subsets with lcm alpha run from kc(alpha) (``_fewest_connected``) to
       |A(alpha)|, A(alpha) being the atoms below alpha, with no gap: one
       component adds sign -1 and t in [kc(alpha) + 1, |A(alpha)| + 1].
-    * Disconnected atom sets split.  If A(m) falls into GCD-graph components
-      K_1..K_p with lcms kappa_j, each J with m_J = m meets K_j in a subset
-      with lcm kappa_j (only K_j reaches kappa_j's variables), and any such
-      choices give such a J, with |J| and l_J the sums over j.  So the
-      terms at m are the sums (signs multiplied, t added) of those at
-      kappa_1 and at m ^ kappa_1 (the quotient m / kappa_1, whose atom set
-      is K_2..K_p).
 
-    In increasing order, so that every submask comes first, each m of L_I
-    minus 0 gets its (sign, t) set as two t-bitsets.  A(m) is connected
-    exactly when ``_fewest_connected`` reaches m.  If it is not, kappa_1 is
-    grown from m's lowest bit one atom of A(m) at a time, and the third fact
-    applies.  If it is, a J with m_J = m has one first component: the one
-    holding m's lowest bit, whose lcm alpha is connected and satisfies
-    m & support(alpha) = alpha, as alpha is coprime to the rest m ^ alpha.
-    Each such alpha is m & s for s the support of a connected lcm with m's
-    lowest bit, and each m & s that is connected, with m ^ (m & s) in L_I or
-    0, is such an alpha (its support lies inside s).  m's set is the union,
-    over these alpha, of alpha's interval plus the set of m ^ alpha.  Each m
-    is decoded once.
+    Each J with m_J = m has one first component, the one holding m's lowest
+    bit: its lcm alpha is connected, and the rest of J has lcm beta = m ^ alpha
+    in L_I or 0, coprime to alpha, with one component fewer.  Conversely each
+    connected alpha and each beta of L_I or 0, coprime to alpha and with no
+    bit below alpha's lowest, join to such a family.  So m's (sign, t) set,
+    kept as two t-bitsets, is the union over these pairs of alpha's interval
+    plus beta's set.  The pairs with beta = 0 are the connected alpha
+    themselves.  The others are listed from beta: in increasing order, so
+    that beta's set is complete (every pair into it has a smaller beta), each
+    beta of L_I minus 0 walks the connected alpha coprime to it with a bit
+    below its lowest, breadth first from the atoms g with g & beta = 0 and
+    such a bit (a prefix of the atoms in order of lowest bit), joining the
+    atoms coprime to beta that meet the current mask (a connected
+    subset can be listed from any member so that each member meets an
+    earlier one, and its members are coprime to beta when alpha is).  Each
+    step of a walk is a new pair, and distinct pairs come from distinct
+    subsets J, so the work is about (|L_I| + pairs) * r, at most
+    (|L_I| + 2^r) * r.  Each m is decoded once.
     """
     codec, below = ideal.codec, ideal.lattice_masks
-    atoms, fewest = codec.atoms, _fewest_connected(codec.atoms)
-    blocks = [((1 << w) - 1) << off for off, w in zip(codec.offsets, codec.widths) if w]
-    single, supports = {}, {}  # alpha -> set of one component; lowest bit -> supports
-    for alpha, k in fewest.items():
-        single[alpha] = (0, ((1 << (below[alpha].bit_count() - k + 1)) - 1) << (k + 1))
-        support = sum(b for b in blocks if alpha & b)
-        supports.setdefault(alpha & -alpha, set()).add(support)
-    sets = {0: (1, 0)}  # mask -> (t-bitset of sign +1, t-bitset of sign -1)
-    for m in sorted(below)[1:]:  # 0 comes first
-        if m in single:
-            plus = minus = 0
-            for support in supports[m & -m]:
-                alpha = m & support
-                if alpha in single and (rest := sets.get(m ^ alpha)) is not None:
-                    p, n = _sum_sets(rest, single[alpha])
-                    plus, minus = plus | p, minus | n
-            sets[m] = plus, minus
-        else:
-            outside = ~m
-            inside = [g for g in atoms if not g & outside]
-            kappa, grown = m & -m, 0
-            while grown != kappa:
-                grown = kappa
-                for g in inside:
-                    if g & kappa:
-                        kappa |= g
-            sets[m] = _sum_sets(sets[kappa], sets[m ^ kappa])
-    del sets[0]
+    atoms = codec.atoms
+    single = {alpha: ((1 << (below[alpha].bit_count() - k + 1)) - 1) << (k + 1)
+              for alpha, k in _fewest_connected(atoms).items()}  # sign -1 t-bitset
+    # mask -> (t-bitset of sign +1, t-bitset of sign -1); the pairs with
+    # beta = 0 are the connected alpha themselves
+    sets = {alpha: (0, ts) for alpha, ts in single.items()}
+    # by lowest bit: the atoms with a bit below beta's lowest are a prefix
+    by_low = sorted(atoms, key=lambda g: g & -g)
+    lows = [g & -g for g in by_low]
+    for beta in sorted(below)[1:]:  # 0 comes first
+        level = [g for g in by_low[:bisect_left(lows, beta & -beta)] if not g & beta]
+        if not level:
+            continue
+        plus, minus = sets[beta]
+        coprime = [g for g in atoms if not g & beta]
+        seen = set(level)
+        while level:
+            grown = []
+            for alpha in level:
+                m, ts = alpha | beta, single[alpha]
+                p, n = sets.get(m, (0, 0))
+                while ts:  # one more component: the sign flips
+                    low = ts & -ts
+                    p, n, ts = p | minus * low, n | plus * low, ts ^ low
+                sets[m] = p, n
+                for g in coprime:
+                    if g & alpha and (u := g | alpha) not in seen:
+                        seen.add(u)
+                        grown.append(u)
+            level = grown
     terms = set()
     for m, (plus, minus) in sets.items():
         j = codec.decode(m)

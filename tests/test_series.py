@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from monpoincare.core import (InputError, InternalInconsistencyError, connected_components_lJ,
-                              coprime, divides, lcm_of_subset, mdeg_add, minimalize,
+                              coprime, divides, lcm_of_subset, mdeg_add, minimalize, polarize,
                               total_degree, unit_mdeg)
 from monpoincare.lattice import build_lcm_lattice
 from monpoincare.series import (
@@ -386,7 +386,16 @@ def _block_ideal(seed):
     return minimalize(gens, n)
 
 
+def _star(k, centre):
+    """The edge ideal of a star: x_centre * x_i for the k other variables."""
+    return minimalize([tuple(int(v in (centre, i)) for v in range(k + 1))
+                       for i in range(k + 1) if i != centre], k + 1)
+
+
 def test_candidate_terms_match_the_subset_tables():
+    # the stars and the polarized powers are Taylor-minimal or squarefree in
+    # many variables: every subset of their generators is connected
+
     powers = [minimalize([m for m in product(range(d + 1), repeat=k) if sum(m) == d], k)
               for k, d in ((3, 2), (3, 3), (3, 4), (5, 2))]
     blocks = [_block_ideal(seed) for seed in range(30)]
@@ -394,7 +403,8 @@ def test_candidate_terms_match_the_subset_tables():
         assert connected_components_lJ(ideal, range(ideal.num_generators)) >= 3, ideal
     cases = [*wide_lattice_cases(), *(random_antichain(14, 5, 4, seed) for seed in range(5)),
              *(cycle_ideal(n) for n in range(4, 17)), minimalize(rp2_generators(), 6), D10,
-             *LINEAR, *powers, minimalize([], 3), minimalize([(2, 1)], 2), *blocks]
+             *LINEAR, *powers, minimalize([], 3), minimalize([(2, 1)], 2), *blocks,
+             _star(10, 0), _star(10, 10), polarize(powers[2]).ideal, polarize(powers[3]).ideal]
     for ideal in cases:
         assert candidate_terms(ideal) == table_candidate_terms(ideal), ideal
 
@@ -412,9 +422,8 @@ def _first_component(ideal, J):
 
 
 def test_candidate_term_lemmas_on_all_subsets():
-    # the three facts behind candidate_terms: connected sizes form an
-    # interval, the first component splits off, and so does each component
-    # of a disconnected atom set
+    # the facts behind candidate_terms: connected sizes form an interval,
+    # and the first component splits off, coprime to the rest
     cases = [*random_corpus(), *(cycle_ideal(n) for n in range(5, 9)),
              minimalize(rp2_generators(), 6)]
     for ideal in cases:
@@ -441,13 +450,6 @@ def test_candidate_term_lemmas_on_all_subsets():
                 assert (connected_components_lJ(ideal, rest)
                         == connected_components_lJ(ideal, J) - 1), (ideal, J)
                 assert coprime(lcms[tuple(rest)], alpha), (ideal, J)
-        for m in set(lcms.values()):
-            atoms = tuple(i for i, g in enumerate(gens) if divides(g, m))
-            first = _first_component(ideal, atoms)
-            if len(first) < len(atoms):
-                kappa = lcms[tuple(first)]
-                for J in (J for J, mJ in lcms.items() if mJ == m):
-                    assert lcm_of_subset(ideal, set(J) & set(first)) == kappa, (ideal, J)
 
 
 def test_verify_lcm_coefficients():
