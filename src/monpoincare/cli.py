@@ -10,28 +10,29 @@ compute nothing over a field.  An option a subcommand does not take exits 2.
 
 The denominator Q comes from the lcm lattice alone (``series.denominator``,
 no resolution of k over R); the deviations and Golod verdicts follow from Q,
-and P = prod(1+t*y_i)/Q is built only by ``poincare`` and ``deviations
---check``.  The Betti numbers of S/I and the Golod denominator come from the
-same lattice (``series.betti_numbers``).  Only --check resolves k over R,
-once per ideal, in the slack box m_I + (1,..,1): an independent oracle whose
-Q must equal the lattice Q and reproduce the whole resolution.  Only
-``koszul``, ``eagon`` and ``betti --check`` build a complex over R.  The 2^r
-subset tables are built only for the strands (Q, the Betti numbers and the
-Golod denominator) and for the Taylor-minimality test of ``q --check``;
-``candidates``, ``scarf``, ``lattice-iso``, ``polarize`` and the verdict of
-``golod-generic`` read the lcm lattice alone.
+and P = prod(1+t*y_i)/Q is built only by ``poincare`` and under --check.
+The Betti numbers of S/I and the Golod denominator come from the same
+lattice (``series.betti_numbers``).  Only --check resolves k over R, once
+per ideal, in the slack box m_I + (1,..,1): an independent oracle whose
+Betti numbers must be those of P there (``_resolve_once``); no Q is read back
+off it.  Only ``koszul``, ``eagon`` and ``betti --check`` build a complex
+over R.  The 2^r subset tables are built only for the strands (Q, the Betti
+numbers and the Golod denominator); ``candidates``, ``scarf``,
+``lattice-iso``, ``polarize``, the verdict of ``golod-generic`` and the
+Taylor-minimality test of ``q --check`` read the lcm lattice alone.
 
 Besides that resolution, --check compares: for ``q``, Q's terms with the
 candidate terms on Taylor-minimal and Golod rings; for ``golod``, the same
 when the verdict is exact and Golod (the verdict, Q against the Golod
 denominator, is itself the certificate); for ``golod-generic``, the Scarf
 criterion with that verdict; for ``poincare``, the resolution's d o d and
-exactness; for ``deviations``, the series they expand to with P; for
-``betti``, the strands with the Koszul homology of R; for the complex
-commands, d o d (and exactness for ``eagon``); for ``polarize``, the
-depolarization and the GCD-graph isomorphism.  That Q's terms lie on L_I
-minus 0 is checked on every call, with or without --check, and so are the
-theorems on low deviations for ``deviations`` (``_check_deviation_identities``).
+exactness; for ``deviations``, the series they expand to with the
+resolution's P; for ``betti``, the strands with the Koszul homology of R;
+for the complex commands, d o d (and exactness for ``eagon``); for
+``polarize``, the depolarization and the GCD-graph isomorphism.  That Q's
+terms lie on L_I minus 0 is checked on every call, with or without --check,
+and so are the theorems on low deviations for ``deviations``
+(``_check_deviation_identities``).
 
 Exit codes: 0 success, 1 verification failure (a requested check did not
 hold), 2 input error (bad file, bad arguments, violated precondition), 3
@@ -81,7 +82,6 @@ from .series import (
     betti_numbers,
     candidate_terms,
     denominator,
-    denominator_from_poincare,
     deviations,
     first_difference,
     poincare_from_denominator,
@@ -150,21 +150,30 @@ def _resolve_once(ideal, args, slack_tmax):
 
     Without --check: (Q, None), and nothing is resolved.  With --check: the
     slack box m_I + (1,..,1) up to ``slack_tmax``, giving (Q, that
-    resolution).  Q read off its P in box m_I must reproduce all of P (mod
-    t^(slack_tmax+1); ``denominator_from_poincare``) and equal the lattice Q
-    through t^min(slack_tmax, deg m_I); either failure is an internal error.
+    resolution), whose Betti numbers must be those of prod(1+t*y_i)/Q there;
+    a difference is an internal error naming the first one in (t, lex) order.
+
+    This is as strong as reading a second Q off the resolution.  The map
+    P -> prod(1+t*y_i)/P is a bijection on series with constant term 1, and
+    truncation to a box is a quotient map, so the resolution's P is
+    prod(1+t*y_i)/Q in the slack box exactly when the Q read off that P in
+    box m_I equals the lattice Q through t^min(slack_tmax, deg m_I) and
+    reproduces all of P.  At the first key where the two P differ, their
+    difference is minus that of the two Q, so the term named is the one where
+    the two Q first differ.
     """
     Q = denominator(ideal, char=args.char)
     if not args.check:
         return Q, None
     res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), args.char)
-    resolved = denominator_from_poincare(res.poincare_series(), ideal)
-    diff = first_difference(Q.restrict(resolved.tmax, resolved.ybound), resolved)
+    diff = first_difference(poincare_from_denominator(Q, slack_tmax, res.bound),
+                            res.poincare_series())
     if diff:
-        t, j, lattice_c, resolved_c = diff
+        t, j, expected, resolved = diff
         raise InternalInconsistencyError(
-            f"Q from the lcm lattice has {lattice_c}*y^{j}*t^{t}, but the "
-            f"resolution in box {res.bound} gives {resolved_c}*y^{j}*t^{t}")
+            f"prod(1+t*y_i)/Q with Q from the lcm lattice has {expected}*y^{j}*t^{t}, but "
+            f"the resolution in box {res.bound} has rank {resolved} in homological degree "
+            f"{t}, multidegree {j}")
     return Q, res
 
 
@@ -254,7 +263,7 @@ def cmd_deviations(args, ideal):
     if nmax < 0:
         raise InputError(f"--nmax must be non-negative, got {nmax}")
     bound = _slack_bound(ideal)
-    Q, _ = _resolve_once(ideal, args, nmax)
+    Q, res = _resolve_once(ideal, args, nmax)
     table = deviations(Q, nmax, bound)
     _check_deviation_identities(table, ideal, nmax)
     rows = sorted(table.items())
@@ -267,8 +276,9 @@ def cmd_deviations(args, ideal):
         for (n, j), e in rows:
             print(f"{n:>3}  {e:>4}  {monomial_str(j, ideal.var_names)} {list(j)}")
     if args.check:
+        # the resolution's Betti table, which _resolve_once found to be P
         diff = first_difference(series_from_deviations(table, ideal.num_vars, nmax, bound),
-                                poincare_from_denominator(Q, nmax, bound))
+                                res.poincare_series())
         if diff:
             t, j, expanded, given = diff
             raise VerificationFailure(f"deviations do not reproduce the Poincare series at "

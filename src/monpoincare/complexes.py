@@ -205,8 +205,9 @@ def scarf_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
-    """True iff all subset lcms are distinct, i.e. the Taylor resolution is minimal."""
-    return len(set(ideal.subset_lcms)) == len(ideal.subset_lcms)
+    """True iff all subset lcms are distinct, i.e. the Taylor resolution is
+    minimal: exactly when L_I, its bottom 0 included, has 2^r elements."""
+    return len(ideal.lattice_masks) == 1 << ideal.num_generators
 
 
 def koszul_complex(ring: MonomialIdeal) -> FreeComplex:

@@ -18,8 +18,8 @@ a cost of about |L_I| * r rather than 2^r), each built on first use and kept,
 outside the fields, for the life of the object; all three refuse more than
 ``SUBSET_TABLE_MAX_GENERATORS`` generators before allocating.  Only the
 Taylor strands (``series.denominator``, ``series.betti_numbers``, and through
-them the Golod denominator) and ``complexes.is_taylor_minimal`` read the two
-2^r tables; the candidate terms, the Scarf faces and the lattice maps read
+them the Golod denominator) read the two 2^r tables; the candidate terms, the
+Scarf faces, the Taylor-minimality test and the lattice maps read
 ``lattice_masks``.
 """
 from __future__ import annotations

@@ -34,10 +34,6 @@ class LcmLattice:
     closed: tuple  # closed[k]: bitmask of the atoms dividing elements[k]
 
     @property
-    def bottom(self) -> Multidegree:
-        return self.elements[0]
-
-    @property
     def top(self) -> Multidegree:
         return self.elements[-1]
 

@@ -16,8 +16,9 @@ comes from the Betti numbers of S/I that ``series.betti_numbers`` reads off
 the same lattice; the Koszul homology of R is computed only as their oracle.
 A tmax above deg m_I changes nothing, and the Golod verdict is exact once
 tmax >= deg m_I.  The resolution here is the independent oracle of Q:
-resolved in the slack box m_I + (1,..,1) under --check, its Q must equal the
-lattice Q and prod(1+t*y_i)/Q must reproduce it.
+resolved in the slack box m_I + (1,..,1) under --check, its Betti numbers
+must be those of P = prod(1+t*y_i)/Q there.  The --check compares P, and no
+Q is read off the resolution.
 """
 from __future__ import annotations
 

@@ -482,7 +482,9 @@ def verify_lcm_coefficients(Q: BigradedSeries, ideal: MonomialIdeal) -> bool:
 
 
 def denominator_from_poincare(P: BigradedSeries, ideal: MonomialIdeal) -> BigradedSeries:
-    """Extract Q = prod(1+t*y_i)/P from an already computed Poincare series.
+    """Extract Q = prod(1+t*y_i)/P from an already computed Poincare series:
+    the tests' Q-level oracle.  --check compares P instead, the resolution's
+    with prod(1+t*y_i)/Q, which is as strong (``cli._resolve_once``).
 
     P's box must contain m_I.  Q is a polynomial with t-degree at most
     deg(m_I) whose terms of t-degree >= 1 sit on L_I minus 0, so it is read
@@ -571,23 +573,25 @@ def denominator(ideal: MonomialIdeal, char: int = 0) -> BigradedSeries:
     homology of the Taylor strand on U_alpha (``_strand_polynomial``).  Q is
     the sum over all families of pairwise coprime alpha_1..alpha_l of
     prod c_alpha_i(t) y^alpha_i, the empty family giving 1.  It is built in
-    one pass over alpha in (degree, lex) order: each alpha adds
-    c_alpha y^alpha times the terms so far whose multidegree is coprime to
-    alpha.  The subset lcms, the l_J and the coprimality test all run on
-    staircase masks.  A linear generator x_i splits off (S/I is S'/I' with
-    x_i dropped), so its c_alpha is t, the factor 1 + t*y_i.
+    one pass over the alpha, in any order: each alpha adds c_alpha y^alpha
+    times the terms so far whose multidegree is coprime to alpha, so each
+    family is formed once, by its members in loop order.  The subset lcms,
+    the l_J and the coprimality test all run on staircase masks.  A linear
+    generator x_i splits off (S/I is S'/I' with x_i dropped), so its c_alpha
+    is t, the factor 1 + t*y_i.
 
     No resolution is made.  Q lives in box m_I with t-degree <= deg m_I.
     Two theorem checks raise InternalInconsistencyError: no term lies above
-    t^deg(m_I), and every term of t-degree >= 1 lies on L_I minus 0.
-    ``denominator_from_poincare`` of a resolution is the independent oracle.
+    t^deg(m_I), and every term of t-degree >= 1 lies on L_I minus 0.  The
+    independent oracle is a resolution of k over R, whose Betti numbers
+    --check compares with prod(1+t*y_i)/Q (``cli._resolve_once``).
     """
     top = ideal.top_lcm()
     degree_bound = total_degree(top)
     codec, strands = ideal.codec, _lcm_strands(ideal, connected=True)
     terms = {0: {0: 1}}  # mask -> {t: coefficient}
-    for alpha in sorted(strands, key=lambda m: (m.bit_count(), codec.decode(m))):
-        c = {1: 1} if alpha.bit_count() == 1 else _strand_polynomial(strands[alpha], char)
+    for alpha, cells in strands.items():
+        c = {1: 1} if alpha.bit_count() == 1 else _strand_polynomial(cells, char)
         if not c:
             continue
         for m, poly in [(m, poly) for m, poly in terms.items() if not m & alpha]:

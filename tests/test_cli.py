@@ -520,13 +520,36 @@ def test_q_check_names_the_first_term_the_resolution_contradicts(closing_pair, m
     assert main(["q", b, "--check"]) == 3
     err = capsys.readouterr().err
     assert "internal error" in err
-    assert "0*y^(1, 2, 0)*t^2" in err and "-1*y^(1, 2, 0)*t^2" in err and "t^3" not in err
+    assert ("has 0*y^(1, 2, 0)*t^2, but the resolution in box (2, 3, 3) has rank 1 in "
+            "homological degree 2, multidegree (1, 2, 0)") in err and "t^3" not in err
     extra[:] = [(3, (1, 2, 2), 1)]
     assert main(["q", b, "--check"]) == 3
-    assert "0*y^(1, 2, 2)*t^3" in capsys.readouterr().err
+    assert ("has 0*y^(1, 2, 2)*t^3, but the resolution in box (2, 3, 3) has rank 1 in "
+            "homological degree 3, multidegree (1, 2, 2)") in capsys.readouterr().err
     # Q is compared mod t^(tmax+1) when the resolution stops below deg m_I
     assert main(["poincare", b, "--tmax", "2", "--check"]) == 0
     assert main(["q", b]) == 0  # without --check nothing contradicts it
+    capsys.readouterr()
+
+
+def test_check_names_a_generator_the_resolver_planted(closing_pair, monkeypatch, capsys):
+    """A resolution with one generator too many, in homological degree 2 at
+    y^(1,1,1), contradicts prod(1+t*y_i)/Q there."""
+    _, b = closing_pair
+    real = cli.resolve_residue_field
+
+    def planted(ideal, tmax, bound=None, char=0):
+        res = real(ideal, tmax, bound, char)
+        res.complex.modules[2].append((1, 1, 1))
+        return res
+
+    monkeypatch.setattr(cli, "resolve_residue_field", planted)
+    for argv in (["q", b], ["poincare", b]):
+        assert main(argv + ["--check"]) == 3, argv
+        assert ("internal error: prod(1+t*y_i)/Q with Q from the lcm lattice has "
+                "0*y^(1, 1, 1)*t^2, but the resolution in box (2, 3, 3) has rank 1 in "
+                "homological degree 2, multidegree (1, 1, 1)") in capsys.readouterr().err, argv
+        assert main(argv) == 0, argv  # without --check nothing is resolved
     capsys.readouterr()
 
 

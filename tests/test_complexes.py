@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from monpoincare import complexes
+from monpoincare import complexes, core
 from monpoincare.core import (Box, InternalInconsistencyError, MonomialIdeal, box_multidegrees,
                               is_generic, mdeg_add, minimalize, total_degree)
 from monpoincare.complexes import (
@@ -93,11 +93,18 @@ def test_is_taylor_minimal():
     assert is_taylor_minimal(minimalize([(4,)], 1))
 
 
-def test_scarf_and_taylor_minimal_match_brute_force():
+def test_scarf_and_taylor_minimal_match_brute_force(monkeypatch):
+    """Both read the lcm lattice and build no 2^r subset table."""
     triangle = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)], 3)
-    for ideal in [minimalize([], 2), triangle, *random_corpus(40, seed=71)]:
+    # the edge ideal of a 5-leaf star, x0*x_i: Taylor-minimal, |L_I| = 2^5
+    star = minimalize([tuple(int(v in (0, i)) for v in range(6)) for i in range(1, 6)], 6)
+    tables = []
+    real = core.subset_table
+    monkeypatch.setattr(core, "subset_table", lambda masks: tables.append(masks) or real(masks))
+    for ideal in [minimalize([], 2), triangle, star, *random_corpus(40, seed=71)]:
         assert scarf_faces(ideal) == brute_scarf_faces(ideal)
         assert is_taylor_minimal(ideal) == brute_is_taylor_minimal(ideal)
+    assert is_taylor_minimal(star) and not tables
 
 
 def test_scarf_faces_match_brute_force_past_four_generators():

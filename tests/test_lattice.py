@@ -26,7 +26,7 @@ CLOSING_IP = [(1, 2, 0), (1, 0, 2)]
 def test_build_lattice_closing_examples():
     L = build_lcm_lattice(minimalize(CLOSING_I, 3))
     assert set(L.elements) == {(0, 0, 0), (2, 0, 0), (0, 2, 1), (2, 2, 1)}
-    assert L.bottom == (0, 0, 0)
+    assert L.elements[0] == (0, 0, 0)
     assert L.top == (2, 2, 1)
     Lp = build_lcm_lattice(minimalize(CLOSING_IP, 3))
     assert set(Lp.elements) == {(0, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)}
@@ -52,10 +52,10 @@ def test_lattice_size_bound_and_atom_join_generation():
     for ideal in random_corpus(20, seed=51):
         L = build_lcm_lattice(ideal)
         assert len(L.elements) <= 2 ** ideal.num_generators
-        spanned = {L.bottom}
+        spanned = {L.elements[0]}
         for size in range(1, ideal.num_generators + 1):
             for sub in combinations(L.atoms, size):
-                m = L.bottom
+                m = L.elements[0]
                 for a in sub:
                     m = mdeg_join(m, a)
                 spanned.add(m)
