@@ -10,16 +10,18 @@ compute nothing over a field.  An option a subcommand does not take exits 2.
 
 The denominator Q comes from the lcm lattice alone (``series.denominator``,
 no resolution of k over R); the deviations and Golod verdicts follow from Q,
-and P = prod(1+t*y_i)/Q is built only by ``poincare`` and under --check.
-The Betti numbers of S/I and the Golod denominator come from the same
-lattice (``series.betti_numbers``).  Only --check resolves k over R, once
-per ideal, in the slack box m_I + (1,..,1): an independent oracle whose
-Betti numbers must be those of P there (``_resolve_once``); no Q is read back
-off it.  Only ``koszul``, ``eagon`` and ``betti --check`` build a complex
-over R.  The 2^r subset tables are built only for the strands (Q, the Betti
-numbers and the Golod denominator); ``candidates``, ``scarf``,
-``lattice-iso``, ``polarize``, the verdict of ``golod-generic`` and the
-Taylor-minimality test of ``q --check`` read the lcm lattice alone.
+and P = prod(1+t*y_i)/Q is built only by ``poincare`` and under --check,
+once per call.  The Betti numbers of S/I and the Golod denominator come
+from the same lattice (``series.betti_numbers``).  Only --check resolves k
+over R, once per ideal, in the slack box m_I + (1,..,1): an independent
+oracle whose Betti numbers must be those of P there (``_resolve_against``);
+no Q is read back off it.  Only ``koszul``, ``eagon`` and ``betti --check``
+build a complex over R.  The 2^r subset tables are built only for the
+strands (Q, the Betti numbers and the Golod denominator); ``candidates``,
+``scarf``, ``lattice-iso``, ``polarize``, the verdict of ``golod-generic``
+and the Taylor-minimality test of ``q --check`` read the lcm lattice alone,
+and ``lattice-iso`` and ``polarize`` decode its elements only for
+--transport.
 
 Besides that resolution, --check compares: for ``q``, Q's terms with the
 candidate terms on Taylor-minimal and Golod rings; for ``golod``, the same
@@ -148,33 +150,41 @@ def _resolve_once(ideal, args, slack_tmax):
     """Q from the lcm lattice, and under --check the one resolution of k over
     R that a command makes.
 
-    Without --check: (Q, None), and nothing is resolved.  With --check: the
-    slack box m_I + (1,..,1) up to ``slack_tmax``, giving (Q, that
-    resolution), whose Betti numbers must be those of prod(1+t*y_i)/Q there;
-    a difference is an internal error naming the first one in (t, lex) order.
+    Without --check: (Q, None), and nothing is resolved.  With --check: (Q,
+    the resolution that ``_resolve_against`` compares with prod(1+t*y_i)/Q
+    in the slack box m_I + (1,..,1) up to ``slack_tmax``).
+    """
+    Q = denominator(ideal, char=args.char)
+    if not args.check:
+        return Q, None
+    return Q, _resolve_against(ideal, args.char,
+                               poincare_from_denominator(Q, slack_tmax, _slack_bound(ideal)))
+
+
+def _resolve_against(ideal, char, P):
+    """The resolution of k over R in P's box (every caller's is the slack box
+    m_I + (1,..,1)) up to P's t-degree, whose Betti numbers must be those of
+    P = prod(1+t*y_i)/Q; a difference is an internal error naming the first
+    one in (t, lex) order.
 
     This is as strong as reading a second Q off the resolution.  The map
     P -> prod(1+t*y_i)/P is a bijection on series with constant term 1, and
     truncation to a box is a quotient map, so the resolution's P is
     prod(1+t*y_i)/Q in the slack box exactly when the Q read off that P in
-    box m_I equals the lattice Q through t^min(slack_tmax, deg m_I) and
+    box m_I equals the lattice Q through t^min(P.tmax, deg m_I) and
     reproduces all of P.  At the first key where the two P differ, their
     difference is minus that of the two Q, so the term named is the one where
     the two Q first differ.
     """
-    Q = denominator(ideal, char=args.char)
-    if not args.check:
-        return Q, None
-    res = resolve_residue_field(ideal, slack_tmax, _slack_bound(ideal), args.char)
-    diff = first_difference(poincare_from_denominator(Q, slack_tmax, res.bound),
-                            res.poincare_series())
+    res = resolve_residue_field(ideal, P.tmax, P.ybound, char)
+    diff = first_difference(P, res.poincare_series())
     if diff:
         t, j, expected, resolved = diff
         raise InternalInconsistencyError(
             f"prod(1+t*y_i)/Q with Q from the lcm lattice has {expected}*y^{j}*t^{t}, but "
             f"the resolution in box {res.bound} has rank {resolved} in homological degree "
             f"{t}, multidegree {j}")
-    return Q, res
+    return res
 
 
 def _exact_denominator(ideal, args, tmax=None):
@@ -222,10 +232,11 @@ def cmd_q(args, ideal):
 def cmd_poincare(args, ideal):
     tmax = args.tmax if args.tmax is not None else _default_tmax(ideal, 2)
     bound = _slack_bound(ideal)
-    Q, res = _resolve_once(ideal, args, tmax)
-    # dim Tor_i^R(k,k)_j is the coefficient of t^i y^j in P
-    table = poincare_from_denominator(Q, tmax, bound).coeffs
-    _print_betti(table, ideal, args.format,
+    # dim Tor_i^R(k,k)_j is the coefficient of t^i y^j in P; --check
+    # compares the resolution with this same P
+    P = poincare_from_denominator(denominator(ideal, char=args.char), tmax, bound)
+    res = _resolve_against(ideal, args.char, P) if args.check else None
+    _print_betti(P.coeffs, ideal, args.format,
                  f"Tor^R(k,k) to t-degree {tmax}, multidegrees <= {list(bound)}")
     if args.check:
         _check_complex(res.complex, "residue field resolution")

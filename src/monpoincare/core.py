@@ -29,7 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from operator import mul
+from operator import add, le, mul, sub
 
 Multidegree = tuple  # tuple[int, ...], length = number of variables
 
@@ -51,20 +51,20 @@ def unit_mdeg(num_vars: int, i: int) -> Multidegree:
 
 
 def mdeg_add(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mdeg_sub(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mdeg_join(a: Multidegree, b: Multidegree) -> Multidegree:
     """Componentwise max, i.e. the lcm of the two monomials."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def divides(a: Multidegree, b: Multidegree) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def strictly_divides(a: Multidegree, b: Multidegree) -> bool:
@@ -77,7 +77,9 @@ def total_degree(a: Multidegree) -> int:
 
 
 def coprime(a: Multidegree, b: Multidegree) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    """No variable in both: each product x*y is 0, as for ints it is exactly
+    when x or y is 0."""
+    return not any(map(mul, a, b))
 
 
 def box_multidegrees(bound: Multidegree):
@@ -288,8 +290,8 @@ class Staircase(namedtuple("Staircase", "widths offsets atoms")):
         return mask
 
     def decode(self, mask: int) -> Multidegree:
-        return tuple((mask >> off & ((1 << w) - 1)).bit_length()
-                     for off, w in zip(self.offsets, self.widths))
+        return tuple([(mask >> off & ((1 << w) - 1)).bit_length()
+                      for off, w in zip(self.offsets, self.widths)])
 
 
 def staircase(gens, num_vars: int) -> Staircase:

@@ -484,7 +484,7 @@ def verify_lcm_coefficients(Q: BigradedSeries, ideal: MonomialIdeal) -> bool:
 def denominator_from_poincare(P: BigradedSeries, ideal: MonomialIdeal) -> BigradedSeries:
     """Extract Q = prod(1+t*y_i)/P from an already computed Poincare series:
     the tests' Q-level oracle.  --check compares P instead, the resolution's
-    with prod(1+t*y_i)/Q, which is as strong (``cli._resolve_once``).
+    with prod(1+t*y_i)/Q, which is as strong (``cli._resolve_against``).
 
     P's box must contain m_I.  Q is a polynomial with t-degree at most
     deg(m_I) whose terms of t-degree >= 1 sit on L_I minus 0, so it is read
@@ -584,7 +584,7 @@ def denominator(ideal: MonomialIdeal, char: int = 0) -> BigradedSeries:
     Two theorem checks raise InternalInconsistencyError: no term lies above
     t^deg(m_I), and every term of t-degree >= 1 lies on L_I minus 0.  The
     independent oracle is a resolution of k over R, whose Betti numbers
-    --check compares with prod(1+t*y_i)/Q (``cli._resolve_once``).
+    --check compares with prod(1+t*y_i)/Q (``cli._resolve_against``).
     """
     top = ideal.top_lcm()
     degree_bound = total_degree(top)

@@ -468,6 +468,35 @@ def test_lattice_commands_build_no_subset_table(closing_pair, ideal_file, rp2, t
     capsys.readouterr()
 
 
+def test_lattice_commands_decode_nothing(closing_pair, rp2, monkeypatch, capsys):
+    # the isomorphism search and the GCD flag read atom masks; only the
+    # transport decodes, through the lattices it applies the maps to
+    from monpoincare import core, lattice
+
+    calls = Counter()
+    real_decode, real_build = core.Staircase.decode, lattice.build_lcm_lattice
+
+    def counted_decode(codec, mask):
+        calls["decode"] += 1
+        return real_decode(codec, mask)
+
+    def counted_build(ideal):
+        calls["build_lcm_lattice"] += 1
+        return real_build(ideal)
+
+    monkeypatch.setattr(core.Staircase, "decode", counted_decode)
+    monkeypatch.setattr(lattice, "build_lcm_lattice", counted_build)
+    a, b = closing_pair
+    for argv in (["lattice-iso", a, b], ["lattice-iso", rp2, rp2],
+                 ["polarize", b, "--check"], ["polarize", rp2, "--check"]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert calls == Counter(), argv
+    assert main(["lattice-iso", a, b, "--transport"]) == 0
+    assert calls["decode"] > 0 and calls["build_lcm_lattice"] == 2
+    capsys.readouterr()
+
+
 def test_lattice_iso_finds_the_60_automorphisms_of_rp2(rp2, capsys):
     capsys.readouterr()
     assert main(["lattice-iso", rp2, rp2, "--format", "json"]) == 0
@@ -765,6 +794,25 @@ def test_deviations_divide_once_by_Q_and_build_P_only_under_check(ideal_file, mo
     capsys.readouterr()
     assert built["monpoincare.cli.poincare_from_denominator"] == 1
     assert built["monpoincare.series.series_mul"] == 0
+
+
+def test_poincare_builds_P_once_with_and_without_check(ideal_file, monkeypatch, capsys):
+    # the table and the comparison with the resolution read one P
+    C5 = cycle_ideal(5)
+    c5 = ideal_file("c5", list(C5.var_names), [list(g) for g in C5.generators])
+    built = []
+    real = cli.poincare_from_denominator
+
+    def counted(Q, tmax, ybound):
+        built.append((tmax, tuple(ybound)))
+        return real(Q, tmax, ybound)
+
+    monkeypatch.setattr(cli, "poincare_from_denominator", counted)
+    for flags in (["--check", "--char", "2"], ["--char", "2"], []):
+        built.clear()
+        assert main(["poincare", c5, *flags]) == 0, flags
+        assert built == [(7, (2, 2, 2, 2, 2))], flags
+    capsys.readouterr()
 
 
 # the deviations of R = S/(x1*x2^2, x1*x3^2) up to n = 2: the variables and the generators

@@ -20,6 +20,7 @@ from monpoincare.core import (
     mask_subset,
     mdeg_add,
     mdeg_join,
+    mdeg_sub,
     minimalize,
     polarize,
     staircase,
@@ -136,6 +137,25 @@ def test_staircase_codec_matches_multidegree_operations():
     assert codec.widths == (2, 2, 1) and codec.atoms == (0b00011, 0b11100)
     with pytest.raises(InputError):
         codec.encode((3, 0, 0))
+
+
+def test_multidegree_primitives_match_their_elementwise_definitions():
+    # mdeg_sub hands validate negative entries, so the tuples range below 0
+    rng = random.Random(29)
+    pairs = [((0,) * 6, (0,) * 6), ((1,), (0,)), ((0,), (-3,)), ((), ())]
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        lo = rng.choice((0, -3))
+        pairs.append((tuple(rng.randint(lo, 3) for _ in range(n)),
+                      tuple(rng.randint(lo, 3) for _ in range(n))))
+    for a, b in pairs:
+        assert mdeg_add(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert mdeg_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert mdeg_join(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+        assert divides(a, b) is all(x <= y for x, y in zip(a, b))
+        assert coprime(a, b) is all(x == 0 or y == 0 for x, y in zip(a, b))
+    assert sum(coprime(a, b) for a, b in pairs) > 100
+    assert sum(divides(a, b) for a, b in pairs) > 100
 
 
 def test_subset_components_match_connected_components_lJ():
